@@ -12,8 +12,8 @@ import (
 	"fmt"
 	"os"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
@@ -55,25 +55,27 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeOwnPartition()
+	bindings, err := attack.Analyze(tb.Device, tb.AttackerNS, attack.AnalyzeOptions{})
 	if err != nil {
 		fatal(err)
 	}
-	if *limit > 0 && len(plans) > *limit {
-		plans = plans[:*limit]
+	if *limit > 0 && len(bindings) > *limit {
+		bindings = bindings[:*limit]
 	}
 	fmt.Printf("device seed %d: probing %d candidate triples (threshold %d, required rate %.2f M/s)\n",
-		*seed, len(plans), *hcfirst, atk.RequiredRate()/1e6)
+		*seed, len(bindings), *hcfirst, attack.RequiredRate(tb.Device)/1e6)
 
-	results, err := atk.Template(plans, core.TemplateOptions{Pairs: *budget})
+	h := &attack.DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
+	pat := attack.DoublePattern()
+	pat.Iterations = *budget
+	results, err := attack.Template(h, bindings, pat)
 	if err != nil {
 		fatal(err)
 	}
 	vulnerable := 0
 	fmt.Printf("%-6s %-6s %-10s %-12s %s\n", "ch/bk", "victim", "aggressors", "vulnerable", "observation")
 	for _, r := range results {
-		tr := r.Plan.Triple
+		tr := r.Binding.Triple
 		mark := ""
 		if r.Vulnerable {
 			vulnerable++

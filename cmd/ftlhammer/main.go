@@ -18,7 +18,6 @@ import (
 
 	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/faults"
 	"ftlhammer/internal/guard"
@@ -160,34 +159,29 @@ func main() {
 	fmt.Printf("device: %s — %.1f GiB, %d namespaces, %s L2P\n",
 		id.Model, float64(id.Capacity)/(1<<30), id.Namespaces, id.L2PKind)
 
-	hopts := core.HammerOptions{SyncDecoy: *syncDecoys}
+	pat := attack.DoublePattern()
 	if *pattern != "" {
-		pat, err := attack.ParsePattern(*pattern)
-		if err != nil {
+		if pat, err = attack.ParsePattern(*pattern); err != nil {
 			fatal(err)
 		}
-		// -sync-decoys composes: it adds REF synchronization to whatever
-		// shape -pattern selected.
-		if *syncDecoys {
-			pat.SyncDecoy = true
-		}
-		hopts.Pattern = &pat
 		fmt.Printf("hammer pattern: %s\n", pat)
 	}
+	// -sync-decoys composes: it adds REF synchronization to whatever
+	// shape -pattern selected.
+	if *syncDecoys {
+		pat.SyncDecoy = true
+	}
 	if *victim != "" {
-		pat := attack.DoublePattern()
-		if hopts.Pattern != nil {
-			pat = *hopts.Pattern
-		}
 		pat.Iterations = *iters
 		if err := runVictim(tb, *victim, pat, reg); err != nil {
 			fatal(err)
 		}
 	} else {
-		runCampaign(tb, hopts, core.CampaignConfig{
+		runCampaign(tb, attack.CampaignConfig{
 			SprayFiles:      *sprayFiles,
 			TargetsPerFile:  *targets,
 			MaxCycles:       *cycles,
+			Pattern:         pat,
 			TriplesPerCycle: *triples,
 			Hunt:            *hunt,
 		})
@@ -260,9 +254,8 @@ func main() {
 
 // runCampaign executes the classic §3/§4 leak campaign and prints its
 // report.
-func runCampaign(tb *cloud.Testbed, hopts core.HammerOptions, ccfg core.CampaignConfig) {
-	ccfg.Hammer = hopts
-	camp, err := core.NewCampaign(tb, ccfg)
+func runCampaign(tb *cloud.Testbed, ccfg attack.CampaignConfig) {
+	camp, err := attack.NewCampaign(tb, ccfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -288,48 +281,17 @@ func runCampaign(tb *cloud.Testbed, hopts core.HammerOptions, ccfg core.Campaign
 	}
 }
 
-// crossAllocator finds cross-partition bindings (attacker rows flanking
-// victim-owned translation rows, §4.2) and readies the fast-read path —
-// the placement the leak campaign uses, lifted into the Allocator shape
-// the pipeline wants.
-type crossAllocator struct {
-	victimNSID  int
-	maxBindings int
-}
-
-func (a crossAllocator) Allocate(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path, sides int) ([]attack.Binding, error) {
-	bindings, err := attack.Analyze(dev, ns, attack.AnalyzeOptions{
-		VictimNSID: a.victimNSID,
-		Sides:      sides,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if a.maxBindings > 0 && len(bindings) > a.maxBindings {
-		bindings = bindings[:a.maxBindings]
-	}
-	for i := range bindings {
-		b := &bindings[i]
-		for s := range b.Sides {
-			b.Sides[s] = b.Sides[s][:1]
-			if err := dev.Trim(ns, b.Sides[s][0], path); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return bindings, nil
-}
-
 // runVictim drives one victim scenario from the internal/victims zoo
 // through the attack pipeline on the testbed device: arm the victim
 // stack in the victim tenant, hammer the pattern over cross-partition
-// bindings, and report what the software above the device observed
+// bindings (attacker rows flanking victim-owned translation rows, §4.2),
+// and report what the software above the device observed
 // (docs/VICTIMS.md).
 func runVictim(tb *cloud.Testbed, kind string, pat attack.Pattern, reg *obs.Registry) error {
 	dev := tb.Device
 	pipe := &attack.Pipeline{
 		Dev: dev, NS: tb.AttackerNS, Path: nvme.PathDirect,
-		Alloc:       crossAllocator{victimNSID: tb.VictimNS.ID, maxBindings: 4},
+		Alloc:       &attack.ContiguousAllocator{VictimNSID: tb.VictimNS.ID, MaxBindings: 4},
 		Hammerer:    &attack.DeviceHammerer{Dev: dev, NS: tb.AttackerNS, Path: nvme.PathDirect},
 		MaxBindings: 4,
 		Obs:         reg,

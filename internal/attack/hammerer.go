@@ -20,10 +20,9 @@ type Hammerer interface {
 }
 
 // DeviceHammerer hammers through the NVMe device: every slot becomes a
-// read of an LBA whose L2P lookup activates the slot's target row. It
-// reproduces the exact read/clock sequence of the legacy
-// core.Attacker.Hammer loop for the patterns that loop could express,
-// and generalizes it to non-uniform slot schedules.
+// read of an LBA whose L2P lookup activates the slot's target row —
+// the §3.1 workload of strictly ordinary reads, generalized to
+// non-uniform slot schedules.
 type DeviceHammerer struct {
 	Dev  *nvme.Device
 	NS   *nvme.Namespace

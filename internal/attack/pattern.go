@@ -57,9 +57,8 @@ func (s Slot) String() string {
 
 // Pattern declares a hammering shape: which rows are read, in what
 // order, how often, and whether decoy reads are synchronized to refresh
-// boundaries. It replaces the boolean sprawl of core.HammerOptions
-// (SingleSided, OneLocation, SyncDecoy, ...) with one declarative
-// value that the fuzzer can mutate dimension by dimension.
+// boundaries. It is one declarative value that the fuzzer can mutate
+// dimension by dimension.
 type Pattern struct {
 	// Spec is the parseable source string ("double", "fuzzed:7"), set
 	// by ParsePattern and the fuzzed-pattern generator. Informational:
@@ -70,7 +69,7 @@ type Pattern struct {
 	// bound to same-bank far rows that soak the TRR sampler).
 	Sides int
 	// Iterations is the number of pattern iterations to run. Zero lets
-	// a caller-side budget fill it in (core.HammerOptions.Pairs does).
+	// a caller-side budget fill it in (Template and Campaign do).
 	Iterations int
 	// Slots is the per-iteration read schedule. Nil defaults to one
 	// slot per side, in side order — the classic uniform pattern.

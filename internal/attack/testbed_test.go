@@ -1,13 +1,12 @@
-package core
+package attack
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"math"
 	"strings"
 	"testing"
 
-	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ext4"
@@ -65,63 +64,28 @@ func fastTestbed(t *testing.T, mutate func(*cloud.Config)) *cloud.Testbed {
 	return tb
 }
 
-// --- §4.3 probability model ---
-
-func TestPaperScenarioIsSevenPercent(t *testing.T) {
-	p := PaperScenario()
-	got := p.SingleCycle()
-	if math.Abs(got-0.0703125) > 1e-9 {
-		t.Fatalf("single-cycle probability = %v, want 9/128 ≈ 7%%", got)
-	}
-	if after := p.AfterCycles(10); after <= 0.5 {
-		t.Fatalf("10 cycles = %v, paper says > 50%%", after)
-	}
-	if n := p.CyclesFor(0.5); n != 10 {
-		t.Fatalf("CyclesFor(0.5) = %d, want 10", n)
-	}
+// attackerHammerer is the attacker VM's direct-path hammerer.
+func attackerHammerer(tb *cloud.Testbed) *DeviceHammerer {
+	return &DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
 }
 
-func TestMonteCarloMatchesClosedForm(t *testing.T) {
-	for _, p := range []ProbParams{
-		PaperScenario(),
-		{LB: 1 << 16, PB: 1 << 16, Cv: 1 << 15, Ca: 1 << 15, Fv: 1 << 12, Fa: 1 << 14},
-		{LB: 1 << 16, PB: 1 << 16, Cv: 1 << 15, Ca: 1 << 15, Fv: 1 << 15, Fa: 0},
-	} {
-		want := p.SingleCycle()
-		got := p.MonteCarlo(400000, 7)
-		if math.Abs(got-want) > 0.01+want*0.1 {
-			t.Errorf("MC %v vs analytic %v for %+v", got, want, p)
-		}
-	}
-}
-
-func TestProbabilityValidation(t *testing.T) {
-	bad := ProbParams{LB: 10, PB: 10, Cv: 8, Ca: 8}
-	if bad.Validate() == nil {
-		t.Fatal("Cv+Ca > LB accepted")
-	}
-	if bad.SingleCycle() != 0 {
-		t.Fatal("invalid params produced probability")
-	}
-	bad2 := ProbParams{LB: 10, PB: 10, Cv: 4, Ca: 4, Fv: 5}
-	if bad2.Validate() == nil {
-		t.Fatal("Fv > Cv accepted")
-	}
-}
-
-func TestAfterCyclesMonotone(t *testing.T) {
-	p := PaperScenario()
-	last := 0.0
-	for n := 1; n <= 50; n++ {
-		v := p.AfterCycles(n)
-		if v < last || v > 1 {
-			t.Fatalf("AfterCycles not monotone at %d: %v < %v", n, v, last)
-		}
-		last = v
-	}
+// double is the classic double-sided pattern run for n iterations.
+func double(n int) Pattern {
+	p := DoublePattern()
+	p.Iterations = n
+	return p
 }
 
 // --- polyglot blocks ---
+
+// parsePointerBlock decodes a block as an indirect pointer array.
+func parsePointerBlock(blk []byte) []uint32 {
+	out := make([]uint32, len(blk)/4)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint32(blk[i*4:])
+	}
+	return out
+}
 
 func TestCraftPointerBlockRoundTrip(t *testing.T) {
 	targets := []uint32{100, 200, 300}
@@ -129,7 +93,7 @@ func TestCraftPointerBlockRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptrs := ParsePointerBlock(blk)
+	ptrs := parsePointerBlock(blk)
 	for i, want := range targets {
 		if ptrs[i] != want {
 			t.Fatalf("ptr[%d] = %d, want %d", i, ptrs[i], want)
@@ -149,7 +113,7 @@ func TestCraftPolyglotDualNature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptrs := ParsePointerBlock(blk)
+	ptrs := parsePointerBlock(blk)
 	if ptrs[0] != 7 || ptrs[2] != 9 {
 		t.Fatal("polyglot lost pointer validity")
 	}
@@ -168,13 +132,12 @@ func TestCraftPolyglotDualNature(t *testing.T) {
 
 func TestAnalyzeCrossPartitionFindsPlans(t *testing.T) {
 	tb := fastTestbed(t, nil)
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeCrossPartition(tb.VictimNS.ID)
+	bindings, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{VictimNSID: tb.VictimNS.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plans) == 0 {
-		t.Fatal("no plans")
+	if len(bindings) == 0 {
+		t.Fatal("no bindings")
 	}
 	owner, err := tb.Device.L2POwner()
 	if err != nil {
@@ -182,54 +145,52 @@ func TestAnalyzeCrossPartitionFindsPlans(t *testing.T) {
 	}
 	region := tb.FTL.L2PRegion()
 	decoys := 0
-	for _, p := range plans {
-		for side := 0; side < 2; side++ {
-			if len(p.AggLBAs[side]) == 0 {
-				t.Fatal("plan with empty aggressor side")
+	for _, b := range bindings {
+		if len(b.Sides) != 2 {
+			t.Fatalf("binding has %d sides, want the natural 2", len(b.Sides))
+		}
+		for _, side := range b.Sides {
+			if len(side) == 0 {
+				t.Fatal("binding with empty aggressor side")
 			}
-			for _, lba := range p.AggLBAs[side] {
+			for _, lba := range side {
 				if uint64(lba) >= tb.AttackerNS.NumLBAs {
 					t.Fatalf("aggressor LBA %d outside attacker namespace", lba)
 				}
 			}
 		}
-		for _, g := range p.VictimGlobalLBAs {
+		for _, g := range b.VictimGlobalLBAs {
 			addr := region.Base + uint64(g)*ftl.EntryBytes
 			if owner(addr) != tb.VictimNS.ID {
 				t.Fatalf("victim LBA %d not owned by victim namespace", g)
 			}
 		}
-		if p.HasDecoy {
+		if b.HasDecoy {
 			decoys++
 		}
 	}
 	if decoys == 0 {
-		t.Fatal("no plan has a decoy row")
+		t.Fatal("no binding has a decoy row")
 	}
 }
 
 func TestAnalyzeSidesExtendsPlans(t *testing.T) {
 	tb := fastTestbed(t, nil)
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
 	// The fast testbed's banks hold one spare far row beyond the decoy,
-	// so requesting 4 sides extends every plan to its natural max of 3.
-	plans, err := atk.AnalyzeCrossPartitionSides(tb.VictimNS.ID, 4)
+	// so requesting 4 sides extends every binding to its natural max of 3.
+	bindings, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{VictimNSID: tb.VictimNS.ID, Sides: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	extended := 0
-	for _, p := range plans {
-		if p.SideCount() > 4 {
-			t.Fatalf("plan extended past requested sidedness: %d", p.SideCount())
+	for _, b := range bindings {
+		if len(b.Sides) > 4 {
+			t.Fatalf("binding extended past requested sidedness: %d", len(b.Sides))
 		}
-		if p.SideCount() > 2 {
+		if len(b.Sides) > 2 {
 			extended++
 		}
-		b := p.Binding()
-		if len(b.Sides) != p.SideCount() {
-			t.Fatalf("Binding lost sides: %d != %d", len(b.Sides), p.SideCount())
-		}
-		for _, side := range p.ExtraSides {
+		for _, side := range b.Sides[2:] {
 			if len(side) == 0 {
 				t.Fatal("empty extra side")
 			}
@@ -241,27 +202,29 @@ func TestAnalyzeSidesExtendsPlans(t *testing.T) {
 		}
 	}
 	if extended == 0 {
-		t.Fatal("no plan was extended past two sides")
+		t.Fatal("no binding was extended past two sides")
 	}
-	for _, p := range plans {
-		if p.SideCount() != 3 {
+	h := attackerHammerer(tb)
+	for _, b := range bindings {
+		if len(b.Sides) != 3 {
 			continue
 		}
-		// A many-sided pattern runs on an extended plan...
-		pat := attack.ManyPattern(3)
-		if err := atk.Hammer(p, HammerOptions{Pairs: 100, Pattern: &pat}); err != nil {
-			t.Fatalf("many:3 on a 3-sided plan: %v", err)
+		// A many-sided pattern runs on an extended binding...
+		pat := ManyPattern(3)
+		pat.Iterations = 100
+		if err := h.Hammer(b, pat); err != nil {
+			t.Fatalf("many:3 on a 3-sided binding: %v", err)
 		}
-		// ...a pattern wider than the plan is rejected...
-		wide := attack.ManyPattern(4)
-		if err := atk.Hammer(p, HammerOptions{Pairs: 100, Pattern: &wide}); err == nil {
-			t.Fatal("many:4 accepted on a 3-sided plan")
+		// ...a pattern wider than the binding is rejected...
+		wide := ManyPattern(4)
+		wide.Iterations = 100
+		if err := h.Hammer(b, wide); err == nil {
+			t.Fatal("many:4 accepted on a 3-sided binding")
 		}
-		// ...and clamping it to the plan's sidedness makes it runnable
-		// (the campaign's per-plan downgrade).
-		clamped := wide.ClampSides(p.SideCount())
-		if err := atk.Hammer(p, HammerOptions{Pairs: 100, Pattern: &clamped}); err != nil {
-			t.Fatalf("clamped many:4 on a 3-sided plan: %v", err)
+		// ...and clamping it to the binding's sidedness makes it
+		// runnable (the campaign's per-binding downgrade).
+		if err := h.Hammer(b, wide.ClampSides(len(b.Sides))); err != nil {
+			t.Fatalf("clamped many:4 on a 3-sided binding: %v", err)
 		}
 		break
 	}
@@ -272,9 +235,42 @@ func TestAnalyzeFailsOnHashedL2P(t *testing.T) {
 		c.FTL.Hashed = true
 		c.FTL.HashKey = 0xD00D
 	})
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	if _, err := atk.AnalyzeCrossPartition(tb.VictimNS.ID); err == nil {
+	if _, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{VictimNSID: tb.VictimNS.ID}); err == nil {
 		t.Fatal("offline analysis succeeded against randomized layout")
+	}
+}
+
+// TestPinAndTrimLeavesBindingIntact: Sides is a slice of slices, so
+// pinning must build a fresh one rather than truncate the groups it
+// copied; the pinned LBAs must read as trimmed.
+func TestPinAndTrimLeavesBindingIntact(t *testing.T) {
+	tb := fastTestbed(t, nil)
+	ns := tb.AttackerNS
+	buf := make([]byte, tb.Device.BlockBytes())
+	for lba := ftl.LBA(1); lba <= 5; lba++ {
+		if err := tb.Device.Write(ns, lba, buf, nvme.PathDirect); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := Binding{Sides: [][]ftl.LBA{{1, 2, 3}, {4, 5}}}
+	p, err := PinAndTrim(tb.Device, ns, nvme.PathDirect, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Sides[0]) != 1 || p.Sides[0][0] != 1 || len(p.Sides[1]) != 1 || p.Sides[1][0] != 4 {
+		t.Fatalf("pinned sides = %v", p.Sides)
+	}
+	if len(b.Sides[0]) != 3 || len(b.Sides[1]) != 2 {
+		t.Fatalf("PinAndTrim wrote through to the original: %v", b.Sides)
+	}
+	for lba, wantMapped := range map[ftl.LBA]bool{1: false, 2: true, 4: false, 5: true} {
+		mapped, err := tb.Device.Read(ns, lba, buf, nvme.PathDirect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mapped != wantMapped {
+			t.Errorf("LBA %d mapped = %v, want %v", lba, mapped, wantMapped)
+		}
 	}
 }
 
@@ -282,28 +278,24 @@ func TestAnalyzeFailsOnHashedL2P(t *testing.T) {
 
 func TestHammerFlipsVictimRow(t *testing.T) {
 	tb := fastTestbed(t, nil)
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeCrossPartition(tb.VictimNS.ID)
+	bindings, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{VictimNSID: tb.VictimNS.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := attackerHammerer(tb)
 	before := tb.DRAM.Stats().Flips
-	// Hammer several plans: weak cells are sparse, some rows are clean.
-	for i, p := range plans {
+	// Hammer several bindings: weak cells are sparse, some rows are clean.
+	for i, b := range bindings {
 		if i >= 8 {
 			break
 		}
-		if err := atk.Hammer(p, HammerOptions{Pairs: 60000}); err != nil {
+		if err := h.Hammer(b, double(60000)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if tb.DRAM.Stats().Flips == before {
 		t.Fatal("hammering induced no flips")
 	}
-	// Every flip must be in (or adjacent to) some hammered victim row's
-	// bank — sanity on locality.
-	geo := tb.DRAM.Config().Geometry
-	_ = geo
 	for _, ev := range tb.DRAM.Flips() {
 		if ev.Row < 0 {
 			t.Fatal("nonsense flip row")
@@ -313,17 +305,16 @@ func TestHammerFlipsVictimRow(t *testing.T) {
 
 func TestMeasuredRateExceedsRequired(t *testing.T) {
 	tb := fastTestbed(t, nil)
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeCrossPartition(tb.VictimNS.ID)
+	bindings, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{VictimNSID: tb.VictimNS.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate, err := atk.MeasuredRate(plans[0], 4000)
+	rate, err := MeasuredRate(attackerHammerer(tb), bindings[0], 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rate < atk.RequiredRate() {
-		t.Fatalf("direct path rate %.0f below required %.0f", rate, atk.RequiredRate())
+	if rate < RequiredRate(tb.Device) {
+		t.Fatalf("direct path rate %.0f below required %.0f", rate, RequiredRate(tb.Device))
 	}
 }
 
@@ -337,15 +328,14 @@ func TestTemplateSeparatesVulnerableRows(t *testing.T) {
 		// rows — the Figure 1 single-tenant setting, plain mapping.
 		c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 	})
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeOwnPartition()
+	bindings, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plans) > 12 {
-		plans = plans[:12]
+	if len(bindings) > 12 {
+		bindings = bindings[:12]
 	}
-	results, err := atk.Template(plans, TemplateOptions{Pairs: 60000})
+	results, err := Template(attackerHammerer(tb), bindings, double(60000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,23 +367,117 @@ func TestTemplateSeparatesVulnerableRows(t *testing.T) {
 	}
 }
 
-func TestPrepareAndTrimRange(t *testing.T) {
-	tb := fastTestbed(t, nil)
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	if err := atk.PrepareRange(100, 32); err != nil {
+func TestOneLocationHammerNeedsClosedRowPolicy(t *testing.T) {
+	run := func(policy dram.RowPolicy) uint64 {
+		tb := fastTestbed(t, func(c *cloud.Config) {
+			c.FTL.HammersPerIO = 1
+			c.DRAM.Policy = policy
+			c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+		})
+		bindings, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := attackerHammerer(tb)
+		pat := OneLocationPattern()
+		pat.Iterations = 60000
+		before := tb.DRAM.Stats().Flips
+		for i, b := range bindings {
+			if i >= 6 {
+				break
+			}
+			if err := h.Hammer(b, pat); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tb.DRAM.Stats().Flips - before
+	}
+	if flips := run(dram.OpenRow); flips != 0 {
+		t.Fatalf("one-location flipped %d bits under open-row policy", flips)
+	}
+	if flips := run(dram.ClosedRow); flips == 0 {
+		t.Fatal("one-location produced no flips under closed-row policy")
+	}
+}
+
+// TestSingleSidedNeedsFarRow: the single-sided pattern alternates one
+// aggressor with the binding's far (decoy) row, so it runs where the
+// binding has one and is rejected where it does not.
+func TestSingleSidedNeedsFarRow(t *testing.T) {
+	tb := fastTestbed(t, func(c *cloud.Config) {
+		c.FTL.HammersPerIO = 1
+		c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+	})
+	bindings, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, tb.Device.BlockBytes())
-	mapped, err := tb.Device.Read(tb.AttackerNS, 110, buf, nvme.PathDirect)
-	if err != nil || !mapped {
-		t.Fatalf("prepared LBA unmapped: %v", err)
+	var b *Binding
+	for i := range bindings {
+		if bindings[i].HasDecoy {
+			b = &bindings[i]
+			break
+		}
 	}
-	if err := atk.TrimRange(100, 32); err != nil {
+	if b == nil {
+		t.Skip("no binding with a far row available")
+	}
+	h := attackerHammerer(tb)
+	single := SinglePattern()
+	single.Iterations = 30000
+	// It must run without error; with half the disturbance it may or may
+	// not flip — the dram-level asymmetry test covers the physics.
+	if err := h.Hammer(*b, single); err != nil {
 		t.Fatal(err)
 	}
-	mapped, err = tb.Device.Read(tb.AttackerNS, 110, buf, nvme.PathDirect)
-	if err != nil || mapped {
-		t.Fatalf("trimmed LBA still mapped: %v", err)
+	bare := Binding{Triple: b.Triple, Sides: b.Sides}
+	single.Iterations = 10
+	if err := h.Hammer(bare, single); err == nil {
+		t.Fatal("single-sided without a far row should fail")
+	}
+}
+
+func TestCacheEvictionBypass(t *testing.T) {
+	// The §5 speculation implemented: a direct-mapped FTL L2P cache
+	// absorbs plain hammering, but an attacker that interleaves reads of
+	// set-aliasing entries evicts the aggressor translations and flips
+	// bits anyway.
+	run := func(evict int) (flips uint64, observed bool) {
+		tb := fastTestbed(t, func(c *cloud.Config) {
+			c.FTL.HammersPerIO = 1
+			c.FTL.Cache.Enabled = true
+			c.FTL.Cache.Lines = 1024
+			c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+		})
+		bindings, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bindings) > 6 {
+			bindings = bindings[:6]
+		}
+		pat := double(60000)
+		pat.CacheEvictLines = evict
+		results, err := Template(attackerHammerer(tb), bindings, pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Vulnerable {
+				observed = true
+			}
+		}
+		return tb.DRAM.Stats().Flips, observed
+	}
+	if flips, _ := run(0); flips != 0 {
+		t.Fatalf("cache absorbed nothing: %d flips without eviction", flips)
+	}
+	flips, observed := run(1024)
+	if flips == 0 {
+		t.Fatal("eviction-aware hammer produced no flips through the cache")
+	}
+	if !observed {
+		t.Fatal("eviction-aware probing failed to observe the corruption")
 	}
 }
 
@@ -429,7 +513,7 @@ func TestSprayerShapeMatchesPaper(t *testing.T) {
 		}
 		// Probe block reads back as the malicious pointer array.
 		buf := make([]byte, ext4.BlockSize)
-		if _, err := f.ReadAt(buf, probeOffset); err != nil {
+		if _, err := f.ReadAt(buf, ProbeOffset); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, sf.Expected) {
@@ -584,8 +668,8 @@ func TestCampaignChurnKeepsFSConsistent(t *testing.T) {
 		SprayFiles:      3072,
 		TargetsPerFile:  64,
 		MaxCycles:       4,
+		Pattern:         double(64), // no flips possible; keep churn fast
 		TriplesPerCycle: 4,
-		HammerPairs:     64, // no flips possible; keep churn fast
 		Hunt:            "no-such-content-keeps-running",
 	})
 	if err != nil {
@@ -603,15 +687,50 @@ func TestCampaignChurnKeepsFSConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !fsck.Clean() {
-		t.Fatalf("churn campaign corrupted the filesystem: %v", fsck.Problems[:minInt(5, len(fsck.Problems))])
+		t.Fatalf("churn campaign corrupted the filesystem: %v", fsck.Problems[:min(5, len(fsck.Problems))])
 	}
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// TestCampaignCountsIssuedReads pins HammerReads to the reads the hammer
+// stage really issues: double-sided issues two per iteration, while
+// one-location issues one and many:4 up to four.
+func TestCampaignCountsIssuedReads(t *testing.T) {
+	run := func(spec string) (reads uint64, hammered int) {
+		tb := fastTestbed(t, func(c *cloud.Config) {
+			c.FTL.HammersPerIO = 1
+			c.DRAM.Profile = dram.InvulnerableProfile()
+		})
+		pat, err := ParsePattern(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pat.Iterations = 50
+		camp, err := NewCampaign(tb, CampaignConfig{
+			SprayFiles:      16,
+			TargetsPerFile:  8,
+			MaxCycles:       1,
+			Pattern:         pat,
+			TriplesPerCycle: 2,
+			Hunt:            "no-such-content-keeps-running",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := camp.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.HammerReads, len(camp.targetedBindings())
 	}
-	return b
+	if reads, n := run("double"); reads != uint64(2*50*n) {
+		t.Fatalf("double: HammerReads = %d, want %d", reads, 2*50*n)
+	}
+	if reads, n := run("one-location"); reads != uint64(50*n) {
+		t.Fatalf("one-location: HammerReads = %d, want %d", reads, 50*n)
+	}
+	if reads, n := run("many:4"); reads <= uint64(2*50*n) || reads > uint64(4*50*n) {
+		t.Fatalf("many:4: HammerReads = %d, want in (%d, %d]", reads, 2*50*n, 4*50*n)
+	}
 }
 
 func TestCampaignFlipLocalityAndCollateralDamage(t *testing.T) {
@@ -657,87 +776,6 @@ func TestCampaignFlipLocalityAndCollateralDamage(t *testing.T) {
 	}
 	if fsck, err := tb.VictimFS.Fsck(); err == nil && !fsck.Clean() {
 		t.Logf("§3.2 collateral damage: %d filesystem inconsistencies (expected under attack)", len(fsck.Problems))
-	}
-}
-
-func TestDemonstrateEscalation(t *testing.T) {
-	tb := fastTestbed(t, nil)
-	res, err := DemonstrateEscalation(tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Hijacked {
-		t.Fatal("execution not hijacked")
-	}
-	if !res.AsRoot {
-		t.Fatal("hijacked execution not privileged")
-	}
-	if res.Genuine {
-		t.Fatal("result claims both genuine and hijacked")
-	}
-}
-
-func TestOneLocationHammerNeedsClosedRowPolicy(t *testing.T) {
-	run := func(policy dram.RowPolicy) uint64 {
-		tb := fastTestbed(t, func(c *cloud.Config) {
-			c.FTL.HammersPerIO = 1
-			c.DRAM.Policy = policy
-			c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
-		})
-		atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-		plans, err := atk.AnalyzeOwnPartition()
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := tb.DRAM.Stats().Flips
-		for i, p := range plans {
-			if i >= 6 {
-				break
-			}
-			if err := atk.Hammer(p, HammerOptions{Pairs: 60000, OneLocation: true}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tb.DRAM.Stats().Flips - before
-	}
-	if flips := run(dram.OpenRow); flips != 0 {
-		t.Fatalf("one-location flipped %d bits under open-row policy", flips)
-	}
-	if flips := run(dram.ClosedRow); flips == 0 {
-		t.Fatal("one-location produced no flips under closed-row policy")
-	}
-}
-
-func TestSingleSidedHammerOption(t *testing.T) {
-	tb := fastTestbed(t, func(c *cloud.Config) {
-		c.FTL.HammersPerIO = 1
-		c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
-	})
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeOwnPartition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Single-sided needs a far row (the decoy) as conflict partner.
-	var plan *HammerPlan
-	for i := range plans {
-		if plans[i].HasDecoy {
-			plan = &plans[i]
-			break
-		}
-	}
-	if plan == nil {
-		t.Skip("no plan with a far row available")
-	}
-	// It must run without error; with half the disturbance it may or
-	// may not flip — the dram-level asymmetry test covers the physics.
-	if err := atk.Hammer(*plan, HammerOptions{Pairs: 30000, SingleSided: true}); err != nil {
-		t.Fatal(err)
-	}
-	var bare HammerPlan
-	bare.AggLBAs = plan.AggLBAs
-	if err := atk.Hammer(bare, HammerOptions{Pairs: 10, SingleSided: true}); err == nil {
-		t.Fatal("single-sided without a far row should fail")
 	}
 }
 
@@ -789,52 +827,6 @@ func TestCampaignSurvivesVictimBackgroundTraffic(t *testing.T) {
 		}
 	}
 	t.Logf("victim observed %d corrupt-translation read errors post-attack", corrupt)
-}
-
-func TestCacheEvictionBypass(t *testing.T) {
-	// The §5 speculation implemented: a direct-mapped FTL L2P cache
-	// absorbs plain hammering, but an attacker that interleaves reads of
-	// set-aliasing entries evicts the aggressor translations and flips
-	// bits anyway.
-	run := func(evict int) (flips uint64, observed bool) {
-		tb := fastTestbed(t, func(c *cloud.Config) {
-			c.FTL.HammersPerIO = 1
-			c.FTL.Cache.Enabled = true
-			c.FTL.Cache.Lines = 1024
-			c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
-		})
-		atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-		plans, err := atk.AnalyzeOwnPartition()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(plans) > 6 {
-			plans = plans[:6]
-		}
-		results, err := atk.Template(plans, TemplateOptions{
-			Pairs:  60000,
-			Hammer: HammerOptions{CacheEvictLines: evict},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range results {
-			if r.Vulnerable {
-				observed = true
-			}
-		}
-		return tb.DRAM.Stats().Flips, observed
-	}
-	if flips, _ := run(0); flips != 0 {
-		t.Fatalf("cache absorbed nothing: %d flips without eviction", flips)
-	}
-	flips, observed := run(1024)
-	if flips == 0 {
-		t.Fatal("eviction-aware hammer produced no flips through the cache")
-	}
-	if !observed {
-		t.Fatal("eviction-aware probing failed to observe the corruption")
-	}
 }
 
 func TestGuardNeutralizesCampaign(t *testing.T) {

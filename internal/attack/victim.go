@@ -109,7 +109,7 @@ func (v *CanaryVictim) Check() (VictimReport, error) {
 }
 
 // IndirectVictim is the paper's ext4 indirect-block victim (§4.2),
-// wrapping the Sprayer extracted from internal/core: Arm sprays files
+// wrapping the Sprayer that Campaign drives: Arm sprays files
 // whose data blocks are malicious single-indirect pointer arrays; Check
 // scans for probe blocks that no longer read back as written — each
 // such leak means a translation redirect through filesystem metadata.

@@ -198,7 +198,10 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 func (tb *Testbed) Config() Config { return tb.cfg }
 
 // NSBlockDevice adapts a namespace to the filesystem's BlockDevice; every
-// filesystem operation becomes NVMe traffic on the given path.
+// filesystem operation becomes NVMe traffic on the given path. Volume
+// block addresses map 1:1 onto namespace-relative LBAs, so a filesystem
+// block number is the LBA the attack's DRAM targeting math needs, and an
+// unmapped (trimmed or never-written) block reads as zeroes.
 type NSBlockDevice struct {
 	Dev  *nvme.Device
 	NS   *nvme.Namespace

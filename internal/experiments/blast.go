@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"ftlhammer/internal/core"
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
@@ -157,13 +157,12 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 		return fmt.Errorf("no namespace %d on device %d", vicRoute.NSID, vicRoute.Device)
 	}
 
-	atk := core.NewAttacker(dev, aggNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeCrossPartition(vicNS.ID)
+	bindings, err := attack.Analyze(dev, aggNS, attack.AnalyzeOptions{VictimNSID: vicNS.ID})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "  offline analysis vs tenant %d (same device): %d cross-partition triples\n",
-		victim, len(plans))
+		victim, len(bindings))
 
 	// Populate the victim's translations sitting in the candidate victim
 	// rows, so a flip has a live L2P entry to redirect.
@@ -175,9 +174,9 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 	for i := range data {
 		data[i] = 0xA5
 	}
-	prepare := func(plan core.HammerPlan) error {
+	prepare := func(b attack.Binding) error {
 		n := 0
-		for _, g := range plan.VictimGlobalLBAs {
+		for _, g := range b.VictimGlobalLBAs {
 			for k := ftl.LBA(0); k < 16; k++ {
 				lba := g + k
 				if lba < vicNS.StartLBA || uint64(lba-vicNS.StartLBA) >= vicNS.NumLBAs {
@@ -197,51 +196,34 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 		qp.Completions()
 		return nil
 	}
-	snapshot := func(plan core.HammerPlan) map[ftl.LBA]uint32 {
-		m := make(map[ftl.LBA]uint32)
-		for _, g := range plan.VictimGlobalLBAs {
-			for k := ftl.LBA(0); k < 16; k++ {
-				m[g+k] = uint32(dev.FTL().PPNOf(g + k))
-			}
-		}
-		return m
-	}
 
-	budget := int(atk.RequiredRate()*0.064) * 2
+	h := &attack.DeviceHammerer{Dev: dev, NS: aggNS, Path: nvme.PathDirect}
+	pat := attack.DoublePattern()
+	pat.Iterations = int(attack.RequiredRate(dev)*0.064) * 2
 	maxPlans := 24
 	if !opt.Quick {
 		maxPlans = 64
 	}
 	hit := false
-	for i, plan := range plans {
+	for i, b := range bindings {
 		if i >= maxPlans {
 			break
 		}
-		if err := prepare(plan); err != nil {
+		if err := prepare(b); err != nil {
 			return err
 		}
-		before := snapshot(plan)
-		fast := plan
-		fast.AggLBAs = [2][]ftl.LBA{{plan.AggLBAs[0][0]}, {plan.AggLBAs[1][0]}}
-		if err := atk.TrimRange(fast.AggLBAs[0][0], 1); err != nil {
+		before := attack.SnapshotVictimLines(dev.FTL(), b)
+		fast, err := attack.PinAndTrim(dev, aggNS, nvme.PathDirect, b)
+		if err != nil {
 			return err
 		}
-		if err := atk.TrimRange(fast.AggLBAs[1][0], 1); err != nil {
+		if err := h.Hammer(fast, pat); err != nil {
 			return err
 		}
-		if err := atk.Hammer(fast, core.HammerOptions{Pairs: budget}); err != nil {
-			return err
-		}
-		for lba, old := range before {
-			now := uint32(dev.FTL().PPNOf(lba))
-			if now != old {
-				fmt.Fprintf(w, "  BLAST: co-located tenant %d hit — LBA %d remapped PBA %#x -> PBA %#x (plan %d, victim row %d)\n",
-					victim, lba, old, now, i, plan.Triple.VictimRow)
-				hit = true
-				break
-			}
-		}
-		if hit {
+		if r := before.Remaps(dev.FTL()); len(r) > 0 {
+			fmt.Fprintf(w, "  BLAST: co-located tenant %d hit — LBA %d remapped PBA %#x -> PBA %#x (plan %d, victim row %d)\n",
+				victim, r[0].LBA, r[0].Old, r[0].New, i, b.Triple.VictimRow)
+			hit = true
 			break
 		}
 	}

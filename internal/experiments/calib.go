@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nand"
@@ -55,19 +55,18 @@ func Calibration41(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeCrossPartition(tb.VictimNS.ID)
+	bindings, err := attack.Analyze(tb.Device, tb.AttackerNS, attack.AnalyzeOptions{VictimNSID: tb.VictimNS.ID})
 	if err != nil {
 		return err
 	}
-	if err := atk.TrimRange(plans[0].AggLBAs[0][0], 1); err != nil {
+	// Trim the first LBA of each side; the rate probe itself cycles
+	// through every LBA the binding lists.
+	if _, err := attack.PinAndTrim(tb.Device, tb.AttackerNS, nvme.PathDirect, bindings[0]); err != nil {
 		return err
 	}
-	if err := atk.TrimRange(plans[0].AggLBAs[1][0], 1); err != nil {
-		return err
-	}
+	h := &attack.DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
 	st0 := tb.DRAM.Stats()
-	iops, err := atk.MeasuredRate(plans[0], 20000)
+	iops, err := attack.MeasuredRate(h, bindings[0], 20000)
 	if err != nil {
 		return err
 	}
@@ -84,7 +83,7 @@ func Calibration41(w io.Writer, opt Options) error {
 	// identically-configured standalone module (weak cells are a
 	// deterministic function of seed, bank and row). Each candidate probe
 	// is an independent trial, so the census fans across the engine.
-	candidates := plans
+	candidates := bindings
 	fmt.Fprintf(w, "cross-partition triple candidates: %d\n", len(candidates))
 	probe := tb.Config().DRAM
 	limit := len(candidates)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"ftlhammer/internal/core"
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
@@ -192,8 +192,7 @@ func probeDefense(spec defenseSpec, quick bool, reg *obs.Registry) (defenseResul
 		return nil
 	}
 
-	atk := core.NewAttacker(dev, aggNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeOwnPartition()
+	bindings, err := attack.Analyze(dev, aggNS, attack.AnalyzeOptions{})
 	if err != nil {
 		return defenseResult{}, err
 	}
@@ -201,62 +200,43 @@ func probeDefense(spec defenseSpec, quick bool, reg *obs.Registry) (defenseResul
 	if quick {
 		maxPlans = 3
 	}
-	if len(plans) > maxPlans {
-		plans = plans[:maxPlans]
+	if len(bindings) > maxPlans {
+		bindings = bindings[:maxPlans]
 	}
-	budget := int(atk.RequiredRate()*dev.DRAM().Config().RefreshWindow.Seconds()) * 2
+	budget := int(attack.RequiredRate(dev)*dev.DRAM().Config().RefreshWindow.Seconds()) * 2
 
 	// Chunked hammering: 64 aggressor pairs, then one benign read per
 	// bystander tenant, repeated — the attack and the background load
 	// share the device the way co-tenants actually would.
 	const chunk = 64
+	h := &attack.DeviceHammerer{Dev: dev, NS: aggNS, Path: nvme.PathDirect}
+	pat := attack.DoublePattern()
 	remaps := 0
-	for _, plan := range plans {
+	for _, b := range bindings {
 		// VictimGlobalLBAs are line anchors: the 16 consecutive entries
 		// after each share the victim DRAM row, so populate and snapshot
 		// all of them or most flips land on unwatched entries.
-		for _, g := range plan.VictimGlobalLBAs {
-			for k := ftl.LBA(0); k < 16; k++ {
-				rel := g + k - aggNS.StartLBA
-				if uint64(rel) >= aggNS.NumLBAs {
-					continue
-				}
-				if err := atk.PrepareRange(rel, 1); err != nil {
-					return defenseResult{}, err
-				}
-			}
-		}
-		before := make(map[ftl.LBA]uint32, 16*len(plan.VictimGlobalLBAs))
-		for _, g := range plan.VictimGlobalLBAs {
-			for k := ftl.LBA(0); k < 16; k++ {
-				before[g+k] = uint32(dev.FTL().PPNOf(g + k))
-			}
-		}
-		fast := plan
-		fast.AggLBAs = [2][]ftl.LBA{{plan.AggLBAs[0][0]}, {plan.AggLBAs[1][0]}}
-		if err := atk.TrimRange(fast.AggLBAs[0][0], 1); err != nil {
+		if _, err := prepareOwnVictimLines(dev, aggNS, b); err != nil {
 			return defenseResult{}, err
 		}
-		if err := atk.TrimRange(fast.AggLBAs[1][0], 1); err != nil {
+		before := attack.SnapshotVictimLines(dev.FTL(), b)
+		fast, err := attack.PinAndTrim(dev, aggNS, nvme.PathDirect, b)
+		if err != nil {
 			return defenseResult{}, err
 		}
 		for done := 0; done < budget; done += chunk {
-			n := chunk
-			if left := budget - done; left < n {
-				n = left
+			pat.Iterations = chunk
+			if left := budget - done; left < chunk {
+				pat.Iterations = left
 			}
-			if err := atk.Hammer(fast, core.HammerOptions{Pairs: n}); err != nil {
+			if err := h.Hammer(fast, pat); err != nil {
 				return defenseResult{}, err
 			}
 			if err := benignTick(); err != nil {
 				return defenseResult{}, err
 			}
 		}
-		for g, old := range before {
-			if uint32(dev.FTL().PPNOf(g)) != old {
-				remaps++
-			}
-		}
+		remaps += len(before.Remaps(dev.FTL()))
 		if remaps > 0 {
 			break
 		}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/faults"
 	"ftlhammer/internal/ftl"
@@ -171,8 +171,7 @@ func faultProbe(rate float64, seed uint64, quick bool, reg *obs.Registry) (fault
 // stopping the attack (read-only mode, exhausted retries) is a result,
 // not an error: it reports blocked=true.
 func faultAttackProbe(tb *cloud.Testbed, quick bool) (observed, blocked bool, err error) {
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeOwnPartition()
+	bindings, err := attack.Analyze(tb.Device, tb.AttackerNS, attack.AnalyzeOptions{})
 	if err != nil {
 		if isDegradation(err) {
 			return false, true, nil
@@ -183,11 +182,13 @@ func faultAttackProbe(tb *cloud.Testbed, quick bool) (observed, blocked bool, er
 	if quick {
 		nPlans = 4
 	}
-	if len(plans) > nPlans {
-		plans = plans[:nPlans]
+	if len(bindings) > nPlans {
+		bindings = bindings[:nPlans]
 	}
-	budget := int(atk.RequiredRate()*tb.DRAM.Config().RefreshWindow.Seconds()) * 2
-	results, err := atk.Template(plans, core.TemplateOptions{Pairs: budget})
+	pat := attack.DoublePattern()
+	pat.Iterations = int(attack.RequiredRate(tb.Device)*tb.DRAM.Config().RefreshWindow.Seconds()) * 2
+	h := &attack.DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
+	results, err := attack.Template(h, bindings, pat)
 	if err != nil {
 		if isDegradation(err) {
 			return false, true, nil

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"io"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
-	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nvme"
 )
 
@@ -31,79 +30,57 @@ func Figure1(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-
-	plans, err := atk.AnalyzeOwnPartition()
+	ns := tb.AttackerNS
+	bindings, err := attack.Analyze(tb.Device, ns, attack.AnalyzeOptions{})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "offline analysis: %d candidate aggressor/victim row triples\n", len(plans))
+	fmt.Fprintf(w, "offline analysis: %d candidate aggressor/victim row triples\n", len(bindings))
 
 	// Setup phase: sequential writes populate the victim rows' L2P
 	// entries, so the firmware allocates physical pages for them (the
 	// Figure 1 "initial sequential write setup").
 	prepared := 0
-	for i, plan := range plans {
+	for i, b := range bindings {
 		if i >= 24 {
 			break
 		}
-		for _, g := range plan.VictimGlobalLBAs {
-			for k := ftl.LBA(0); k < 16; k++ {
-				lba := g + k
-				if lba < atk.NS.StartLBA || uint64(lba-atk.NS.StartLBA) >= atk.NS.NumLBAs {
-					continue
-				}
-				if err := atk.PrepareRange(lba-atk.NS.StartLBA, 1); err != nil {
-					return err
-				}
-				prepared++
-			}
+		n, err := prepareOwnVictimLines(tb.Device, ns, b)
+		if err != nil {
+			return err
 		}
+		prepared += n
 	}
 	fmt.Fprintf(w, "setup: sequential writes populated %d L2P entries\n", prepared)
 
-	budget := int(atk.RequiredRate()*0.064) * 2
-	snapshot := func(plan core.HammerPlan) map[ftl.LBA]uint32 {
-		m := make(map[ftl.LBA]uint32)
-		for _, g := range plan.VictimGlobalLBAs {
-			for k := ftl.LBA(0); k < 16; k++ {
-				m[g+k] = uint32(tb.FTL.PPNOf(g + k))
-			}
-		}
-		return m
-	}
+	h := &attack.DeviceHammerer{Dev: tb.Device, NS: ns, Path: nvme.PathDirect}
+	pat := attack.DoublePattern()
+	pat.Iterations = int(attack.RequiredRate(tb.Device)*0.064) * 2
 	maxPlans := 24
 	if !opt.Quick {
 		maxPlans = 64
 	}
-	for i, plan := range plans {
+	for i, b := range bindings {
 		if i >= maxPlans {
 			break
 		}
-		before := snapshot(plan)
+		before := attack.SnapshotVictimLines(tb.FTL, b)
 		// Trim the two hammer LBAs so their reads skip flash and run at
 		// interface speed (§3: trimmed-block acceleration).
-		fast := plan
-		fast.AggLBAs = [2][]ftl.LBA{{plan.AggLBAs[0][0]}, {plan.AggLBAs[1][0]}}
-		if err := atk.TrimRange(fast.AggLBAs[0][0], 1); err != nil {
+		fast, err := attack.PinAndTrim(tb.Device, ns, nvme.PathDirect, b)
+		if err != nil {
 			return err
 		}
-		if err := atk.TrimRange(fast.AggLBAs[1][0], 1); err != nil {
+		if err := h.Hammer(fast, pat); err != nil {
 			return err
 		}
-		if err := atk.Hammer(fast, core.HammerOptions{Pairs: budget}); err != nil {
-			return err
-		}
-		for lba, old := range before {
-			now := uint32(tb.FTL.PPNOf(lba))
-			if now != old {
-				fmt.Fprintf(w, "aggressor rows %d/%d (bank %d): victim row %d\n",
-					plan.Triple.AggRows[0], plan.Triple.AggRows[1], plan.Triple.Bank, plan.Triple.VictimRow)
-				fmt.Fprintf(w, "BITFLIP: LBA %d remapped PBA %#x -> PBA %#x (xor %#x)\n",
-					lba, old, now, old^now)
-				fmt.Fprintf(w, "reads of LBA %d now return a different physical block's data\n", lba)
-				return nil
-			}
+		if r := before.Remaps(tb.FTL); len(r) > 0 {
+			fmt.Fprintf(w, "aggressor rows %d/%d (bank %d): victim row %d\n",
+				b.Triple.AggRows[0], b.Triple.AggRows[1], b.Triple.Bank, b.Triple.VictimRow)
+			fmt.Fprintf(w, "BITFLIP: LBA %d remapped PBA %#x -> PBA %#x (xor %#x)\n",
+				r[0].LBA, r[0].Old, r[0].New, r[0].Old^r[0].New)
+			fmt.Fprintf(w, "reads of LBA %d now return a different physical block's data\n", r[0].LBA)
+			return nil
 		}
 	}
 	return fmt.Errorf("experiments: figure 1 produced no redirection (try another seed)")

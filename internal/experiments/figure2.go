@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"io"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/ext4"
 	"ftlhammer/internal/nvme"
-	"ftlhammer/internal/sim"
 )
 
 // Figure2 reproduces the paper's Figure 2: on the testbed, the direct
@@ -30,13 +29,12 @@ func Figure2(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeCrossPartition(tb.VictimNS.ID)
+	bindings, err := attack.Analyze(tb.Device, tb.AttackerNS, attack.AnalyzeOptions{VictimNSID: tb.VictimNS.ID})
 	if err != nil {
 		return err
 	}
 	amp := float64(tb.FTL.Config().HammersPerIO)
-	required := atk.RequiredRate()
+	required := attack.RequiredRate(tb.Device)
 	fmt.Fprintf(w, "DRAM profile: %s\n", tb.DRAM.Config().Profile.Name)
 	fmt.Fprintf(w, "required aggressor-row activation rate: %.2f M/s\n", required/1e6)
 	fmt.Fprintf(w, "firmware amplification: x%.0f activations per I/O\n\n", amp)
@@ -61,13 +59,11 @@ func Figure2(w io.Writer, opt Options) error {
 
 	// Path (b): helper attacker VM, SRIOV-style direct queue access,
 	// reads of trimmed LBAs.
-	if err := atk.TrimRange(plans[0].AggLBAs[0][0], 1); err != nil {
+	if _, err := attack.PinAndTrim(tb.Device, tb.AttackerNS, nvme.PathDirect, bindings[0]); err != nil {
 		return err
 	}
-	if err := atk.TrimRange(plans[0].AggLBAs[1][0], 1); err != nil {
-		return err
-	}
-	bIOPS, err := atk.MeasuredRate(plans[0], n)
+	h := &attack.DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
+	bIOPS, err := attack.MeasuredRate(h, bindings[0], n)
 	if err != nil {
 		return err
 	}
@@ -138,6 +134,5 @@ func pathReadRate(tb *cloud.Testbed, path nvme.Path, n int) (float64, error) {
 		}
 	}
 	elapsed := tb.Clock.Now().Sub(start)
-	_ = sim.Duration(0)
 	return float64(n) / elapsed.Seconds(), nil
 }

@@ -1,11 +1,17 @@
 package experiments
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
+	"ftlhammer/internal/ext4"
+	"ftlhammer/internal/ftl"
+	"ftlhammer/internal/nand"
+	"ftlhammer/internal/nvme"
 )
 
 // Figure3 reproduces the paper's Figure 3 / §4.2 exploit: the end-to-end
@@ -29,7 +35,7 @@ func Figure3(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	camp, err := core.NewCampaign(tb, core.CampaignConfig{
+	camp, err := attack.NewCampaign(tb, attack.CampaignConfig{
 		SprayFiles:      3072,
 		TargetsPerFile:  64,
 		MaxCycles:       maxCycles,
@@ -76,7 +82,7 @@ func Escalation(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.DemonstrateEscalation(tb)
+	res, err := demonstrateEscalation(tb)
 	if err != nil {
 		return err
 	}
@@ -87,4 +93,86 @@ func Escalation(w io.Writer, opt Options) error {
 	}
 	fmt.Fprintf(w, "-> attacker polyglot content executed with root privilege\n")
 	return nil
+}
+
+// demonstrateEscalation shows the §3.2 privilege-escalation consequence
+// mechanically: it locates the victim's setuid binary translation, finds
+// a polyglot-bearing physical page whose number differs from the current
+// translation by exactly one bit, and applies that single-bit corruption
+// — precisely the effect of one lucky rowhammer flip. It then has the
+// victim "execute" the binary. This is evaluation scaffolding (the
+// probability of this exact flip is what §4.3 models); it reuses the
+// production read path end to end.
+func demonstrateEscalation(tb *cloud.Testbed) (cloud.ExecResult, error) {
+	// Victim's sudo binary: filesystem block -> global LBA -> entry.
+	f, err := tb.VictimFS.Open("/usr/bin/sudo", ext4.Cred{UID: 1000, GID: 1000}, false)
+	if err != nil {
+		return cloud.ExecResult{}, err
+	}
+	fsBlk, err := f.MapBlock(0)
+	if err != nil {
+		return cloud.ExecResult{}, err
+	}
+	global := tb.VictimNS.StartLBA + ftl.LBA(fsBlk)
+	cur := tb.FTL.PPNOf(global)
+
+	// Spray polyglots across the attacker partition in chunks until some
+	// one-bit neighbour of `cur` holds payload (the paper fills 100% of
+	// the attacker partition, §4.3: Fa = Ca).
+	payload, err := attack.CraftPolyglot(nil, cloud.PolyglotMarker, []byte("pwned"))
+	if err != nil {
+		return cloud.ExecResult{}, err
+	}
+	total := tb.Flash.Geometry().TotalPages()
+	buf := make([]byte, tb.Device.BlockBytes())
+	findBit := func() int {
+		for bit := 0; bit < 32; bit++ {
+			cand := uint64(cur) ^ (1 << bit)
+			if cand >= total {
+				continue
+			}
+			if err := tb.Flash.Read(nand.PPN(cand), buf); err != nil {
+				continue
+			}
+			if bytes.Contains(buf, []byte(cloud.PolyglotMarker)) {
+				return bit
+			}
+		}
+		return -1
+	}
+	const chunk = 4096
+	bit := findBit()
+	for next := uint64(0); bit < 0 && next < tb.AttackerNS.NumLBAs; next += chunk {
+		end := next + chunk
+		if end > tb.AttackerNS.NumLBAs {
+			end = tb.AttackerNS.NumLBAs
+		}
+		lbas := make([]ftl.LBA, 0, end-next)
+		for i := next; i < end; i++ {
+			lbas = append(lbas, ftl.LBA(i))
+		}
+		if err := attack.RawSpray(tb.Device, tb.AttackerNS, nvme.PathDirect, lbas, payload); err != nil {
+			return cloud.ExecResult{}, err
+		}
+		bit = findBit()
+	}
+	if bit < 0 {
+		return cloud.ExecResult{}, errors.New("experiments: no one-bit polyglot neighbour found")
+	}
+	// Apply the single-bit corruption to the stored translation — the
+	// exact effect of one lucky rowhammer flip.
+	addr, err := tb.FTL.EntryAddr(global)
+	if err != nil {
+		return cloud.ExecResult{}, err
+	}
+	raw := make([]byte, 4)
+	if err := tb.DRAM.Read(addr, raw); err != nil {
+		return cloud.ExecResult{}, err
+	}
+	raw[bit/8] ^= 1 << (bit % 8)
+	if err := tb.DRAM.Write(addr, raw); err != nil {
+		return cloud.ExecResult{}, err
+	}
+	// Victim runs sudo; the read path follows the corrupted translation.
+	return tb.ExecuteBinary("/usr/bin/sudo", ext4.Cred{UID: 1000, GID: 1000})
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/guard"
 	"ftlhammer/internal/nvme"
@@ -23,49 +23,55 @@ type mitigationResult struct {
 }
 
 // mitigationProbe is one §5 table row specification: a config mutation
-// plus the attack options probing it. Each probe builds its own testbed in
-// its own world, so probes are independent trials for the parallel engine.
+// plus the hammer pattern probing it. Each probe builds its own testbed
+// in its own world, so probes are independent trials for the parallel
+// engine.
 type mitigationProbe struct {
-	name   string
-	mutate func(*cloud.Config)
-	hopts  core.HammerOptions
+	name    string
+	mutate  func(*cloud.Config)
+	pattern attack.Pattern
 }
 
 // mitigationProbes returns the §5 probe matrix in table order.
 func mitigationProbes() []mitigationProbe {
 	gcfg := guard.DefaultConfig()
+	double := attack.DoublePattern()
+	synced := double
+	synced.SyncDecoy = true
+	evicting := double
+	evicting.CacheEvictLines = 1024
 	return []mitigationProbe{
-		{"none (baseline)", nil, core.HammerOptions{}},
+		{"none (baseline)", nil, double},
 		{"ECC (SEC-DED per 64-bit word)", func(c *cloud.Config) {
 			c.DRAM.ECC = true
-		}, core.HammerOptions{}},
+		}, double},
 		{"TRR (sampler=1)", func(c *cloud.Config) {
 			c.DRAM.TRR = dram.DefaultTRR()
-		}, core.HammerOptions{}},
+		}, double},
 		{"TRR vs synchronized decoys", func(c *cloud.Config) {
 			c.DRAM.TRR = dram.DefaultTRR()
-		}, core.HammerOptions{SyncDecoy: true}},
+		}, synced},
 		{"PARA p=0.02", func(c *cloud.Config) {
 			c.DRAM.PARA = 0.02
-		}, core.HammerOptions{}},
+		}, double},
 		{"2x refresh rate (32 ms window)", func(c *cloud.Config) {
 			c.DRAM.RefreshWindow = 32 * sim.Millisecond
-		}, core.HammerOptions{}},
+		}, double},
 		{"FTL CPU cache for L2P", func(c *cloud.Config) {
 			c.FTL.Cache.Enabled = true
 			c.FTL.Cache.Lines = 1024
-		}, core.HammerOptions{}},
+		}, double},
 		{"FTL cache vs eviction-aware reads", func(c *cloud.Config) {
 			c.FTL.Cache.Enabled = true
 			c.FTL.Cache.Lines = 1024
-		}, core.HammerOptions{CacheEvictLines: 1024}},
+		}, evicting},
 		{"I/O rate limit (100K IOPS/ns)", func(c *cloud.Config) {
 			c.AttackerMaxIOPS = 100_000
 			c.VictimMaxIOPS = 100_000
-		}, core.HammerOptions{}},
+		}, double},
 		{"hammer guard (ours: detect+throttle)", func(c *cloud.Config) {
 			c.Guard = &gcfg
-		}, core.HammerOptions{}},
+		}, double},
 	}
 }
 
@@ -79,7 +85,7 @@ func Mitigations5(w io.Writer, opt Options) error {
 	probes := mitigationProbes()
 	rows, err := runTrialsObs(opt, len(probes), func(i int, reg *obs.Registry) (mitigationResult, error) {
 		p := probes[i]
-		r, err := probeMitigation(p.name, p.mutate, p.hopts, opt.Quick, reg)
+		r, err := probeMitigation(p.name, p.mutate, p.pattern, opt.Quick, reg)
 		if err != nil {
 			return mitigationResult{}, fmt.Errorf("experiments: mitigation %q: %w", p.name, err)
 		}
@@ -104,8 +110,7 @@ func Mitigations5(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	if _, err := atk.AnalyzeCrossPartition(tb.VictimNS.ID); err != nil {
+	if _, err := attack.Analyze(tb.Device, tb.AttackerNS, attack.AnalyzeOptions{VictimNSID: tb.VictimNS.ID}); err != nil {
 		fmt.Fprintf(w, "hashed/keyed L2P:     offline layout analysis fails (%v)\n", err)
 	} else {
 		return fmt.Errorf("experiments: hashed L2P did not block analysis")
@@ -118,7 +123,7 @@ func Mitigations5(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	s := core.NewSprayer(tb2.VictimFS, cloud.AttackerCred, "/home/attacker")
+	s := attack.NewSprayer(tb2.VictimFS, cloud.AttackerCred, "/home/attacker")
 	if _, err := s.Spray(2, 4, uint32(tb2.VictimFS.DataStart())); err != nil {
 		fmt.Fprintf(w, "extent-only ext4:     spraying fails (%v)\n", err)
 	} else {
@@ -131,7 +136,7 @@ func Mitigations5(w io.Writer, opt Options) error {
 
 // probeMitigation runs the standardized probe under one configuration.
 // reg (may be nil) observes the probe's testbed.
-func probeMitigation(name string, mutate func(*cloud.Config), hopts core.HammerOptions, quick bool, reg *obs.Registry) (mitigationResult, error) {
+func probeMitigation(name string, mutate func(*cloud.Config), pat attack.Pattern, quick bool, reg *obs.Registry) (mitigationResult, error) {
 	cfg := quickTestbedConfig(0x50)
 	cfg.FTL.HammersPerIO = 1
 	// Single-tenant mapping so the probe can observe its own victim rows.
@@ -144,20 +149,19 @@ func probeMitigation(name string, mutate func(*cloud.Config), hopts core.HammerO
 	if err != nil {
 		return mitigationResult{}, err
 	}
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeOwnPartition()
+	bindings, err := attack.Analyze(tb.Device, tb.AttackerNS, attack.AnalyzeOptions{})
 	if err != nil {
 		return mitigationResult{}, err
 	}
-	if hopts.SyncDecoy {
-		withDecoys := plans[:0]
-		for _, p := range plans {
-			if p.HasDecoy {
-				withDecoys = append(withDecoys, p)
+	if pat.SyncDecoy {
+		withDecoys := bindings[:0]
+		for _, b := range bindings {
+			if b.HasDecoy {
+				withDecoys = append(withDecoys, b)
 			}
 		}
-		plans = withDecoys
-		if len(plans) == 0 {
+		bindings = withDecoys
+		if len(bindings) == 0 {
 			return mitigationResult{}, fmt.Errorf("no plans with decoy rows")
 		}
 	}
@@ -165,11 +169,12 @@ func probeMitigation(name string, mutate func(*cloud.Config), hopts core.HammerO
 	if quick {
 		nPlans = 4
 	}
-	if len(plans) > nPlans {
-		plans = plans[:nPlans]
+	if len(bindings) > nPlans {
+		bindings = bindings[:nPlans]
 	}
-	budget := int(atk.RequiredRate()*tb.DRAM.Config().RefreshWindow.Seconds()) * 2
-	results, err := atk.Template(plans, core.TemplateOptions{Pairs: budget, Hammer: hopts})
+	pat.Iterations = int(attack.RequiredRate(tb.Device)*tb.DRAM.Config().RefreshWindow.Seconds()) * 2
+	h := &attack.DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
+	results, err := attack.Template(h, bindings, pat)
 	if err != nil {
 		return mitigationResult{}, err
 	}

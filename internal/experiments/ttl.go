@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/obs"
 )
 
@@ -25,7 +25,7 @@ func TimeToLeak42(w io.Writer, opt Options) error {
 		"victim spray", "files", "cycles", "virtual time", "flips", "leaked")
 	type ttlRow struct {
 		Files int
-		Rep   *core.CampaignReport
+		Rep   *attack.CampaignReport
 	}
 	rows, err := runTrialsObs(opt, len(fractions), func(i int, reg *obs.Registry) (ttlRow, error) {
 		frac := fractions[i]
@@ -38,7 +38,7 @@ func TimeToLeak42(w io.Writer, opt Options) error {
 		}
 		// Each spray file occupies ~3 blocks (indirect + 2 data).
 		files := int(float64(tb.VictimNS.NumLBAs) * frac / 3)
-		camp, err := core.NewCampaign(tb, core.CampaignConfig{
+		camp, err := attack.NewCampaign(tb, attack.CampaignConfig{
 			SprayFiles:      files,
 			TargetsPerFile:  64,
 			MaxCycles:       80,

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"ftlhammer/internal/attack"
+	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/ext4"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nvme"
@@ -87,7 +88,7 @@ func (v *FSVictim) Arm([]attack.Binding) error {
 	if v.BlocksPerFile <= 0 {
 		v.BlocksPerFile = 4
 	}
-	var dev ext4.BlockDevice = &NSDevice{Dev: v.Dev, NS: v.NS, Path: v.Path}
+	var dev ext4.BlockDevice = &cloud.NSBlockDevice{Dev: v.Dev, NS: v.NS, Path: v.Path}
 	if v.Journal {
 		jd, err := ext4.WrapJournal(dev, 0)
 		if err != nil {
