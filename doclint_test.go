@@ -1,6 +1,7 @@
 package ftlhammer
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -457,13 +458,20 @@ func TestAttackAPIDocumented(t *testing.T) {
 	}
 }
 
+// retiredPackages are internal packages deleted on purpose. The stale-API
+// gate treats each as named but gone even once no doc names
+// internal/<pkg> any more, so a backticked `<pkg>.X` into one always
+// fails.
+var retiredPackages = []string{"core"}
+
 // TestDocsReferenceLiveAPI is the stale-API gate. In README.md, DESIGN.md,
 // EXPERIMENTS.md and docs/*.md, every internal/<pkg> path must exist, and
 // every backticked `<pkg>.<Exported>` whose <pkg> is an internal package
 // must name a top-level identifier that package declares. A package the
-// docs still name as internal/<pkg> after it was deleted counts as
-// internal, so references into it fail too. Renaming or deleting an API
-// without updating the docs that name it fails CI.
+// docs still name as internal/<pkg> after it was deleted, or one listed
+// in retiredPackages, counts as internal, so references into it fail too.
+// Renaming or deleting an API without updating the docs that name it
+// fails CI.
 func TestDocsReferenceLiveAPI(t *testing.T) {
 	files := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 	pages, err := filepath.Glob(filepath.Join("docs", "*.md"))
@@ -502,9 +510,8 @@ func TestDocsReferenceLiveAPI(t *testing.T) {
 		}
 		decls[filepath.Base(dir)] = names
 	}
+	addRetired(decls)
 	pathRe := regexp.MustCompile(`internal/([a-z0-9]+)`)
-	spanRe := regexp.MustCompile("`[^`\n]+`")
-	refRe := regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
 	texts := map[string]string{}
 	for _, name := range files {
 		raw, err := os.ReadFile(name)
@@ -521,35 +528,76 @@ func TestDocsReferenceLiveAPI(t *testing.T) {
 	}
 	refs := 0
 	for _, name := range files {
-		// Fenced code blocks are not inline spans; drop them so their
-		// backticks cannot pair up with prose.
-		var prose []string
-		fenced := false
-		for _, line := range strings.Split(texts[name], "\n") {
-			if strings.HasPrefix(strings.TrimSpace(line), "```") {
-				fenced = !fenced
-				continue
-			}
-			if !fenced {
-				prose = append(prose, line)
-			}
-		}
-		for _, span := range spanRe.FindAllString(strings.Join(prose, "\n"), -1) {
-			for _, m := range refRe.FindAllStringSubmatch(span, -1) {
-				names, internal := decls[m[1]]
-				if !internal {
-					continue
-				}
-				refs++
-				if !names[m[2]] {
-					t.Errorf("%s: %s names %s.%s, which internal/%s does not declare", name, span, m[1], m[2], m[1])
-				}
-			}
+		n, stale := staleAPIRefs(decls, texts[name])
+		refs += n
+		for _, msg := range stale {
+			t.Errorf("%s: %s", name, msg)
 		}
 	}
 	if refs < 50 {
 		t.Fatalf("found only %d internal API references in the docs; the lint is miswired", refs)
 	}
+}
+
+// TestDocsReferenceLiveAPIFlagsRetiredPackage is the gate's negative
+// case: no doc names internal/core, yet a backticked `core.X` still
+// fails, because core is in retiredPackages.
+func TestDocsReferenceLiveAPIFlagsRetiredPackage(t *testing.T) {
+	decls := map[string]map[string]bool{"attack": {"Campaign": true}}
+	addRetired(decls)
+	refs, stale := staleAPIRefs(decls, "Run `attack.Campaign`, not `core.Campaign`.\n")
+	if refs != 2 {
+		t.Fatalf("counted %d internal references, want 2", refs)
+	}
+	if len(stale) != 1 || !strings.Contains(stale[0], "core.Campaign") {
+		t.Fatalf("stale references %q, want only core.Campaign", stale)
+	}
+}
+
+// addRetired marks each retired package as named but gone, unless a
+// package of that name exists again.
+func addRetired(decls map[string]map[string]bool) {
+	for _, pkg := range retiredPackages {
+		if _, ok := decls[pkg]; !ok {
+			decls[pkg] = nil
+		}
+	}
+}
+
+// staleAPIRefs scans a Markdown text's inline code spans for
+// `<pkg>.<Exported>` references into internal packages. It returns how
+// many it found and one message per reference whose identifier the
+// package does not declare. decls maps each internal package to its
+// top-level identifiers (nil: named but gone).
+func staleAPIRefs(decls map[string]map[string]bool, text string) (refs int, stale []string) {
+	spanRe := regexp.MustCompile("`[^`\n]+`")
+	refRe := regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
+	// Fenced code blocks are not inline spans; drop them so their
+	// backticks cannot pair up with prose.
+	var prose []string
+	fenced := false
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if !fenced {
+			prose = append(prose, line)
+		}
+	}
+	for _, span := range spanRe.FindAllString(strings.Join(prose, "\n"), -1) {
+		for _, m := range refRe.FindAllStringSubmatch(span, -1) {
+			names, internal := decls[m[1]]
+			if !internal {
+				continue
+			}
+			refs++
+			if !names[m[2]] {
+				stale = append(stale, fmt.Sprintf("%s names %s.%s, which internal/%s does not declare", span, m[1], m[2], m[1]))
+			}
+		}
+	}
+	return refs, stale
 }
 
 // TestVictimsAPIDocumented is the victim-zoo doc gate: every exported

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -197,17 +198,18 @@ func (c *Campaign) Run() (*CampaignReport, error) {
 	// partition).
 	dataStart := uint32(c.TB.VictimFS.DataStart())
 	fsSpan := uint32(c.TB.VictimNS.NumLBAs) - dataStart
+	payload, err := CraftPolyglot(make([]uint32, 512), cloud.PolyglotMarker, []byte("uid=0(root) shell"))
+	if err != nil {
+		return rep, err
+	}
 	window := uint32(0)
 	for i := uint64(0); i < c.TB.AttackerNS.NumLBAs; i++ {
-		targets := make([]uint32, 512)
-		for j := range targets {
-			targets[j] = dataStart + (window+uint32(j))%fsSpan
+		// Only the 512 pointer slots differ from LBA to LBA; the marker
+		// and payload tail stay as CraftPolyglot wrote them.
+		for j := uint32(0); j < 512; j++ {
+			binary.LittleEndian.PutUint32(payload[j*4:], dataStart+(window+j)%fsSpan)
 		}
 		window += 512
-		payload, err := CraftPolyglot(targets, cloud.PolyglotMarker, []byte("uid=0(root) shell"))
-		if err != nil {
-			return rep, err
-		}
 		if err := RawSpray(c.TB.Device, c.TB.AttackerNS, nvme.PathDirect, []ftl.LBA{ftl.LBA(i)}, payload); err != nil {
 			return rep, err
 		}

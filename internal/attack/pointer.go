@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 )
@@ -22,6 +23,25 @@ func CraftPointerBlock(targets []uint32) ([]byte, error) {
 		binary.LittleEndian.PutUint32(blk[i*4:], t)
 	}
 	return blk, nil
+}
+
+// zeroBlock is what a pointer block holds past its last target slot.
+var zeroBlock [4096]byte
+
+// matchesPointerBlock reports whether blk is exactly the block
+// CraftPointerBlock(targets) builds: each slot holds its target in
+// little-endian, and every other byte is zero. It checks in place, so a
+// spray file need not keep a copy of the block it wrote.
+func matchesPointerBlock(blk []byte, targets []uint32) bool {
+	if len(blk) != len(zeroBlock) {
+		return false
+	}
+	for i, t := range targets {
+		if binary.LittleEndian.Uint32(blk[i*4:]) != t {
+			return false
+		}
+	}
+	return bytes.Equal(blk[len(targets)*4:], zeroBlock[len(targets)*4:])
 }
 
 // CraftPolyglot builds a block that is simultaneously a valid pointer

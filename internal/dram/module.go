@@ -218,6 +218,9 @@ type Module struct {
 	// neverFlips is set when the configuration cannot produce weak cells
 	// at all, reducing disturbance accounting to a no-op.
 	neverFlips bool
+	// trrSorted is trrStep's scratch for the sampled rows in ascending
+	// order.
+	trrSorted []int
 	// pendingStall accumulates time the DRAM could not keep up with the
 	// requested activation rate (tRC/tFAW); the device front end drains
 	// it into the clock as back-pressure.
@@ -676,19 +679,21 @@ func (m *Module) trrStep(bank *bankState, bankIdx, row int, now sim.Time) {
 		if len(bank.trrSampler) > 0 {
 			// Act on the sampled row(s) in ascending row order (the
 			// sampler holds at most SamplerSize entries; sorting keeps
-			// the emitted trace deterministic).
-			sampled := make([]int, 0, len(bank.trrSampler))
+			// the emitted trace deterministic). The sort slice and the
+			// cleared map are reused, so a refresh tick allocates nothing.
+			sampled := m.trrSorted[:0]
 			for r := range bank.trrSampler {
 				sampled = append(sampled, r)
 			}
 			sort.Ints(sampled)
+			m.trrSorted = sampled
 			for _, r := range sampled {
 				m.refreshNeighbors(bank, r)
 				m.stats.TRRRefreshes++
 				m.obs.Emit(uint64(now), EvTRRRefresh,
 					int64(bankIdx), int64(r), int64(bank.trrSampler[r]))
 			}
-			bank.trrSampler = nil
+			clear(bank.trrSampler)
 		}
 	}
 	if bank.trrSampler == nil {

@@ -72,7 +72,7 @@ func (fs *FS) walkIndirect(rootSlot *uint32, idxs []uint64, alloc bool) (uint32,
 		*rootSlot = blk
 		cur = blk
 	}
-	buf := make([]byte, BlockSize)
+	buf := fs.walkBuf
 	for level, idx := range idxs {
 		if err := fs.dev.ReadBlock(uint64(cur), buf); err != nil {
 			return 0, err
@@ -127,9 +127,11 @@ func (fs *FS) freeInodeBlocks(in *inode) error {
 }
 
 // freeIndirectTree releases a pointer block and, recursively, everything
-// below it. depth 0 = single indirect (pointers to data).
+// below it. depth 0 = single indirect (pointers to data); each depth reads
+// into its own scratch block, so a recursive call leaves its caller's
+// pointer array intact.
 func (fs *FS) freeIndirectTree(blk uint32, depth int) error {
-	buf := make([]byte, BlockSize)
+	buf := fs.freeBuf[depth]
 	if err := fs.dev.ReadBlock(uint64(blk), buf); err != nil {
 		return err
 	}

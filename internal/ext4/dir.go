@@ -20,10 +20,11 @@ const (
 	direntMinRec = direntHeader + 4 // room for short names, keeps walks sane
 )
 
-// direntAt decodes the entry at off in a directory block.
-func direntAt(blk []byte, off int) (ino uint32, recLen int, name string, ftype byte, ok bool) {
+// direntAt decodes the entry at off in a directory block. The name is a
+// sub-slice of blk, valid until the block is overwritten.
+func direntAt(blk []byte, off int) (ino uint32, recLen int, name []byte, ftype byte, ok bool) {
 	if off+direntHeader > len(blk) {
-		return 0, 0, "", 0, false
+		return 0, 0, nil, 0, false
 	}
 	le := binary.LittleEndian
 	ino = le.Uint32(blk[off:])
@@ -31,10 +32,9 @@ func direntAt(blk []byte, off int) (ino uint32, recLen int, name string, ftype b
 	nameLen := int(blk[off+6])
 	ftype = blk[off+7]
 	if recLen < direntMinRec || off+recLen > len(blk) || off+direntHeader+nameLen > off+recLen {
-		return 0, 0, "", 0, false
+		return 0, 0, nil, 0, false
 	}
-	name = string(blk[off+direntHeader : off+direntHeader+nameLen])
-	return ino, recLen, name, ftype, true
+	return ino, recLen, blk[off+direntHeader : off+direntHeader+nameLen], ftype, true
 }
 
 // putDirent encodes an entry.
@@ -47,16 +47,16 @@ func putDirent(blk []byte, off int, ino uint32, recLen int, name string, ftype b
 	copy(blk[off+direntHeader:], name)
 }
 
-// direntSpace is the aligned space a name needs.
-func direntSpace(name string) int {
-	n := direntHeader + len(name)
-	return (n + 3) &^ 3
+// direntSpace is the aligned space an entry with an n-byte name needs.
+func direntSpace(n int) int {
+	return (direntHeader + n + 3) &^ 3
 }
 
 // dirInit writes the initial "." and ".." entries of a new directory.
 func (fs *FS) dirInit(ino, parent uint32, in *inode) error {
 	fs.curIno = ino
-	blk := make([]byte, BlockSize)
+	blk := fs.dirBuf
+	clear(blk)
 	putDirent(blk, 0, ino, 12, ".", ftypeDir)
 	putDirent(blk, 12, parent, BlockSize-12, "..", ftypeDir)
 	if err := fs.writeFileBlock(in, 0, blk); err != nil {
@@ -67,12 +67,13 @@ func (fs *FS) dirInit(ino, parent uint32, in *inode) error {
 }
 
 // dirScan walks every entry of a directory, calling fn with the block
-// buffer, block index and entry offset. Returning done=true stops the
-// walk.
-func (fs *FS) dirScan(ino uint32, in *inode, fn func(blk []byte, fileBlk uint64, off int, ino uint32, recLen int, name string, ftype byte) (done bool, err error)) error {
+// buffer, block index and entry offset. The name is a sub-slice of the
+// block, which is fs.dirBuf: fn may rewrite it and write it back, but
+// must not keep it. Returning done=true stops the walk.
+func (fs *FS) dirScan(ino uint32, in *inode, fn func(blk []byte, fileBlk uint64, off int, ino uint32, recLen int, name []byte, ftype byte) (done bool, err error)) error {
 	fs.curIno = ino
 	nBlocks := in.size / BlockSize
-	buf := make([]byte, BlockSize)
+	buf := fs.dirBuf
 	for b := uint64(0); b < nBlocks; b++ {
 		if err := fs.readFileBlock(in, b, buf); err != nil {
 			return err
@@ -99,8 +100,8 @@ func (fs *FS) dirScan(ino uint32, in *inode, fn func(blk []byte, fileBlk uint64,
 // dirLookup finds name in the directory, returning its inode number.
 func (fs *FS) dirLookup(ino uint32, in *inode, name string) (uint32, error) {
 	var found uint32
-	err := fs.dirScan(ino, in, func(_ []byte, _ uint64, _ int, entIno uint32, _ int, entName string, _ byte) (bool, error) {
-		if entIno != 0 && entName == name {
+	err := fs.dirScan(ino, in, func(_ []byte, _ uint64, _ int, entIno uint32, _ int, entName []byte, _ byte) (bool, error) {
+		if entIno != 0 && string(entName) == name {
 			found = entIno
 			return true, nil
 		}
@@ -121,20 +122,21 @@ func (fs *FS) dirAdd(ino uint32, in *inode, name string, child uint32, ftype byt
 	if err := checkName(name); err != nil {
 		return err
 	}
-	need := direntSpace(name)
+	need := direntSpace(len(name))
 	inserted := false
-	err := fs.dirScan(ino, in, func(blk []byte, fileBlk uint64, off int, entIno uint32, recLen int, entName string, entType byte) (bool, error) {
+	err := fs.dirScan(ino, in, func(blk []byte, fileBlk uint64, off int, entIno uint32, recLen int, entName []byte, _ byte) (bool, error) {
 		// Space after the live entry (or a dead entry's whole record).
 		used := 0
 		if entIno != 0 {
-			used = direntSpace(entName)
+			used = direntSpace(len(entName))
 		}
 		if recLen-used < need {
 			return false, nil
 		}
 		if entIno != 0 {
-			// Split: shrink the live entry, append the new one.
-			putDirent(blk, off, entIno, used, entName, entType)
+			// Split: shrink the live entry (only its recLen changes),
+			// append the new one.
+			binary.LittleEndian.PutUint16(blk[off+4:], uint16(used))
 			putDirent(blk, off+used, child, recLen-used, name, ftype)
 		} else {
 			putDirent(blk, off, child, recLen, name, ftype)
@@ -154,7 +156,8 @@ func (fs *FS) dirAdd(ino uint32, in *inode, name string, child uint32, ftype byt
 	}
 	// Extend with a fresh block holding just this entry.
 	fs.curIno = ino
-	blk := make([]byte, BlockSize)
+	blk := fs.dirBuf
+	clear(blk)
 	putDirent(blk, 0, child, BlockSize, name, ftype)
 	newIdx := in.size / BlockSize
 	if err := fs.writeFileBlock(in, newIdx, blk); err != nil {
@@ -170,8 +173,8 @@ func (fs *FS) dirRemove(ino uint32, in *inode, name string) error {
 	removed := false
 	var prevOff, prevRec = -1, 0
 	var prevBlk uint64
-	err := fs.dirScan(ino, in, func(blk []byte, fileBlk uint64, off int, entIno uint32, recLen int, entName string, entType byte) (bool, error) {
-		if entIno != 0 && entName == name {
+	err := fs.dirScan(ino, in, func(blk []byte, fileBlk uint64, off int, entIno uint32, recLen int, entName []byte, _ byte) (bool, error) {
+		if entIno != 0 && string(entName) == name {
 			le := binary.LittleEndian
 			if prevOff >= 0 && prevBlk == fileBlk {
 				// Merge into predecessor.
@@ -205,8 +208,8 @@ func (fs *FS) dirRemove(ino uint32, in *inode, name string) error {
 // dirIsEmpty reports whether a directory holds only "." and "..".
 func (fs *FS) dirIsEmpty(ino uint32, in *inode) (bool, error) {
 	empty := true
-	err := fs.dirScan(ino, in, func(_ []byte, _ uint64, _ int, entIno uint32, _ int, name string, _ byte) (bool, error) {
-		if entIno != 0 && name != "." && name != ".." {
+	err := fs.dirScan(ino, in, func(_ []byte, _ uint64, _ int, entIno uint32, _ int, name []byte, _ byte) (bool, error) {
+		if entIno != 0 && string(name) != "." && string(name) != ".." {
 			empty = false
 			return true, nil
 		}
@@ -218,9 +221,9 @@ func (fs *FS) dirIsEmpty(ino uint32, in *inode) (bool, error) {
 // dirList returns the live entries (excluding "." and "..").
 func (fs *FS) dirList(ino uint32, in *inode) ([]DirEntry, error) {
 	var out []DirEntry
-	err := fs.dirScan(ino, in, func(_ []byte, _ uint64, _ int, entIno uint32, _ int, name string, ftype byte) (bool, error) {
-		if entIno != 0 && name != "." && name != ".." {
-			out = append(out, DirEntry{Ino: entIno, Name: name, IsDir: ftype == ftypeDir})
+	err := fs.dirScan(ino, in, func(_ []byte, _ uint64, _ int, entIno uint32, _ int, name []byte, ftype byte) (bool, error) {
+		if entIno != 0 && string(name) != "." && string(name) != ".." {
+			out = append(out, DirEntry{Ino: entIno, Name: string(name), IsDir: ftype == ftypeDir})
 		}
 		return false, nil
 	})

@@ -12,71 +12,66 @@ const (
 	permExec  = 1
 )
 
-// splitPath normalizes an absolute path into components.
-func splitPath(path string) ([]string, error) {
+// resolve walks an absolute path to its inode, reading it into in and
+// enforcing execute permission on every traversed directory. Empty and
+// "." components are skipped; ".." is a name looked up like any other.
+func (fs *FS) resolve(path string, cred Cred, in *inode) (uint32, error) {
 	if !strings.HasPrefix(path, "/") {
-		return nil, fmt.Errorf("ext4: path %q is not absolute", path)
-	}
-	var comps []string
-	for _, c := range strings.Split(path, "/") {
-		switch c {
-		case "", ".":
-		default:
-			comps = append(comps, c)
-		}
-	}
-	return comps, nil
-}
-
-// resolve walks path to its inode, enforcing execute permission on every
-// traversed directory.
-func (fs *FS) resolve(path string, cred Cred) (uint32, *inode, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return 0, nil, err
+		return 0, fmt.Errorf("ext4: path %q is not absolute", path)
 	}
 	ino := uint32(RootIno)
-	in := new(inode)
 	if err := fs.readInode(ino, in); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	for _, c := range comps {
+	for rest := path; rest != ""; {
+		c := rest
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			c, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		if c == "" || c == "." {
+			continue
+		}
 		if !in.isDir() {
-			return 0, nil, ErrNotDir
+			return 0, ErrNotDir
 		}
 		if !in.access(cred, permExec) {
-			return 0, nil, ErrPerm
+			return 0, ErrPerm
 		}
 		next, err := fs.dirLookup(ino, in, c)
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		ino = next
 		if err := fs.readInode(ino, in); err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 	}
-	return ino, in, nil
+	return ino, nil
 }
 
-// resolveParent resolves the directory containing path's leaf.
-func (fs *FS) resolveParent(path string, cred Cred) (uint32, *inode, string, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return 0, nil, "", err
+// resolveParent resolves the directory containing path's leaf into dir
+// and returns the leaf's name: the last component resolve would walk.
+func (fs *FS) resolveParent(path string, cred Cred, dir *inode) (uint32, string, error) {
+	if !strings.HasPrefix(path, "/") {
+		return 0, "", fmt.Errorf("ext4: path %q is not absolute", path)
 	}
-	if len(comps) == 0 {
-		return 0, nil, "", fmt.Errorf("ext4: cannot operate on /")
+	for end := len(path); end > 0; {
+		start := strings.LastIndexByte(path[:end], '/') + 1
+		if leaf := path[start:end]; leaf != "" && leaf != "." {
+			ino, err := fs.resolve(path[:start], cred, dir)
+			if err != nil {
+				return 0, "", err
+			}
+			if !dir.isDir() {
+				return 0, "", ErrNotDir
+			}
+			return ino, leaf, nil
+		}
+		end = start - 1
 	}
-	dir := "/" + strings.Join(comps[:len(comps)-1], "/")
-	ino, in, err := fs.resolve(dir, cred)
-	if err != nil {
-		return 0, nil, "", err
-	}
-	if !in.isDir() {
-		return 0, nil, "", ErrNotDir
-	}
-	return ino, in, comps[len(comps)-1], nil
+	return 0, "", fmt.Errorf("ext4: cannot operate on /")
 }
 
 // CreateOptions tunes file creation.
@@ -92,7 +87,9 @@ type CreateOptions struct {
 // Create makes a new regular file. The caller needs write+execute on the
 // containing directory.
 func (fs *FS) Create(path string, cred Cred, opts CreateOptions) (*File, error) {
-	dirIno, dirIn, name, err := fs.resolveParent(path, cred)
+	var dir inode
+	dirIn := &dir
+	dirIno, name, err := fs.resolveParent(path, cred, dirIn)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +128,9 @@ func (fs *FS) Create(path string, cred Cred, opts CreateOptions) (*File, error) 
 
 // Mkdir creates a directory.
 func (fs *FS) Mkdir(path string, cred Cred, mode uint16) error {
-	dirIno, dirIn, name, err := fs.resolveParent(path, cred)
+	var dir inode
+	dirIn := &dir
+	dirIno, name, err := fs.resolveParent(path, cred, dirIn)
 	if err != nil {
 		return err
 	}
@@ -168,7 +167,9 @@ func (fs *FS) Mkdir(path string, cred Cred, mode uint16) error {
 
 // Open opens an existing regular file. Write access requires the w bit.
 func (fs *FS) Open(path string, cred Cred, write bool) (*File, error) {
-	ino, in, err := fs.resolve(path, cred)
+	var node inode
+	in := &node
+	ino, err := fs.resolve(path, cred, in)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +188,9 @@ func (fs *FS) Open(path string, cred Cred, write bool) (*File, error) {
 
 // Unlink removes a file. Its blocks are freed when the last link drops.
 func (fs *FS) Unlink(path string, cred Cred) error {
-	dirIno, dirIn, name, err := fs.resolveParent(path, cred)
+	var dir inode
+	dirIn := &dir
+	dirIno, name, err := fs.resolveParent(path, cred, dirIn)
 	if err != nil {
 		return err
 	}
@@ -224,7 +227,9 @@ func (fs *FS) Unlink(path string, cred Cred) error {
 
 // Rmdir removes an empty directory.
 func (fs *FS) Rmdir(path string, cred Cred) error {
-	dirIno, dirIn, name, err := fs.resolveParent(path, cred)
+	var dir inode
+	dirIn := &dir
+	dirIno, name, err := fs.resolveParent(path, cred, dirIn)
 	if err != nil {
 		return err
 	}
@@ -268,7 +273,9 @@ func (fs *FS) Rmdir(path string, cred Cred) error {
 
 // ReadDir lists a directory.
 func (fs *FS) ReadDir(path string, cred Cred) ([]DirEntry, error) {
-	ino, in, err := fs.resolve(path, cred)
+	var node inode
+	in := &node
+	ino, err := fs.resolve(path, cred, in)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +290,9 @@ func (fs *FS) ReadDir(path string, cred Cred) ([]DirEntry, error) {
 
 // Stat describes a path.
 func (fs *FS) Stat(path string, cred Cred) (Stat, error) {
-	ino, in, err := fs.resolve(path, cred)
+	var node inode
+	in := &node
+	ino, err := fs.resolve(path, cred, in)
 	if err != nil {
 		return Stat{}, err
 	}
@@ -300,7 +309,9 @@ func (fs *FS) Stat(path string, cred Cred) (Stat, error) {
 
 // Chmod changes permission bits (owner or root only).
 func (fs *FS) Chmod(path string, cred Cred, mode uint16) error {
-	ino, in, err := fs.resolve(path, cred)
+	var node inode
+	in := &node
+	ino, err := fs.resolve(path, cred, in)
 	if err != nil {
 		return err
 	}
@@ -313,7 +324,9 @@ func (fs *FS) Chmod(path string, cred Cred, mode uint16) error {
 
 // Chown changes ownership (root only).
 func (fs *FS) Chown(path string, cred Cred, uid, gid uint16) error {
-	ino, in, err := fs.resolve(path, cred)
+	var node inode
+	in := &node
+	ino, err := fs.resolve(path, cred, in)
 	if err != nil {
 		return err
 	}
@@ -359,7 +372,7 @@ func (f *File) ReadAt(p []byte, off uint64) (int, error) {
 		p = p[:in.size-off]
 	}
 	n := 0
-	buf := make([]byte, BlockSize)
+	buf := f.fs.ioBuf
 	for n < len(p) {
 		fileBlk := (off + uint64(n)) / BlockSize
 		blkOff := int((off + uint64(n)) % BlockSize)
@@ -383,7 +396,7 @@ func (f *File) WriteAt(p []byte, off uint64) (int, error) {
 	}
 	f.fs.curIno = f.ino
 	n := 0
-	buf := make([]byte, BlockSize)
+	buf := f.fs.ioBuf
 	for n < len(p) {
 		fileBlk := (off + uint64(n)) / BlockSize
 		blkOff := int((off + uint64(n)) % BlockSize)

@@ -64,10 +64,17 @@ var (
 
 // BlockDevice is the storage a filesystem lives on. Block addresses are
 // volume-relative.
+//
+// An implementation keeps no buffer it is given: WriteBlock copies data
+// before it returns and leaves it unchanged, and ReadBlock only fills buf.
+// The filesystem relies on this to reuse its scratch blocks from call to
+// call (see FS).
 type BlockDevice interface {
-	// ReadBlock fills buf (one block) from block lba.
+	// ReadBlock fills buf (one block) from block lba and keeps no
+	// reference to buf.
 	ReadBlock(lba uint64, buf []byte) error
-	// WriteBlock stores one block at lba.
+	// WriteBlock stores a copy of one block at lba; data is neither
+	// modified nor kept.
 	WriteBlock(lba uint64, data []byte) error
 	// NumBlocks is the volume size in blocks.
 	NumBlocks() uint64

@@ -6,10 +6,26 @@ import (
 
 // FS is a mounted filesystem. It is not safe for concurrent use; all
 // metadata is written through to the device immediately.
+//
+// The scratch blocks below keep steady-state operations allocation-free.
+// Each belongs to exactly one function (buf to the inode-table and bitmap
+// leaves, which call nothing that uses it), and that function never runs
+// inside itself (freeIndirectTree recurses, so it owns one block per
+// depth). The deepest nesting is dirScan -> callback -> writeFileBlock ->
+// bmap -> walkIndirect -> allocBlock -> bitmap, and each step of that
+// chain has its own block. Reuse is safe because a BlockDevice copies
+// what it is given and keeps no buffer passed to it.
 type FS struct {
 	dev BlockDevice
 	sb  superblock
-	buf []byte // scratch block
+	buf []byte // inode table and bitmap reads and writes
+	// dirBuf is dirScan's block; dirInit and dirAdd's extension block
+	// reuse it, after clearing it, because no scan is running then.
+	dirBuf  []byte
+	walkBuf []byte    // walkIndirect
+	freeBuf [3][]byte // freeIndirectTree, one per depth
+	ioBuf   []byte    // File.ReadAt and File.WriteAt
+	zero    []byte    // allocBlock's zeroing write; never written to
 	// curIno is the inode whose addressing structure is being walked;
 	// the extent layer needs it as the checksum key. Set by every
 	// entry point that operates on a specific inode.
@@ -76,7 +92,7 @@ func Mkfs(dev BlockDevice, opts MkfsOptions) error {
 			return err
 		}
 	}
-	fs := &FS{dev: dev, sb: sb, buf: make([]byte, BlockSize)}
+	fs := openFS(dev, sb)
 	// Reserve the metadata blocks in the block bitmap.
 	for b := uint64(0); b < sb.dataStart; b++ {
 		if err := fs.setBlockUsed(b, true); err != nil {
@@ -120,7 +136,24 @@ func Mount(dev BlockDevice) (*FS, error) {
 	if sb.numBlocks > dev.NumBlocks() {
 		return nil, fmt.Errorf("ext4: superblock claims %d blocks, device has %d", sb.numBlocks, dev.NumBlocks())
 	}
-	return &FS{dev: dev, sb: sb, buf: make([]byte, BlockSize)}, nil
+	return openFS(dev, sb), nil
+}
+
+// openFS builds the in-memory handle with its scratch blocks.
+func openFS(dev BlockDevice, sb superblock) *FS {
+	fs := &FS{
+		dev:     dev,
+		sb:      sb,
+		buf:     make([]byte, BlockSize),
+		dirBuf:  make([]byte, BlockSize),
+		walkBuf: make([]byte, BlockSize),
+		ioBuf:   make([]byte, BlockSize),
+		zero:    make([]byte, BlockSize),
+	}
+	for i := range fs.freeBuf {
+		fs.freeBuf[i] = make([]byte, BlockSize)
+	}
+	return fs
 }
 
 // Device returns the underlying block device.
@@ -257,8 +290,7 @@ func (fs *FS) allocBlock() (uint32, error) {
 	if err := fs.setBlockUsed(idx, true); err != nil {
 		return 0, err
 	}
-	zero := make([]byte, BlockSize)
-	if err := fs.dev.WriteBlock(idx, zero); err != nil {
+	if err := fs.dev.WriteBlock(idx, fs.zero); err != nil {
 		return 0, err
 	}
 	return uint32(idx), nil

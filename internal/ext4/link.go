@@ -4,14 +4,16 @@ package ext4
 // the containing directory of newPath (write+execute) and traversal
 // permissions apply. Directories cannot be hard-linked.
 func (fs *FS) Link(oldPath, newPath string, cred Cred) error {
-	ino, in, err := fs.resolve(oldPath, cred)
+	var node, dir inode
+	in, dirIn := &node, &dir
+	ino, err := fs.resolve(oldPath, cred, in)
 	if err != nil {
 		return err
 	}
 	if in.isDir() {
 		return ErrIsDir
 	}
-	dirIno, dirIn, name, err := fs.resolveParent(newPath, cred)
+	dirIno, name, err := fs.resolveParent(newPath, cred, dirIn)
 	if err != nil {
 		return err
 	}
@@ -35,7 +37,10 @@ func (fs *FS) Link(oldPath, newPath string, cred Cred) error {
 // replaced if it is a file; directories may be renamed when the
 // destination does not exist.
 func (fs *FS) Rename(oldPath, newPath string, cred Cred) error {
-	oldDirIno, oldDirIn, oldName, err := fs.resolveParent(oldPath, cred)
+	// The two parents are separate locals: both are live at once.
+	var oldDir, newDir inode
+	oldDirIn, newDirIn := &oldDir, &newDir
+	oldDirIno, oldName, err := fs.resolveParent(oldPath, cred, oldDirIn)
 	if err != nil {
 		return err
 	}
@@ -51,7 +56,7 @@ func (fs *FS) Rename(oldPath, newPath string, cred Cred) error {
 		return err
 	}
 
-	newDirIno, newDirIn, newName, err := fs.resolveParent(newPath, cred)
+	newDirIno, newName, err := fs.resolveParent(newPath, cred, newDirIn)
 	if err != nil {
 		return err
 	}
