@@ -10,10 +10,14 @@
 package ftlhammer
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"regexp"
+	"strings"
 	"testing"
+	"time"
 
 	"ftlhammer/internal/experiments"
 )
@@ -109,20 +113,132 @@ func BenchmarkDesignAblations(b *testing.B) { runExperiment(b, "ablations") }
 func BenchmarkTrialEngineSerial(b *testing.B)   { runExperimentWorkers(b, "table1", 1) }
 func BenchmarkTrialEngineParallel(b *testing.B) { runExperimentWorkers(b, "table1", 0) }
 
+// updateExperiments rewrites EXPERIMENTS.md's "Verbatim output" block from
+// live output: go test -run TestAllExperimentsComplete . -update
+var updateExperiments = flag.Bool("update", false, "rewrite the Verbatim output block of EXPERIMENTS.md from live output")
+
+// completedLine matches the per-experiment footer cmd/repro prints; its
+// wall time is masked when outputs are compared.
+var completedLine = regexp.MustCompile(`^\[(\S+) completed in [^\]]*\]$`)
+
+// verbatimBlock locates the fenced "Verbatim output" block of
+// EXPERIMENTS.md: doc[start:end] is its body.
+func verbatimBlock(t *testing.T, doc string) (start, end int) {
+	const head, fence = "## Verbatim output\n", "\n```\n"
+	start = strings.Index(doc, head)
+	if start < 0 {
+		t.Fatal("EXPERIMENTS.md has no Verbatim output block")
+	}
+	open := strings.Index(doc[start:], fence)
+	if open < 0 {
+		t.Fatal("EXPERIMENTS.md: Verbatim output has no fenced block")
+	}
+	start += open + len(fence)
+	end = strings.Index(doc[start:], "```\n")
+	if end < 0 {
+		t.Fatal("EXPERIMENTS.md: Verbatim output block is not closed")
+	}
+	return start, start + end
+}
+
+// verbatimOutputs splits the block body into each experiment's output (the
+// lines before its "[<id> completed in ...]" footer) and footer.
+func verbatimOutputs(body string) (outputs, footers map[string]string) {
+	outputs, footers = map[string]string{}, map[string]string{}
+	var cur strings.Builder
+	for _, line := range strings.SplitAfter(body, "\n") {
+		if m := completedLine.FindStringSubmatch(strings.TrimSuffix(line, "\n")); m != nil {
+			outputs[m[1]], footers[m[1]] = cur.String(), line
+			cur.Reset()
+			continue
+		}
+		cur.WriteString(line)
+	}
+	return outputs, footers
+}
+
 // TestAllExperimentsComplete runs every registered experiment end to end
-// (quick mode) — the repository's top-level integration test.
+// (quick mode) and pins its output: each must equal its part of
+// EXPERIMENTS.md's "Verbatim output" block, with the "completed in" footer
+// masked. The block is a -parallel 1 run of cmd/repro and this test runs
+// each experiment at four workers, in parallel subtests, so a match also
+// shows the output does not depend on the worker count. -update rewrites
+// the block from live output, keeping the recorded footers.
 func TestAllExperimentsComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are long; skipped with -short")
 	}
-	for _, e := range experiments.All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			if err := e.Run(io.Discard, experiments.Options{Quick: true}); err != nil {
-				t.Fatalf("%s (%s): %v", e.ID, e.Ref, err)
+	raw, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	start, end := verbatimBlock(t, doc)
+	want, footers := verbatimOutputs(doc[start:end])
+	all := experiments.All()
+	got := make([]string, len(all))
+	walls := make([]time.Duration, len(all))
+	if *updateExperiments {
+		t.Cleanup(func() {
+			if t.Failed() {
+				return
+			}
+			var b strings.Builder
+			for i, e := range all {
+				b.WriteString(got[i])
+				if f, ok := footers[e.ID]; ok {
+					b.WriteString(f)
+				} else {
+					fmt.Fprintf(&b, "[%s completed in %v]\n", e.ID, walls[i].Round(time.Millisecond))
+				}
+			}
+			out := doc[:start] + b.String() + doc[end:]
+			if err := os.WriteFile("EXPERIMENTS.md", []byte(out), 0o644); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
+	for i, e := range all {
+		i, e := i, e
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			var out strings.Builder
+			t0 := time.Now()
+			if err := e.Run(&out, experiments.Options{Quick: true, Workers: 4}); err != nil {
+				t.Fatalf("%s (%s): %v", e.ID, e.Ref, err)
+			}
+			got[i], walls[i] = out.String(), time.Since(t0)
+			if *updateExperiments {
+				return
+			}
+			w, ok := want[e.ID]
+			switch {
+			case !ok:
+				t.Errorf("EXPERIMENTS.md's Verbatim output block has no output for %s; run with -update", e.ID)
+			case got[i] != w:
+				t.Errorf("%s output differs from EXPERIMENTS.md's Verbatim output block (run with -update if intended):\n%s",
+					e.ID, firstDifference(w, got[i]))
+			}
+		})
+	}
+}
+
+// firstDifference renders the first differing line of two outputs.
+func firstDifference(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(wl) || i < len(gl); i++ {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if w != g {
+			return fmt.Sprintf("line %d:\n  want %q\n  got  %q", i+1, w, g)
+		}
+	}
+	return "outputs differ"
 }
 
 // Example of using the registry programmatically.

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
@@ -37,7 +38,7 @@ func main() {
 		targets    = flag.Int("targets", 64, "pointer targets per malicious block")
 		triples    = flag.Int("triples", 8, "triples hammered per cycle")
 		amplify    = flag.Int("amplify", 1, "firmware hammers per I/O (paper testbed: 5)")
-		mitigation = flag.String("mitigation", "none", "none | ecc | trr[:sampler] | para[:p] | refresh[:scale] | refresh2x | cache | ratelimit | hashed | extent-only | guard")
+		mitigation = flag.String("mitigation", "none", mitigationNames)
 		syncDecoys = flag.Bool("sync-decoys", false, "REF-synchronized decoy reads (TRR bypass)")
 		pattern    = flag.String("pattern", "", "hammer pattern: single | double | one-location | many:<n> | fuzzed:<seed> (empty: classic double-sided)")
 		victim     = flag.String("victim", "", "hammer a software victim instead of the leak campaign: fs | fs-hardened | kv | gc | gc-churn (docs/VICTIMS.md)")
@@ -103,38 +104,8 @@ func main() {
 	}
 	cfg.FTL.HammersPerIO = *amplify
 
-	switch *mitigation {
-	case "none":
-	case "ecc":
-		cfg.DRAM.ECC = true
-	case "trr":
-		cfg.DRAM.TRR = dram.DefaultTRR()
-	case "para":
-		cfg.DRAM.PARA = 0.02
-	case "refresh2x":
-		cfg.DRAM.RefreshWindow = 32 * sim.Millisecond
-	case "cache":
-		cfg.FTL.Cache.Enabled = true
-		cfg.FTL.Cache.Lines = 1024
-	case "ratelimit":
-		cfg.AttackerMaxIOPS = 100_000
-		cfg.VictimMaxIOPS = 100_000
-	case "hashed":
-		cfg.FTL.Hashed = true
-		cfg.FTL.HashKey = *seed ^ 0xD00D
-	case "extent-only":
-		cfg.ForbidIndirect = true
-	case "guard":
-		gcfg := guard.DefaultConfig()
-		cfg.Guard = &gcfg
-	default:
-		// Parameterized in-DRAM zoo specs: trr:<sampler>, para:<p>,
-		// refresh:<scale> (docs/DEFENSES.md).
-		mc, err := dram.ParseMitigation(*mitigation)
-		if err != nil || mc.Mode == dram.MitNone {
-			fatal(fmt.Errorf("unknown mitigation %q", *mitigation))
-		}
-		cfg.DRAM.Profile = cfg.DRAM.Profile.WithMitigation(mc)
+	if err := applyMitigation(&cfg, *mitigation, *seed); err != nil {
+		fatal(err)
 	}
 
 	if *faultRate < 0 || *faultRate > 1 {
@@ -341,6 +312,53 @@ func runVictim(tb *cloud.Testbed, kind string, pat attack.Pattern, reg *obs.Regi
 		fmt.Println("RESULT: victim observed CORRUPTION")
 	} else {
 		fmt.Println("RESULT: victim intact under this configuration")
+	}
+	return nil
+}
+
+// mitigationNames is the -mitigation vocabulary.
+const mitigationNames = "none | ecc | trr[:sampler] | para[:p] | refresh[:scale] | refresh2x | cache | ratelimit | hashed | extent-only | guard"
+
+// applyMitigation configures the testbed for one -mitigation spec. The
+// parameterized in-DRAM forms (trr:<sampler>, para:<p>, refresh:<scale>,
+// docs/DEFENSES.md) go through dram.ParseMitigation, whose error is
+// returned as is.
+func applyMitigation(cfg *cloud.Config, spec string, seed uint64) error {
+	switch spec {
+	case "none":
+	case "ecc":
+		cfg.DRAM.ECC = true
+	case "trr":
+		cfg.DRAM.TRR = dram.DefaultTRR()
+	case "para":
+		cfg.DRAM.PARA = 0.02
+	case "refresh2x":
+		cfg.DRAM.RefreshWindow = 32 * sim.Millisecond
+	case "cache":
+		cfg.FTL.Cache.Enabled = true
+		cfg.FTL.Cache.Lines = 1024
+	case "ratelimit":
+		cfg.AttackerMaxIOPS = 100_000
+		cfg.VictimMaxIOPS = 100_000
+	case "hashed":
+		cfg.FTL.Hashed = true
+		cfg.FTL.HashKey = seed ^ 0xD00D
+	case "extent-only":
+		cfg.ForbidIndirect = true
+	case "guard":
+		gcfg := guard.DefaultConfig()
+		cfg.Guard = &gcfg
+	default:
+		switch name, _, _ := strings.Cut(spec, ":"); name {
+		case "trr", "para", "refresh", "refresh2x":
+		default:
+			return fmt.Errorf("unknown mitigation %q (want %s)", spec, mitigationNames)
+		}
+		mc, err := dram.ParseMitigation(spec)
+		if err != nil {
+			return err
+		}
+		cfg.DRAM.Profile = cfg.DRAM.Profile.WithMitigation(mc)
 	}
 	return nil
 }

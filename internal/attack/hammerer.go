@@ -29,7 +29,15 @@ type DeviceHammerer struct {
 	Path nvme.Path
 	// Buf is the read scratch buffer; allocated on first use when nil.
 	Buf []byte
+	// cycle is the reused read sequence of one pattern cycle (see
+	// repeatCycles).
+	cycle []ftl.LBA
 }
+
+// maxCycleReads bounds the read sequence of one pattern cycle that
+// Hammer hands to nvme.Device.RepeatReads; longer cycles (sides whose
+// lengths have a large least common multiple) run read by read.
+const maxCycleReads = 1 << 14
 
 // Hammer runs the pattern's read workload against the binding: strictly
 // ordinary reads, in slot order, for Pattern.Iterations iterations.
@@ -54,6 +62,11 @@ func (h *DeviceHammerer) Hammer(b Binding, p Pattern) error {
 		}
 		if s.Aggressor >= len(sides) || len(sides[s.Aggressor]) == 0 {
 			return fmt.Errorf("attack: pattern targets side %d but the binding has %d", s.Aggressor, len(sides))
+		}
+	}
+	if !p.SyncDecoy && p.CacheEvictLines == 0 {
+		if done, err := h.repeatCycles(b, p, slots); done {
+			return err
 		}
 	}
 	var tREFI uint64
@@ -129,6 +142,58 @@ func (h *DeviceHammerer) Hammer(b Binding, p Pattern) error {
 		iterCost = uint64(clk.Now()) - iterStart
 	}
 	return nil
+}
+
+// repeatCycles runs a pattern whose slots all fire on every iteration as
+// whole cycles through nvme.Device.RepeatReads. A cycle is the least
+// common multiple of the side lengths in iterations, so every cycle reads
+// the same LBAs in the same order as the per-iteration loop; the leftover
+// Iterations mod cycle run read by read with the same i % len(group). It
+// reports done=false, having issued nothing, for patterns it does not
+// cover.
+func (h *DeviceHammerer) repeatCycles(b Binding, p Pattern, slots []Slot) (done bool, err error) {
+	cycle := 1
+	for _, s := range slots {
+		if s.Every > 1 {
+			return false, nil
+		}
+		if s.Aggressor != DecoyTarget {
+			n := len(b.Sides[s.Aggressor])
+			cycle = cycle / gcd(cycle, n) * n
+			if cycle*len(slots) > maxCycleReads {
+				return false, nil
+			}
+		}
+	}
+	lbas := h.cycle[:0]
+	for i := 0; i < cycle; i++ {
+		for _, s := range slots {
+			lba := b.DecoyLBA
+			if s.Aggressor != DecoyTarget {
+				group := b.Sides[s.Aggressor]
+				lba = group[i%len(group)]
+			}
+			lbas = append(lbas, lba)
+		}
+	}
+	h.cycle = lbas
+	if err := h.Dev.RepeatReads(h.NS, lbas, h.Path, p.Iterations/cycle, h.Buf); err != nil {
+		return true, err
+	}
+	for _, lba := range lbas[:p.Iterations%cycle*len(slots)] {
+		if _, err := h.Dev.Read(h.NS, lba, h.Buf, h.Path); err != nil {
+			return true, err
+		}
+	}
+	return true, nil
+}
+
+// gcd returns the greatest common divisor of two positive integers.
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // aliasLBA returns an attacker LBA delta entries away (wrapping within

@@ -111,6 +111,7 @@ type Mapper struct {
 
 	chBits, dimmBits, rankBits, bankBits, colHiBits, rowBits uint
 	lineBits                                                 uint
+	capacity                                                 uint64
 }
 
 // NewMapper builds a mapper for the geometry. It panics on an invalid
@@ -135,6 +136,7 @@ func NewMapper(geo Geometry, cfg MapperConfig) *Mapper {
 		bankBits:  log2(geo.Banks),
 		colHiBits: log2(geo.RowBytes) - log2(lineBytes),
 		rowBits:   log2(geo.RowsPerBank),
+		capacity:  geo.Capacity(),
 	}
 }
 
@@ -151,8 +153,8 @@ func (m *Mapper) Config() MapperConfig { return m.cfg }
 //
 // with the configured XOR spreading and row twist applied on top.
 func (m *Mapper) Map(addr uint64) Location {
-	if addr >= m.geo.Capacity() {
-		panic(fmt.Sprintf("dram: address %#x out of range (capacity %#x)", addr, m.geo.Capacity()))
+	if addr >= m.capacity {
+		panic(fmt.Sprintf("dram: address %#x out of range (capacity %#x)", addr, m.capacity))
 	}
 	a := addr
 	lo := int(a & (lineBytes - 1))

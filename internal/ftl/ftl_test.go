@@ -622,3 +622,67 @@ func TestModelBasedHashedL2P(t *testing.T) {
 		}
 	}
 }
+
+// TestReadCountersRepeat checks the FTL's share of next-event hammering:
+// k more repetitions of a read stream add k times one repetition's
+// counter growth, and only the cacheless linear layout without a fault
+// injector is repeatable.
+func TestReadCountersRepeat(t *testing.T) {
+	f, _, _, _ := testEnv(t, nil)
+	if !f.Repeatable() {
+		t.Fatal("default FTL not repeatable")
+	}
+	if err := f.WriteLBA(3, block(f, 1)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, f.BlockBytes())
+	stream := func() {
+		for _, lba := range []LBA{3, 4, 5} {
+			if _, err := f.ReadLBA(lba, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := f.ReadCounters()
+	stream()
+	once := f.ReadCounters().Sub(before)
+	if once != (ReadCounters{HostReads: 3, L2PLookups: 3, ReadsUnmapped: 2}) {
+		t.Fatalf("one repetition grew the counters by %+v", once)
+	}
+	f.AddReads(once, 4)
+	stream()
+	if got, want := f.ReadCounters().Sub(before), (ReadCounters{HostReads: 18, L2PLookups: 18, ReadsUnmapped: 12}); got != want {
+		t.Errorf("after 4 added and 2 run: %+v, want %+v", got, want)
+	}
+	for name, mutate := range map[string]func(*Config){
+		"cache":  func(c *Config) { c.Cache = CacheConfig{Enabled: true, Lines: 64} },
+		"hashed": func(c *Config) { c.Hashed = true; c.HashKey = 7 },
+	} {
+		if g, _, _, _ := testEnv(t, mutate); g.Repeatable() {
+			t.Errorf("%s FTL reported repeatable", name)
+		}
+	}
+}
+
+// TestLoadRejectsOutOfRangeOwner checks the reverse-map validation: a
+// snapshot whose reverse map names an LBA beyond the FTL's capacity is
+// rejected rather than truncated into the 32-bit map.
+func TestLoadRejectsOutOfRangeOwner(t *testing.T) {
+	f, _, _, _ := testEnv(t, nil)
+	var buf bytes.Buffer
+	if err := f.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g, _, _, _ := testEnv(t, nil)
+	if err := g.Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+	f.reverse[0] = uint32(f.cfg.NumLBAs)
+	buf.Reset()
+	if err := f.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Load(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("snapshot with an out-of-range owner loaded")
+	}
+}

@@ -90,10 +90,10 @@ func (f *FTL) collect() error {
 				continue
 			}
 			lba := f.reverse[ppn]
-			if lba == invalidLBA {
+			if lba == invalidRev {
 				continue
 			}
-			if err := f.relocate(lba, ppn); err != nil {
+			if err := f.relocate(LBA(lba), ppn); err != nil {
 				return err
 			}
 			f.stats.GCPagesMoved++

@@ -29,6 +29,9 @@ func (f *FTL) SaveTo(w *snapshot.Writer) {
 	rev := make([]uint64, len(f.reverse))
 	for i, l := range f.reverse {
 		rev[i] = uint64(l)
+		if l == invalidRev {
+			rev[i] = uint64(invalidLBA)
+		}
 	}
 	s.U64s("reverse", rev)
 	valid := make([]byte, len(f.valid))
@@ -92,6 +95,8 @@ func (f *FTL) LoadFrom(snap *snapshot.Snapshot) error {
 			s.Reject("stats", "want 13 counters, got %d", len(stats))
 		case uint64(len(rev)) != f.totalPages:
 			s.Reject("reverse", "want %d pages, got %d", f.totalPages, len(rev))
+		case !ownersInRange(rev, f.cfg.NumLBAs):
+			s.Reject("reverse", "owner LBA out of range (%d LBAs)", f.cfg.NumLBAs)
 		case uint64(len(valid)) != f.totalPages:
 			s.Reject("valid", "want %d pages, got %d", f.totalPages, len(valid))
 		case len(vc) != totalBlocks:
@@ -143,7 +148,10 @@ func (f *FTL) LoadFrom(snap *snapshot.Snapshot) error {
 		StaleInvalidates: stats[11], L2PLookups: stats[12],
 	}
 	for i, l := range rev {
-		f.reverse[i] = LBA(l)
+		f.reverse[i] = invalidRev
+		if LBA(l) != invalidLBA {
+			f.reverse[i] = uint32(l)
+		}
 	}
 	for i, v := range valid {
 		f.valid[i] = v == 1
@@ -187,4 +195,15 @@ func (f *FTL) Load(r io.Reader) error {
 		return err
 	}
 	return f.LoadFrom(snap)
+}
+
+// ownersInRange reports whether every reverse-map entry is an LBA below
+// numLBAs or the invalid marker: the only values the FTL ever stores.
+func ownersInRange(rev []uint64, numLBAs uint64) bool {
+	for _, l := range rev {
+		if l >= numLBAs && LBA(l) != invalidLBA {
+			return false
+		}
+	}
+	return true
 }

@@ -224,6 +224,42 @@ func (a *Array) Latency() Latency { return a.lat }
 // Stats returns a copy of the counters.
 func (a *Array) Stats() Stats { return a.stats }
 
+// BusyTime returns Stats().BusyTime without copying the counters.
+func (a *Array) BusyTime() sim.Duration { return a.stats.BusyTime }
+
+// ReadCounters is the part of Stats a page read changes on a repeatable
+// array (see Repeatable).
+type ReadCounters struct {
+	Reads, ReadErased uint64
+	BusyTime          sim.Duration
+}
+
+// Sub returns the counters' growth since before.
+func (c ReadCounters) Sub(before ReadCounters) ReadCounters {
+	return ReadCounters{
+		Reads:      c.Reads - before.Reads,
+		ReadErased: c.ReadErased - before.ReadErased,
+		BusyTime:   c.BusyTime - before.BusyTime,
+	}
+}
+
+// ReadCounters returns the read counters.
+func (a *Array) ReadCounters() ReadCounters {
+	return ReadCounters{a.stats.Reads, a.stats.ReadErased, a.stats.BusyTime}
+}
+
+// AddReads adds k times d to the read counters: the array's share of k
+// more repetitions of a read stream whose one repetition grew them by d.
+func (a *Array) AddReads(d ReadCounters, k uint64) {
+	a.stats.Reads += k * d.Reads
+	a.stats.ReadErased += k * d.ReadErased
+	a.stats.BusyTime += sim.Duration(k) * d.BusyTime
+}
+
+// Repeatable reports whether a page read changes nothing but its
+// ReadCounters: no fault injector is attached.
+func (a *Array) Repeatable() bool { return a.inj == nil }
+
 // IsBad reports whether a block has been retired.
 func (a *Array) IsBad(block int) bool { return a.badBlocks[block] }
 

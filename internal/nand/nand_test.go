@@ -245,3 +245,35 @@ func BenchmarkProgramEraseCycle(b *testing.B) {
 		}
 	}
 }
+
+// TestReadCountersRepeat checks the array's share of next-event
+// hammering: k more repetitions of a read stream add k times one
+// repetition's counter growth.
+func TestReadCountersRepeat(t *testing.T) {
+	a := testArray()
+	if !a.Repeatable() {
+		t.Fatal("array without injector not repeatable")
+	}
+	if err := a.Program(0, page(1)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, a.Geometry().PageBytes)
+	before := a.ReadCounters()
+	for _, ppn := range []PPN{0, 1} {
+		if err := a.Read(ppn, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	once := a.ReadCounters().Sub(before)
+	lat := a.Latency().Read
+	if once != (ReadCounters{Reads: 2, ReadErased: 1, BusyTime: 2 * lat}) {
+		t.Fatalf("one repetition grew the counters by %+v", once)
+	}
+	a.AddReads(once, 3)
+	if got, want := a.ReadCounters().Sub(before), (ReadCounters{Reads: 8, ReadErased: 4, BusyTime: 8 * lat}); got != want {
+		t.Errorf("after 3 added: %+v, want %+v", got, want)
+	}
+	if a.BusyTime() != a.Stats().BusyTime {
+		t.Errorf("BusyTime %v, Stats %v", a.BusyTime(), a.Stats().BusyTime)
+	}
+}

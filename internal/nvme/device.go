@@ -136,6 +136,10 @@ type Device struct {
 	mediaErrs   uint64
 	cleanStreak uint64
 	rstats      RobustStats
+
+	// repeat is RepeatReads' cycle history (repeat.go), nil until the
+	// first eligible call.
+	repeat *repeatLog
 }
 
 // New builds a device over an FTL and its backing parts, inside world w.
@@ -311,32 +315,29 @@ func (d *Device) admit(ns *Namespace, path Path) {
 }
 
 // chargeBackend advances the clock for firmware, DRAM and flash work done
-// since the snapshots were taken.
-func (d *Device) chargeBackend(dramBefore dram.Stats, flashBefore nand.Stats) {
+// since the command started, given the DRAM access count and flash busy
+// time read then.
+func (d *Device) chargeBackend(accessesBefore uint64, busyBefore sim.Duration) {
 	d.clk.Advance(d.costs.Firmware)
 	// Every DRAM line touch increments exactly one of Activations or
 	// RowHits (data reads/writes included), so their delta is the
 	// command's DRAM access count.
-	da := d.mem.Stats()
-	accesses := (da.Activations + da.RowHits) - (dramBefore.Activations + dramBefore.RowHits)
-	d.clk.Advance(d.costs.DRAMAccess * sim.Duration(accesses))
+	d.clk.Advance(d.costs.DRAMAccess * sim.Duration(d.mem.Accesses()-accessesBefore))
 	// DRAM command-rate back-pressure (tRC/tFAW): when the workload
 	// demands activations faster than the chips allow, the difference
 	// stalls the firmware.
 	if stall := d.mem.TakeStall(); stall > 0 {
 		d.clk.Advance(stall)
 	}
-	fa := d.flash.Stats()
-	busy := fa.BusyTime - flashBefore.BusyTime
-	d.clk.Advance(busy / sim.Duration(d.pipelining))
+	d.clk.Advance((d.flash.BusyTime() - busyBefore) / sim.Duration(d.pipelining))
 }
 
-// serveOnce runs one backend service attempt: snapshot, FTL op, backend
-// time charge, guard report. It is the unit the robustness layer
+// serveOnce runs one backend service attempt: counter reads, FTL op,
+// backend time charge, guard report. It is the unit the robustness layer
 // re-issues. Taking the opcode and buffer as plain parameters (rather
 // than an op closure) keeps the per-command fast path allocation-free.
 func (d *Device) serveOnce(ns *Namespace, g ftl.LBA, op Opcode, buf []byte) (mapped bool, err error) {
-	dramBefore, flashBefore := d.mem.Stats(), d.flash.Stats()
+	accesses, acts, busy := d.mem.Accesses(), d.mem.Activations(), d.flash.BusyTime()
 	switch op {
 	case OpRead:
 		mapped, err = d.ftl.ReadLBA(g, buf)
@@ -345,8 +346,8 @@ func (d *Device) serveOnce(ns *Namespace, g ftl.LBA, op Opcode, buf []byte) (map
 	default:
 		err = d.ftl.Trim(g)
 	}
-	acts := d.mem.Stats().Activations - dramBefore.Activations
-	d.chargeBackend(dramBefore, flashBefore)
+	acts = d.mem.Activations() - acts
+	d.chargeBackend(accesses, busy)
 	d.observeGuard(ns, g, acts)
 	return mapped, err
 }
