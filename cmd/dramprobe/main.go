@@ -15,6 +15,7 @@ import (
 	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
+	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
 )
@@ -30,27 +31,29 @@ func main() {
 	flag.Parse()
 
 	cfg := cloud.Config{
-		DRAM: dram.Config{
-			Geometry: dram.SSDGeometry(),
-			Profile: dram.Profile{
-				Name:            "probe target",
-				HCfirst:         *hcfirst,
-				ThresholdSigma:  0.2,
-				WeakCellsPerRow: *density,
+		Device: fleet.DeviceSpec{
+			Amplify: 1,
+			DRAM: &dram.Config{
+				Geometry: dram.SSDGeometry(),
+				Timing:   dram.DefaultTiming(),
+				Profile: dram.Profile{
+					Name:            "probe target",
+					HCfirst:         *hcfirst,
+					ThresholdSigma:  0.2,
+					WeakCellsPerRow: *density,
+				},
+				// Single-tenant view: the probe templates rows it can
+				// observe, i.e. its own partition.
+				Mapping: dram.MapperConfig{XorBank: true},
 			},
-			// Single-tenant view: the probe templates rows it can
-			// observe, i.e. its own partition.
-			Mapping: dram.MapperConfig{XorBank: true},
-			Seed:    *seed,
-		},
-		FlashGeometry: nand.Geometry{
-			Channels: 4, DiesPerChan: 2, PlanesPerDie: 2,
-			BlocksPerPlan: 32, PagesPerBlock: 256, PageBytes: 4096,
+			Flash: &nand.Geometry{
+				Channels: 4, DiesPerChan: 2, PlanesPerDie: 2,
+				BlocksPerPlan: 32, PagesPerBlock: 256, PageBytes: 4096,
+			},
 		},
 		VictimFillBlocks: 512,
 		Seed:             *seed,
 	}
-	cfg.FTL.HammersPerIO = 1
 	tb, err := cloud.NewTestbed(cfg)
 	if err != nil {
 		fatal(err)

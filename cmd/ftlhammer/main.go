@@ -20,9 +20,9 @@ import (
 	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
-	"ftlhammer/internal/faults"
+	"ftlhammer/internal/fleet"
+	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/guard"
-	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/obs"
 	"ftlhammer/internal/sim"
@@ -64,64 +64,19 @@ func main() {
 		}
 	}
 
-	cfg := cloud.Config{
-		DRAM: dram.Config{
-			Geometry: dram.SSDGeometry(),
-			Mapping: dram.MapperConfig{
-				Twist:      dram.TwistInterleave,
-				TwistGroup: 8,
-				XorBank:    true,
-			},
-		},
-		FlashGeometry: nand.Geometry{
-			Channels:      4,
-			DiesPerChan:   2,
-			PlanesPerDie:  2,
-			BlocksPerPlan: 32,
-			PagesPerBlock: 256,
-			PageBytes:     4096,
-		},
-		VictimFillBlocks: 6144,
-		Seed:             *seed,
-		Obs:              reg,
+	cfg, err := testbedConfig(*profile, *amplify, *seed)
+	if err != nil {
+		fatal(err)
 	}
-	switch *profile {
-	case "testbed":
-		cfg.DRAM.Profile = dram.TestbedProfile()
-		cfg.DRAM.Mapping.TwistGroup = 16
-		cfg.FlashGeometry = nand.DefaultGeometry()
-	case "weak":
-		cfg.DRAM.Profile = dram.Profile{
-			Name:            "weak DDR (scaled)",
-			HCfirst:         24000,
-			ThresholdSigma:  0.1,
-			WeakCellsPerRow: 2.0,
-		}
-	case "invulnerable":
-		cfg.DRAM.Profile = dram.InvulnerableProfile()
-	default:
-		fatal(fmt.Errorf("unknown profile %q", *profile))
-	}
-	cfg.FTL.HammersPerIO = *amplify
-
+	cfg.Device.FaultRate = *faultRate
+	cfg.Device.Robust = *robust
+	cfg.Obs = reg
 	if err := applyMitigation(&cfg, *mitigation, *seed); err != nil {
 		fatal(err)
 	}
 
-	if *faultRate < 0 || *faultRate > 1 {
-		fatal(fmt.Errorf("-fault-rate must be in [0,1], got %g", *faultRate))
-	}
-	if *faultRate > 0 {
-		p := faults.RatePlan(*faultRate)
-		cfg.Faults = &p
-	}
-	robustOn := *robust || *faultRate > 0
-	if robustOn {
-		cfg.Robust = nvme.DefaultRobust()
-	}
-
 	fmt.Printf("building testbed: %s, amplification x%d, mitigation %s\n",
-		cfg.DRAM.Profile.Name, *amplify, *mitigation)
+		cfg.Device.DRAM.Profile.Name, *amplify, *mitigation)
 	tb, err := cloud.NewTestbed(cfg)
 	if err != nil {
 		fatal(err)
@@ -157,7 +112,7 @@ func main() {
 			Hunt:            *hunt,
 		})
 	}
-	if robustOn {
+	if *robust || *faultRate > 0 {
 		rs := tb.Device.RobustStats()
 		fmt.Printf("robustness: retries=%d timeouts=%d dropped=%d mediaErrs=%d failedCmds=%d readonly(now=%v entries=%d rejects=%d)\n",
 			rs.Retries, rs.Timeouts, rs.DroppedCompletions, rs.MediaErrors,
@@ -316,6 +271,27 @@ func runVictim(tb *cloud.Testbed, kind string, pat attack.Pattern, reg *obs.Regi
 	return nil
 }
 
+// testbedConfig describes the testbed for one -profile: the profile's
+// preset DRAM config and flash geometry, held as overrides next to an
+// empty FTL config so that -mitigation can change them.
+func testbedConfig(profile string, amplify int, seed uint64) (cloud.Config, error) {
+	dcfg, geom, err := fleet.Preset(profile)
+	if err != nil {
+		return cloud.Config{}, err
+	}
+	return cloud.Config{
+		Device: fleet.DeviceSpec{
+			Profile: profile,
+			Amplify: amplify,
+			DRAM:    &dcfg,
+			Flash:   &geom,
+			FTL:     &ftl.Config{},
+		},
+		VictimFillBlocks: 6144,
+		Seed:             seed,
+	}, nil
+}
+
 // mitigationNames is the -mitigation vocabulary.
 const mitigationNames = "none | ecc | trr[:sampler] | para[:p] | refresh[:scale] | refresh2x | cache | ratelimit | hashed | extent-only | guard"
 
@@ -324,30 +300,30 @@ const mitigationNames = "none | ecc | trr[:sampler] | para[:p] | refresh[:scale]
 // docs/DEFENSES.md) go through dram.ParseMitigation, whose error is
 // returned as is.
 func applyMitigation(cfg *cloud.Config, spec string, seed uint64) error {
+	d := cfg.Device.DRAM
 	switch spec {
 	case "none":
 	case "ecc":
-		cfg.DRAM.ECC = true
+		d.ECC = true
 	case "trr":
-		cfg.DRAM.TRR = dram.DefaultTRR()
+		d.TRR = dram.DefaultTRR()
 	case "para":
-		cfg.DRAM.PARA = 0.02
+		d.PARA = 0.02
 	case "refresh2x":
-		cfg.DRAM.RefreshWindow = 32 * sim.Millisecond
+		d.RefreshWindow = 32 * sim.Millisecond
 	case "cache":
-		cfg.FTL.Cache.Enabled = true
-		cfg.FTL.Cache.Lines = 1024
+		cfg.Device.FTL.Cache.Enabled = true
+		cfg.Device.FTL.Cache.Lines = 1024
 	case "ratelimit":
-		cfg.AttackerMaxIOPS = 100_000
-		cfg.VictimMaxIOPS = 100_000
+		cfg.Device.MaxIOPS = 100_000
 	case "hashed":
-		cfg.FTL.Hashed = true
-		cfg.FTL.HashKey = seed ^ 0xD00D
+		cfg.Device.FTL.Hashed = true
+		cfg.Device.FTL.HashKey = seed ^ 0xD00D
 	case "extent-only":
 		cfg.ForbidIndirect = true
 	case "guard":
 		gcfg := guard.DefaultConfig()
-		cfg.Guard = &gcfg
+		cfg.Device.Guard = &gcfg
 	default:
 		switch name, _, _ := strings.Cut(spec, ":"); name {
 		case "trr", "para", "refresh", "refresh2x":
@@ -358,7 +334,7 @@ func applyMitigation(cfg *cloud.Config, spec string, seed uint64) error {
 		if err != nil {
 			return err
 		}
-		cfg.DRAM.Profile = cfg.DRAM.Profile.WithMitigation(mc)
+		d.Profile = d.Profile.WithMitigation(mc)
 	}
 	return nil
 }

@@ -17,7 +17,7 @@ func TestApplyMitigationReportsParserErrors(t *testing.T) {
 		"para:2": `dram: bad PARA probability "2"`,
 		"bogus":  `unknown mitigation "bogus" (want ` + mitigationNames + `)`,
 	} {
-		var cfg cloud.Config
+		cfg := weakConfig(t)
 		err := applyMitigation(&cfg, spec, 1)
 		if err == nil || err.Error() != want {
 			t.Errorf("-mitigation %s: error %v, want %q", spec, err, want)
@@ -27,15 +27,42 @@ func TestApplyMitigationReportsParserErrors(t *testing.T) {
 
 // TestApplyMitigationConfigures checks a named and a parameterized spec.
 func TestApplyMitigationConfigures(t *testing.T) {
-	var cfg cloud.Config
-	if err := applyMitigation(&cfg, "ecc", 1); err != nil || !cfg.DRAM.ECC {
-		t.Errorf("ecc: err %v, ECC %v", err, cfg.DRAM.ECC)
+	cfg := weakConfig(t)
+	if err := applyMitigation(&cfg, "ecc", 1); err != nil || !cfg.Device.DRAM.ECC {
+		t.Errorf("ecc: err %v, ECC %v", err, cfg.Device.DRAM.ECC)
 	}
-	cfg = cloud.Config{}
+	cfg = weakConfig(t)
 	if err := applyMitigation(&cfg, "trr:4", 1); err != nil {
 		t.Fatal(err)
 	}
-	if m := cfg.DRAM.Profile.Mitigation; m.Mode != dram.MitTRR || m.TRR.SamplerSize != 4 {
+	if m := cfg.Device.DRAM.Profile.Mitigation; m.Mode != dram.MitTRR || m.TRR.SamplerSize != 4 {
 		t.Errorf("trr:4 configured %+v", m)
 	}
+}
+
+// TestDefaultTestbedPinned pins the device ftlhammer builds at its default
+// flags (-profile weak -amplify 1 -seed 0xBEEF) by its nvme config
+// digest, taken before the testbed was assembled through
+// fleet.DeviceSpec.
+func TestDefaultTestbedPinned(t *testing.T) {
+	cfg, err := testbedConfig("weak", 1, 0xBEEF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := cloud.NewTestbed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tb.Device.ConfigDigest(), uint64(0x05a7ff7c51470727); got != want {
+		t.Errorf("config digest %#016x, want %#016x", got, want)
+	}
+}
+
+func weakConfig(t *testing.T) cloud.Config {
+	t.Helper()
+	cfg, err := testbedConfig("weak", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }

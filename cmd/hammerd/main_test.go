@@ -71,6 +71,7 @@ func TestRunFlagAndConfigErrors(t *testing.T) {
 		{"bad profile", []string{"-profile", "granite"}, 1},
 		{"zero tenants", []string{"-tenants", "0"}, 1},
 		{"fault rate out of range", []string{"-fault-rate", "1.5"}, 1},
+		{"negative amplify", []string{"-amplify", "-3"}, 1},
 		{"bad placement", []string{"-devices", "2", "-placement", "mosaic"}, 1},
 		{"bad pin", []string{"-devices", "2", "-placement", "pinned", "-pin", "garbage"}, 1},
 		{"record in fleet mode", []string{"-devices", "2", "-record", "x.jsonl"}, 1},
@@ -82,6 +83,19 @@ func TestRunFlagAndConfigErrors(t *testing.T) {
 				t.Errorf("run(%v) = %d, want %d; stderr:\n%s", tc.args, code, tc.want, stderr.String())
 			}
 		})
+	}
+}
+
+// TestRunNaNFaultRateNamesTheFlag: a NaN rate once passed every range
+// check and panicked in faults.New; the spec's Validate now rejects it
+// with a message.
+func TestRunNaNFaultRateNamesTheFlag(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(canceled(), []string{"-fault-rate", "NaN"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("run = %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	if want := "hammerd: fleet: fault rates must be in [0,1], got NaN and 0"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr %q, want %q", stderr.String(), want)
 	}
 }
 

@@ -13,35 +13,39 @@ import (
 	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
+	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/nand"
 )
 
 func main() {
 	cfg := cloud.Config{
-		DRAM: dram.Config{
-			Geometry: dram.SSDGeometry(),
-			Profile: dram.Profile{
-				Name:            "demo-weak DDR3",
-				HCfirst:         24000,
-				ThresholdSigma:  0.1,
-				WeakCellsPerRow: 2.0,
+		Device: fleet.DeviceSpec{
+			Amplify: 1,
+			DRAM: &dram.Config{
+				Geometry: dram.SSDGeometry(),
+				Timing:   dram.DefaultTiming(),
+				Profile: dram.Profile{
+					Name:            "demo-weak DDR3",
+					HCfirst:         24000,
+					ThresholdSigma:  0.1,
+					WeakCellsPerRow: 2.0,
+				},
+				// The reverse-engineered mapping whose row interleaving
+				// places attacker rows on both sides of victim rows.
+				Mapping: dram.MapperConfig{
+					Twist:      dram.TwistInterleave,
+					TwistGroup: 8,
+					XorBank:    true,
+				},
 			},
-			// The reverse-engineered mapping whose row interleaving
-			// places attacker rows on both sides of victim rows.
-			Mapping: dram.MapperConfig{
-				Twist:      dram.TwistInterleave,
-				TwistGroup: 8,
-				XorBank:    true,
+			Flash: &nand.Geometry{
+				Channels: 4, DiesPerChan: 2, PlanesPerDie: 2,
+				BlocksPerPlan: 32, PagesPerBlock: 256, PageBytes: 4096,
 			},
-		},
-		FlashGeometry: nand.Geometry{
-			Channels: 4, DiesPerChan: 2, PlanesPerDie: 2,
-			BlocksPerPlan: 32, PagesPerBlock: 256, PageBytes: 4096,
 		},
 		VictimFillBlocks: 6144,
 		Seed:             0xBEEF,
 	}
-	cfg.FTL.HammersPerIO = 1
 	tb, err := cloud.NewTestbed(cfg)
 	if err != nil {
 		log.Fatal(err)

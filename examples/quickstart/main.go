@@ -11,6 +11,7 @@ import (
 	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
+	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
@@ -22,25 +23,28 @@ func main() {
 	// so the demo completes instantly. dram.TestbedProfile() is the
 	// paper-faithful alternative.
 	cfg := cloud.Config{
-		DRAM: dram.Config{
-			Geometry: dram.SSDGeometry(),
-			Profile: dram.Profile{
-				Name:            "demo-weak DDR3",
-				HCfirst:         24000,
-				ThresholdSigma:  0.1,
-				WeakCellsPerRow: 2.0,
+		Device: fleet.DeviceSpec{
+			Amplify: 1,
+			DRAM: &dram.Config{
+				Geometry: dram.SSDGeometry(),
+				Timing:   dram.DefaultTiming(),
+				Profile: dram.Profile{
+					Name:            "demo-weak DDR3",
+					HCfirst:         24000,
+					ThresholdSigma:  0.1,
+					WeakCellsPerRow: 2.0,
+				},
+				// Plain bank-XOR mapping: the single-tenant Figure 1 setting.
+				Mapping: dram.MapperConfig{XorBank: true},
 			},
-			// Plain bank-XOR mapping: the single-tenant Figure 1 setting.
-			Mapping: dram.MapperConfig{XorBank: true},
-		},
-		FlashGeometry: nand.Geometry{
-			Channels: 4, DiesPerChan: 2, PlanesPerDie: 2,
-			BlocksPerPlan: 32, PagesPerBlock: 256, PageBytes: 4096,
+			Flash: &nand.Geometry{
+				Channels: 4, DiesPerChan: 2, PlanesPerDie: 2,
+				BlocksPerPlan: 32, PagesPerBlock: 256, PageBytes: 4096,
+			},
 		},
 		VictimFillBlocks: 512,
 		Seed:             7,
 	}
-	cfg.FTL.HammersPerIO = 1
 	tb, err := cloud.NewTestbed(cfg)
 	if err != nil {
 		log.Fatal(err)

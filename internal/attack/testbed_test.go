@@ -10,6 +10,7 @@ import (
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ext4"
+	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/guard"
 	"ftlhammer/internal/nand"
@@ -24,28 +25,32 @@ import (
 // population.
 func fastConfig(mutate func(*cloud.Config)) cloud.Config {
 	cfg := cloud.Config{
-		DRAM: dram.Config{
-			Geometry: dram.SSDGeometry(),
-			Profile: dram.Profile{
-				Name:            "fast-weak",
-				HCfirst:         24000,
-				ThresholdSigma:  0.1,
-				WeakCellsPerRow: 2.0,
+		Device: fleet.DeviceSpec{
+			Amplify: 5,
+			DRAM: &dram.Config{
+				Geometry: dram.SSDGeometry(),
+				Timing:   dram.DefaultTiming(),
+				Profile: dram.Profile{
+					Name:            "fast-weak",
+					HCfirst:         24000,
+					ThresholdSigma:  0.1,
+					WeakCellsPerRow: 2.0,
+				},
+				Mapping: dram.MapperConfig{
+					Twist:      dram.TwistInterleave,
+					TwistGroup: 8,
+					XorBank:    true,
+				},
 			},
-			Mapping: dram.MapperConfig{
-				Twist:      dram.TwistInterleave,
-				TwistGroup: 8,
-				XorBank:    true,
-			},
+			Flash: &nand.Geometry{
+				Channels:      4,
+				DiesPerChan:   2,
+				PlanesPerDie:  2,
+				BlocksPerPlan: 32,
+				PagesPerBlock: 256,
+				PageBytes:     4096,
+			}, // 512 MiB
 		},
-		FlashGeometry: nand.Geometry{
-			Channels:      4,
-			DiesPerChan:   2,
-			PlanesPerDie:  2,
-			BlocksPerPlan: 32,
-			PagesPerBlock: 256,
-			PageBytes:     4096,
-		}, // 512 MiB
 		VictimFillBlocks: 6144,
 		Seed:             0xBEEF,
 	}
@@ -232,8 +237,7 @@ func TestAnalyzeSidesExtendsPlans(t *testing.T) {
 
 func TestAnalyzeFailsOnHashedL2P(t *testing.T) {
 	tb := fastTestbed(t, func(c *cloud.Config) {
-		c.FTL.Hashed = true
-		c.FTL.HashKey = 0xD00D
+		c.Device.FTL = &ftl.Config{Hashed: true, HashKey: 0xD00D}
 	})
 	if _, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{VictimNSID: tb.VictimNS.ID}); err == nil {
 		t.Fatal("offline analysis succeeded against randomized layout")
@@ -323,10 +327,10 @@ func TestTemplateSeparatesVulnerableRows(t *testing.T) {
 		t.Skip("campaign-scale; skipped with -short")
 	}
 	tb := fastTestbed(t, func(c *cloud.Config) {
-		c.DRAM.Profile.WeakCellsPerRow = 0.5 // make clean rows common
+		c.Device.DRAM.Profile.WeakCellsPerRow = 0.5 // make clean rows common
 		// Same-owner triples need physically contiguous same-partition
 		// rows — the Figure 1 single-tenant setting, plain mapping.
-		c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+		c.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 	})
 	bindings, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
 	if err != nil {
@@ -370,9 +374,9 @@ func TestTemplateSeparatesVulnerableRows(t *testing.T) {
 func TestOneLocationHammerNeedsClosedRowPolicy(t *testing.T) {
 	run := func(policy dram.RowPolicy) uint64 {
 		tb := fastTestbed(t, func(c *cloud.Config) {
-			c.FTL.HammersPerIO = 1
-			c.DRAM.Policy = policy
-			c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+			c.Device.Amplify = 1
+			c.Device.DRAM.Policy = policy
+			c.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 		})
 		bindings, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
 		if err != nil {
@@ -405,8 +409,8 @@ func TestOneLocationHammerNeedsClosedRowPolicy(t *testing.T) {
 // binding has one and is rejected where it does not.
 func TestSingleSidedNeedsFarRow(t *testing.T) {
 	tb := fastTestbed(t, func(c *cloud.Config) {
-		c.FTL.HammersPerIO = 1
-		c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+		c.Device.Amplify = 1
+		c.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 	})
 	bindings, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
 	if err != nil {
@@ -444,10 +448,9 @@ func TestCacheEvictionBypass(t *testing.T) {
 	// bits anyway.
 	run := func(evict int) (flips uint64, observed bool) {
 		tb := fastTestbed(t, func(c *cloud.Config) {
-			c.FTL.HammersPerIO = 1
-			c.FTL.Cache.Enabled = true
-			c.FTL.Cache.Lines = 1024
-			c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+			c.Device.Amplify = 1
+			c.Device.FTL = &ftl.Config{Cache: ftl.CacheConfig{Enabled: true, Lines: 1024}}
+			c.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 		})
 		bindings, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
 		if err != nil {
@@ -621,7 +624,7 @@ func TestCampaignLeaksVictimData(t *testing.T) {
 	// and is only needed when the DRAM is barely vulnerable; this
 	// profile is not. Dense spray maximizes the fraction of victim-row
 	// translations the attacker controls (the paper's Fv = 25% of Cv).
-	tb := fastTestbed(t, func(c *cloud.Config) { c.FTL.HammersPerIO = 1 })
+	tb := fastTestbed(t, func(c *cloud.Config) { c.Device.Amplify = 1 })
 	camp, err := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      3072,
 		TargetsPerFile:  64,
@@ -661,8 +664,8 @@ func TestCampaignChurnKeepsFSConsistent(t *testing.T) {
 	// stay exactly consistent. Regression test for the GC headroom and
 	// write-path ordering bugs this workload once exposed.
 	tb := fastTestbed(t, func(c *cloud.Config) {
-		c.FTL.HammersPerIO = 1
-		c.DRAM.Profile = dram.InvulnerableProfile()
+		c.Device.Amplify = 1
+		c.Device.DRAM.Profile = dram.InvulnerableProfile()
 	})
 	camp, err := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      3072,
@@ -697,8 +700,8 @@ func TestCampaignChurnKeepsFSConsistent(t *testing.T) {
 func TestCampaignCountsIssuedReads(t *testing.T) {
 	run := func(spec string) (reads uint64, hammered int) {
 		tb := fastTestbed(t, func(c *cloud.Config) {
-			c.FTL.HammersPerIO = 1
-			c.DRAM.Profile = dram.InvulnerableProfile()
+			c.Device.Amplify = 1
+			c.Device.DRAM.Profile = dram.InvulnerableProfile()
 		})
 		pat, err := ParsePattern(spec)
 		if err != nil {
@@ -742,7 +745,7 @@ func TestCampaignFlipLocalityAndCollateralDamage(t *testing.T) {
 	// campaign must survive to completion even though flips can corrupt
 	// the victim filesystem — the §3.2 "data corruption" outcome is
 	// expected collateral, not an error.
-	tb := fastTestbed(t, func(c *cloud.Config) { c.FTL.HammersPerIO = 1 })
+	tb := fastTestbed(t, func(c *cloud.Config) { c.Device.Amplify = 1 })
 	camp, err := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      3072,
 		TargetsPerFile:  64,
@@ -786,7 +789,7 @@ func TestCampaignSurvivesVictimBackgroundTraffic(t *testing.T) {
 	// The victim tenant keeps doing its own I/O while the attack runs:
 	// interleave Zipf-distributed victim reads with campaign cycles and
 	// confirm flips still land.
-	tb := fastTestbed(t, func(c *cloud.Config) { c.FTL.HammersPerIO = 1 })
+	tb := fastTestbed(t, func(c *cloud.Config) { c.Device.Amplify = 1 })
 	camp, err := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      1024,
 		TargetsPerFile:  64,
@@ -839,8 +842,8 @@ func TestGuardNeutralizesCampaign(t *testing.T) {
 	// unthrottled.
 	gcfg := guard.DefaultConfig()
 	tb := fastTestbed(t, func(c *cloud.Config) {
-		c.FTL.HammersPerIO = 1
-		c.Guard = &gcfg
+		c.Device.Amplify = 1
+		c.Device.Guard = &gcfg
 	})
 	camp, err := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      1024,

@@ -10,5 +10,7 @@
 //
 // Both namespaces are partitions of the same logical space, so the shared
 // FTL keeps both tenants' translations in one L2P table in one DRAM module:
-// the cross-partition attack surface.
+// the cross-partition attack surface. The SSD itself is a
+// fleet.DeviceSpec with two tenants; this package adds the victim's
+// filesystem on top.
 package cloud

@@ -1,6 +1,6 @@
-// Benchmark delegates to internal/perf so `go test -bench`, benchjson,
-// and perfgate all measure the same body under the same name. This file
-// lives in the external test package because perf imports dram.
+// Benchmark delegates to internal/perf so `go test -bench` and perfgate
+// measure the same body under the same name. This file lives in the
+// external test package because perf imports dram.
 package dram_test
 
 import (

@@ -8,7 +8,6 @@ import (
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
-	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
 )
 
@@ -44,42 +43,19 @@ func Blast(w io.Writer, opt Options) error {
 	return nil
 }
 
-// blastSpec is the per-device build recipe: the scaled (quick) or paper
-// testbed DRAM, x5 firmware amplification.
+// blastSpec is the per-device build recipe: the quick or paper testbed's
+// device, two tenants per device. Blast has always run it without the
+// tRC/tFAW timing the testbeds have, and its pinned output depends on
+// that.
 func blastSpec(quick bool) fleet.DeviceSpec {
-	dcfg := dram.Config{
-		Geometry: dram.SSDGeometry(),
-		Profile:  dram.TestbedProfile(),
-		Mapping: dram.MapperConfig{
-			Twist:      dram.TwistInterleave,
-			TwistGroup: 16,
-			XorBank:    true,
-		},
-	}
-	geom := nand.DefaultGeometry()
+	cfg := paperTestbedConfig(0)
 	if quick {
-		dcfg.Profile = dram.Profile{
-			Name:            "scaled testbed DDR3",
-			HCfirst:         24000,
-			ThresholdSigma:  0.1,
-			WeakCellsPerRow: 2.0,
-		}
-		dcfg.Mapping.TwistGroup = 8
-		geom = nand.Geometry{
-			Channels:      4,
-			DiesPerChan:   2,
-			PlanesPerDie:  2,
-			BlocksPerPlan: 32,
-			PagesPerBlock: 256,
-			PageBytes:     4096,
-		}
+		cfg = quickTestbedConfig(0)
 	}
-	return fleet.DeviceSpec{
-		Tenants: 2,
-		Amplify: 5,
-		DRAM:    &dcfg,
-		Flash:   &geom,
-	}
+	sp := cfg.Device
+	sp.Tenants = 2
+	sp.DRAM.Timing = dram.Timing{}
+	return sp
 }
 
 func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {

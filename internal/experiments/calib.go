@@ -85,7 +85,7 @@ func Calibration41(w io.Writer, opt Options) error {
 	// is an independent trial, so the census fans across the engine.
 	candidates := bindings
 	fmt.Fprintf(w, "cross-partition triple candidates: %d\n", len(candidates))
-	probe := tb.Config().DRAM
+	probe := tb.DRAM.Config()
 	limit := len(candidates)
 	if opt.Quick && limit > 24 {
 		limit = 24

@@ -7,6 +7,7 @@ import (
 	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
+	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
@@ -71,50 +72,48 @@ func prepareOwnVictimLines(dev *nvme.Device, ns *nvme.Namespace, b attack.Bindin
 	return n, nil
 }
 
-// paperTestbedConfig is the §4.1 cloud environment at full scale: 1 GiB
-// SSD, testbed-vulnerable DRAM, x5 amplification.
+// paperTestbedConfig is the §4.1 cloud environment at full scale: the
+// testbed preset's 1 GiB SSD and vulnerable DRAM, x5 amplification. The
+// DRAM config is the preset's own, held as an override so callers can
+// change it; each call returns a fresh copy.
 func paperTestbedConfig(seed uint64) cloud.Config {
+	dcfg, _, _ := fleet.Preset("testbed") // a known name cannot fail
 	return cloud.Config{
-		DRAM: dram.Config{
-			Geometry: dram.SSDGeometry(),
-			Profile:  dram.TestbedProfile(),
-			Mapping: dram.MapperConfig{
-				Twist:      dram.TwistInterleave,
-				TwistGroup: 16,
-				XorBank:    true,
-			},
-			Seed: seed,
-		},
-		Seed: seed,
+		Device: fleet.DeviceSpec{Profile: "testbed", Amplify: 5, DRAM: &dcfg},
+		Seed:   seed,
 	}
 }
 
 // quickTestbedConfig is a scaled testbed (512 MiB SSD, softer flip
-// threshold) for fast runs; the shape of every result is preserved.
+// threshold) for fast runs; the shape of every result is preserved. Each
+// call returns fresh DRAM and flash configs, so callers can change them.
 func quickTestbedConfig(seed uint64) cloud.Config {
 	return cloud.Config{
-		DRAM: dram.Config{
-			Geometry: dram.SSDGeometry(),
-			Profile: dram.Profile{
-				Name:            "scaled testbed DDR3",
-				HCfirst:         24000,
-				ThresholdSigma:  0.1,
-				WeakCellsPerRow: 2.0,
+		Device: fleet.DeviceSpec{
+			Amplify: 5,
+			DRAM: &dram.Config{
+				Geometry: dram.SSDGeometry(),
+				Timing:   dram.DefaultTiming(),
+				Profile: dram.Profile{
+					Name:            "scaled testbed DDR3",
+					HCfirst:         24000,
+					ThresholdSigma:  0.1,
+					WeakCellsPerRow: 2.0,
+				},
+				Mapping: dram.MapperConfig{
+					Twist:      dram.TwistInterleave,
+					TwistGroup: 8,
+					XorBank:    true,
+				},
 			},
-			Mapping: dram.MapperConfig{
-				Twist:      dram.TwistInterleave,
-				TwistGroup: 8,
-				XorBank:    true,
+			Flash: &nand.Geometry{
+				Channels:      4,
+				DiesPerChan:   2,
+				PlanesPerDie:  2,
+				BlocksPerPlan: 32,
+				PagesPerBlock: 256,
+				PageBytes:     4096,
 			},
-			Seed: seed,
-		},
-		FlashGeometry: nand.Geometry{
-			Channels:      4,
-			DiesPerChan:   2,
-			PlanesPerDie:  2,
-			BlocksPerPlan: 32,
-			PagesPerBlock: 256,
-			PageBytes:     4096,
 		},
 		VictimFillBlocks: 6144,
 		Seed:             seed,

@@ -8,7 +8,6 @@ import (
 	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
-	"ftlhammer/internal/faults"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/obs"
@@ -88,15 +87,12 @@ func FaultsRobustness(w io.Writer, opt Options) error {
 // a victim goodput workload, then the standardized attack probe.
 func faultProbe(rate float64, seed uint64, quick bool, reg *obs.Registry) (faultTrial, error) {
 	cfg := quickTestbedConfig(seed)
-	cfg.FTL.HammersPerIO = 1
+	cfg.Device.Amplify = 1
 	// Single-tenant mapping so the probe can observe its own victim rows
 	// (same standardization as the §5 mitigation probes).
-	cfg.DRAM.Mapping = dram.MapperConfig{XorBank: true}
-	plan := faults.RatePlan(rate)
-	if len(plan.Rules) > 0 {
-		cfg.Faults = &plan
-	}
-	cfg.Robust = nvme.DefaultRobust()
+	cfg.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+	cfg.Device.FaultRate = rate
+	cfg.Device.Robust = true
 	cfg.Obs = reg
 	tb, err := cloud.NewTestbed(cfg)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
+	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/guard"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/obs"
@@ -43,34 +44,31 @@ func mitigationProbes() []mitigationProbe {
 	return []mitigationProbe{
 		{"none (baseline)", nil, double},
 		{"ECC (SEC-DED per 64-bit word)", func(c *cloud.Config) {
-			c.DRAM.ECC = true
+			c.Device.DRAM.ECC = true
 		}, double},
 		{"TRR (sampler=1)", func(c *cloud.Config) {
-			c.DRAM.TRR = dram.DefaultTRR()
+			c.Device.DRAM.TRR = dram.DefaultTRR()
 		}, double},
 		{"TRR vs synchronized decoys", func(c *cloud.Config) {
-			c.DRAM.TRR = dram.DefaultTRR()
+			c.Device.DRAM.TRR = dram.DefaultTRR()
 		}, synced},
 		{"PARA p=0.02", func(c *cloud.Config) {
-			c.DRAM.PARA = 0.02
+			c.Device.DRAM.PARA = 0.02
 		}, double},
 		{"2x refresh rate (32 ms window)", func(c *cloud.Config) {
-			c.DRAM.RefreshWindow = 32 * sim.Millisecond
+			c.Device.DRAM.RefreshWindow = 32 * sim.Millisecond
 		}, double},
 		{"FTL CPU cache for L2P", func(c *cloud.Config) {
-			c.FTL.Cache.Enabled = true
-			c.FTL.Cache.Lines = 1024
+			c.Device.FTL = &ftl.Config{Cache: ftl.CacheConfig{Enabled: true, Lines: 1024}}
 		}, double},
 		{"FTL cache vs eviction-aware reads", func(c *cloud.Config) {
-			c.FTL.Cache.Enabled = true
-			c.FTL.Cache.Lines = 1024
+			c.Device.FTL = &ftl.Config{Cache: ftl.CacheConfig{Enabled: true, Lines: 1024}}
 		}, evicting},
 		{"I/O rate limit (100K IOPS/ns)", func(c *cloud.Config) {
-			c.AttackerMaxIOPS = 100_000
-			c.VictimMaxIOPS = 100_000
+			c.Device.MaxIOPS = 100_000
 		}, double},
 		{"hammer guard (ours: detect+throttle)", func(c *cloud.Config) {
-			c.Guard = &gcfg
+			c.Device.Guard = &gcfg
 		}, double},
 	}
 }
@@ -103,8 +101,7 @@ func Mitigations5(w io.Writer, opt Options) error {
 	// Structural mitigations that stop earlier stages.
 	fmt.Fprintln(w)
 	hashedCfg := quickTestbedConfig(0x55)
-	hashedCfg.FTL.Hashed = true
-	hashedCfg.FTL.HashKey = 0xC0FFEE
+	hashedCfg.Device.FTL = &ftl.Config{Hashed: true, HashKey: 0xC0FFEE}
 	hashedCfg.Obs = opt.Obs
 	tb, err := cloud.NewTestbed(hashedCfg)
 	if err != nil {
@@ -138,9 +135,9 @@ func Mitigations5(w io.Writer, opt Options) error {
 // reg (may be nil) observes the probe's testbed.
 func probeMitigation(name string, mutate func(*cloud.Config), pat attack.Pattern, quick bool, reg *obs.Registry) (mitigationResult, error) {
 	cfg := quickTestbedConfig(0x50)
-	cfg.FTL.HammersPerIO = 1
+	cfg.Device.Amplify = 1
 	// Single-tenant mapping so the probe can observe its own victim rows.
-	cfg.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+	cfg.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -13,15 +13,15 @@ import (
 	"ftlhammer/internal/sim"
 )
 
-// DeviceSpec describes one simulated device: the knobs cmd/hammerd has
-// always exposed, factored out so the single-device daemon, the fleet
-// layer and the blast-radius experiment all assemble devices through one
-// builder. Two devices built from equal specs and equal seeds have equal
-// nvme config digests — the precondition for migrating a checkpoint
-// between them.
+// DeviceSpec describes one simulated device. Build is the one place this
+// repository assembles an SSD: cmd/hammerd, the fleet layer, the cloud
+// testbed, the experiments and the perf fixtures all go through it. Two
+// devices built from equal specs and equal seeds have equal nvme config
+// digests — the precondition for migrating a checkpoint between them.
 type DeviceSpec struct {
-	// Profile selects the DRAM fault model: "testbed", "weak" or
-	// "invulnerable" (see internal/dram). Ignored when DRAM is set.
+	// Profile names the preset the device starts from (see Preset):
+	// "testbed", "weak" or "invulnerable". DRAM, Flash and FTL override
+	// parts of it.
 	Profile string
 	// Tenants is how many equal namespaces are carved from the device.
 	Tenants int
@@ -42,15 +42,68 @@ type DeviceSpec struct {
 	Robust bool
 	// MaxIOPS, when non-zero, statically rate-limits every namespace.
 	MaxIOPS float64
-	// DRAM, when non-nil, overrides the profile-derived DRAM config
-	// entirely (experiment-grade control; the Seed field is still
-	// stamped by Build).
+	// DRAM, when non-nil, replaces the preset's DRAM config and is used
+	// as given: a zero Timing stays zero, so the module enforces no
+	// tRC/tFAW. Build still stamps the Seed field.
 	DRAM *dram.Config
-	// Flash, when non-nil, overrides the profile-derived NAND geometry.
+	// Flash, when non-nil, replaces the preset's NAND geometry.
 	Flash *nand.Geometry
+	// FTL, when non-nil, replaces the default FTL config (an L2P cache,
+	// the hashed layout, a smaller logical capacity). A zero NumLBAs
+	// still means 15/16 of the flash, and Amplify still sets
+	// HammersPerIO.
+	FTL *ftl.Config
 	// Guard, when non-nil, attaches the firmware-side Bloom-filter
 	// hammer guard (internal/guard) with this configuration.
 	Guard *guard.Config
+}
+
+// Preset returns the DRAM config and NAND geometry a profile names. Every
+// preset has the SSD DRAM geometry, the default tRC/tFAW timing and the
+// reverse-engineered mapping (bank XOR plus row interleave):
+//   - "testbed" is the paper's §4.1 SSD: its vulnerable DDR3 profile,
+//     rows interleaved in groups of 16, over 1 GiB of flash;
+//   - "weak" is a scaled DRAM that flips after 24000 disturbances, rows
+//     interleaved in groups of 8, over 512 MiB of flash;
+//   - "invulnerable" is the weak device with DRAM that never flips.
+//
+// Each call returns fresh values the caller may change.
+func Preset(profile string) (dram.Config, nand.Geometry, error) {
+	dcfg := dram.Config{
+		Geometry: dram.SSDGeometry(),
+		Timing:   dram.DefaultTiming(),
+		Mapping: dram.MapperConfig{
+			Twist:      dram.TwistInterleave,
+			TwistGroup: 8,
+			XorBank:    true,
+		},
+	}
+	geom := nand.Geometry{
+		Channels:      4,
+		DiesPerChan:   2,
+		PlanesPerDie:  2,
+		BlocksPerPlan: 32,
+		PagesPerBlock: 256,
+		PageBytes:     4096,
+	}
+	switch profile {
+	case "testbed":
+		dcfg.Profile = dram.TestbedProfile()
+		dcfg.Mapping.TwistGroup = 16
+		geom = nand.DefaultGeometry()
+	case "weak":
+		dcfg.Profile = dram.Profile{
+			Name:            "weak DDR (scaled)",
+			HCfirst:         24000,
+			ThresholdSigma:  0.1,
+			WeakCellsPerRow: 2.0,
+		}
+	case "invulnerable":
+		dcfg.Profile = dram.InvulnerableProfile()
+	default:
+		return dram.Config{}, nand.Geometry{}, fmt.Errorf("fleet: unknown profile %q", profile)
+	}
+	return dcfg, geom, nil
 }
 
 // fillDefaults normalizes the zero value to hammerd's historical defaults.
@@ -66,22 +119,21 @@ func (sp *DeviceSpec) fillDefaults() {
 	}
 }
 
-// Validate rejects specs the builder would misassemble.
+// Validate rejects specs the builder would misassemble. It is the only
+// check the commands make on their device flags.
 func (sp DeviceSpec) Validate() error {
 	if sp.Tenants < 1 || sp.Tenants > 0xFFFF {
 		return fmt.Errorf("fleet: tenants per device must be in [1, 65535], got %d", sp.Tenants)
 	}
-	if sp.FaultRate < 0 || sp.FaultRate > 1 || sp.ConnFaultRate < 0 || sp.ConnFaultRate > 1 {
-		return fmt.Errorf("fleet: fault rates must be in [0,1]")
+	// Written so that NaN fails too.
+	if !(sp.FaultRate >= 0 && sp.FaultRate <= 1) || !(sp.ConnFaultRate >= 0 && sp.ConnFaultRate <= 1) {
+		return fmt.Errorf("fleet: fault rates must be in [0,1], got %g and %g", sp.FaultRate, sp.ConnFaultRate)
 	}
-	if sp.DRAM == nil {
-		switch sp.Profile {
-		case "testbed", "weak", "invulnerable":
-		default:
-			return fmt.Errorf("fleet: unknown profile %q", sp.Profile)
-		}
+	if sp.Amplify < 0 {
+		return fmt.Errorf("fleet: amplification must not be negative, got %d", sp.Amplify)
 	}
-	return nil
+	_, _, err := Preset(sp.Profile)
+	return err
 }
 
 // BuiltDevice is one assembled device with the parts its owner needs to
@@ -104,38 +156,7 @@ func (sp DeviceSpec) Build(seed uint64, reg *obs.Registry) (*BuiltDevice, error)
 		return nil, err
 	}
 
-	dcfg := dram.Config{
-		Geometry: dram.SSDGeometry(),
-		Timing:   dram.DefaultTiming(),
-		Mapping: dram.MapperConfig{
-			Twist:      dram.TwistInterleave,
-			TwistGroup: 8,
-			XorBank:    true,
-		},
-	}
-	geom := nand.Geometry{
-		Channels:      4,
-		DiesPerChan:   2,
-		PlanesPerDie:  2,
-		BlocksPerPlan: 32,
-		PagesPerBlock: 256,
-		PageBytes:     4096,
-	}
-	switch sp.Profile {
-	case "testbed":
-		dcfg.Profile = dram.TestbedProfile()
-		dcfg.Mapping.TwistGroup = 16
-		geom = nand.DefaultGeometry()
-	case "weak":
-		dcfg.Profile = dram.Profile{
-			Name:            "weak DDR (scaled)",
-			HCfirst:         24000,
-			ThresholdSigma:  0.1,
-			WeakCellsPerRow: 2.0,
-		}
-	case "invulnerable":
-		dcfg.Profile = dram.InvulnerableProfile()
-	}
+	dcfg, geom, _ := Preset(sp.Profile) // Validate checked the name
 	if sp.DRAM != nil {
 		dcfg = *sp.DRAM
 	}
@@ -143,6 +164,14 @@ func (sp DeviceSpec) Build(seed uint64, reg *obs.Registry) (*BuiltDevice, error)
 		geom = *sp.Flash
 	}
 	dcfg.Seed = seed
+	var fcfg ftl.Config
+	if sp.FTL != nil {
+		fcfg = *sp.FTL
+	}
+	if fcfg.NumLBAs == 0 {
+		fcfg.NumLBAs = geom.TotalPages() * 15 / 16
+	}
+	fcfg.HammersPerIO = sp.Amplify
 
 	plan := faults.RatePlan(sp.FaultRate)
 	if sp.Faults != nil {
@@ -157,10 +186,6 @@ func (sp DeviceSpec) Build(seed uint64, reg *obs.Registry) (*BuiltDevice, error)
 	inj := faults.New(plan, world)
 	mem := dram.New(dcfg, world)
 	flash := nand.New(geom, nand.DefaultLatency(), nand.WithFaults(inj))
-	fcfg := ftl.Config{
-		NumLBAs:      geom.TotalPages() * 15 / 16,
-		HammersPerIO: sp.Amplify,
-	}
 	f, err := ftl.New(fcfg, mem, flash)
 	if err != nil {
 		return nil, err

@@ -17,6 +17,11 @@
 // refusing state before the drain begins, so a session is refused or
 // re-routed during a transfer, never silently misrouted.
 //
+// DeviceSpec is also the repository's one device builder: every
+// simulated SSD, the cloud testbed's included, is assembled by
+// DeviceSpec.Build from a profile preset (Preset) and explicit DRAM,
+// flash and FTL overrides (docs/ARCHITECTURE.md, "Device assembly").
+//
 // See docs/FLEET.md for the topology, the migration protocol and its
 // failure modes.
 package fleet

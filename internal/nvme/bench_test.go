@@ -1,6 +1,6 @@
-// Benchmarks delegate to internal/perf so `go test -bench`, benchjson,
-// and perfgate all measure the same bodies under the same names. This
-// file lives in the external test package because perf imports nvme.
+// Benchmarks delegate to internal/perf so `go test -bench` and perfgate
+// measure the same bodies under the same names. This file lives in the
+// external test package because perf imports nvme.
 package nvme_test
 
 import (

@@ -1,15 +1,21 @@
 package transport
 
 import (
+	"bytes"
+	"context"
 	"testing"
 
+	"ftlhammer/internal/faults"
+	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nvme"
+	"ftlhammer/internal/sim"
 )
 
 // TestFrameCodecAllocs pins the zero-allocation property of the wire
 // codec's recycled-buffer forms: encoding a batch or completions frame
-// into a reused scratch and decoding from a reused payload must not
-// allocate once the buffers have grown to their high-water mark.
+// into a reused scratch, reading a frame into a reused buffer and decoding
+// from a reused payload must not allocate once the buffers have grown to
+// their high-water mark.
 func TestFrameCodecAllocs(t *testing.T) {
 	const blockBytes = 512
 	data := make([]byte, blockBytes)
@@ -81,4 +87,61 @@ func TestFrameCodecAllocs(t *testing.T) {
 			t.Errorf("completions decode: %v allocs/op, want 0", avg)
 		}
 	})
+
+	t.Run("read-frame", func(t *testing.T) {
+		frame, start := beginFrame(nil, frameCompletions)
+		frame = endFrame(appendCompletions(frame, comps), start)
+		r := bytes.NewReader(frame)
+		var scratch []byte
+		read := func() {
+			r.Reset(frame)
+			typ, payload, err := readFrameInto(r, scratch, len(frame))
+			if err != nil || typ != frameCompletions || len(payload) != len(frame)-frameHeaderLen {
+				t.Fatalf("readFrameInto: type %d, %d bytes, %v", typ, len(payload), err)
+			}
+			scratch = payload
+		}
+		read()
+		if avg := testing.AllocsPerRun(200, read); avg != 0 {
+			t.Errorf("frame read: %v allocs/op, want 0", avg)
+		}
+	})
+}
+
+// TestLoopbackRingAllocs pins the served hot path end to end, the path
+// perfgate's ServerBatch case times: once the pooled batch working set
+// has warmed, a 16-command read ring over loopback TCP (client encode,
+// server decode, engine execution, completion encode, client parse)
+// allocates nothing on either side. Like ServerBatch it leaves the
+// completions queued: Client.Completions hands its queue to the caller,
+// so a drain per ring would allocate the next ring's queue.
+func TestLoopbackRingAllocs(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("race builds arm the clock's owner guard, which allocates on every 4096th clock touch")
+	}
+	const window = 16
+	dev, _ := newTestDevice(t, 6, 1, faults.Plan{})
+	addr, _ := startServer(t, NewServer(dev, Config{Window: window}))
+	c, err := Dial(context.Background(), addr, ClientConfig{NSID: 1, Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := make([]byte, c.BlockBytes())
+	ring := func() {
+		for i := 0; i < window; i++ {
+			if err := c.Submit(nvme.Command{Op: nvme.OpRead, LBA: ftl.LBA(i), Buf: buf}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n, err := c.Ring(context.Background()); err != nil || n != window {
+			t.Fatalf("Ring: n=%d err=%v", n, err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		ring()
+	}
+	if avg := testing.AllocsPerRun(100, ring); avg != 0 {
+		t.Errorf("loopback ring: %v allocs per %d-command ring, want 0", avg, window)
+	}
 }

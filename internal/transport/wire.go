@@ -217,16 +217,21 @@ func readFrame(r io.Reader, maxPayload int) (typ byte, payload []byte, err error
 
 // readFrameInto is readFrame with a caller-recycled payload buffer: when
 // buf has capacity for the payload it is reused in place (the returned
-// payload aliases it), otherwise a larger buffer is allocated. The caller
-// keeps the returned slice as its scratch for the next call, so the
-// buffer grows to the session's high-water mark and then stops
-// allocating. On error the scratch is returned unchanged.
+// payload aliases it), otherwise a larger buffer is allocated. The frame
+// header is read into the same buffer first, so a reused buffer makes the
+// whole read allocation-free. The caller keeps the returned slice as its
+// scratch for the next call, so the buffer grows to the session's
+// high-water mark and then stops allocating. On error the returned slice
+// is still valid scratch.
 func readFrameInto(r io.Reader, buf []byte, maxPayload int) (typ byte, payload []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < frameHeaderLen {
+		buf = make([]byte, frameHeaderLen)
+	}
+	hdr := buf[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n, typ := binary.BigEndian.Uint32(hdr[:4]), hdr[4]
 	if int(n) > maxPayload {
 		return 0, buf, fmt.Errorf("%w: %d > %d", errFrameTooLarge, n, maxPayload)
 	}
@@ -237,7 +242,7 @@ func readFrameInto(r io.Reader, buf []byte, maxPayload int) (typ byte, payload [
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, payload, err
 	}
-	return hdr[4], payload, nil
+	return typ, payload, nil
 }
 
 func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
