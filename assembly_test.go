@@ -9,7 +9,7 @@ import (
 )
 
 // TestOneDeviceBuilder is the assembly gate: fleet.DeviceSpec.Build is
-// the only place a non-test file under internal/ or cmd/ may call
+// the only place a non-test file under internal/, cmd/ or examples/ may call
 // nvme.New. A second assembly path is a second copy of the device's
 // defaults, and copies drift; describe a new device as a DeviceSpec
 // instead.

@@ -102,15 +102,15 @@ func main() {
 		if err := runVictim(tb, *victim, pat, reg); err != nil {
 			fatal(err)
 		}
-	} else {
-		runCampaign(tb, attack.CampaignConfig{
-			SprayFiles:      *sprayFiles,
-			TargetsPerFile:  *targets,
-			MaxCycles:       *cycles,
-			Pattern:         pat,
-			TriplesPerCycle: *triples,
-			Hunt:            *hunt,
-		})
+	} else if err := runCampaign(tb, attack.CampaignConfig{
+		SprayFiles:      *sprayFiles,
+		TargetsPerFile:  *targets,
+		MaxCycles:       *cycles,
+		Pattern:         pat,
+		TriplesPerCycle: *triples,
+		Hunt:            *hunt,
+	}); err != nil {
+		fatal(err)
 	}
 	if *robust || *faultRate > 0 {
 		rs := tb.Device.RobustStats()
@@ -179,16 +179,14 @@ func main() {
 }
 
 // runCampaign executes the classic §3/§4 leak campaign and prints its
-// report.
-func runCampaign(tb *cloud.Testbed, ccfg attack.CampaignConfig) {
+// report. A campaign that stops on an error prints the report so far
+// and returns the error.
+func runCampaign(tb *cloud.Testbed, ccfg attack.CampaignConfig) error {
 	camp, err := attack.NewCampaign(tb, ccfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rep, err := camp.Run()
-	if err != nil {
-		fmt.Printf("campaign stopped: %v\n", err)
-	}
 	fmt.Printf("\ncycles:          %d\n", rep.Cycles)
 	fmt.Printf("spray files:     %d\n", rep.SpraysCreated)
 	fmt.Printf("hammer reads:    %d\n", rep.HammerReads)
@@ -196,6 +194,9 @@ func runCampaign(tb *cloud.Testbed, ccfg attack.CampaignConfig) {
 	fmt.Printf("leaks detected:  %d\n", rep.LeaksDetected)
 	fmt.Printf("blocks dumped:   %d\n", rep.BlocksDumped)
 	fmt.Printf("virtual elapsed: %v\n", rep.Elapsed)
+	if err != nil {
+		return fmt.Errorf("campaign stopped: %w", err)
+	}
 	if rep.SecretFound {
 		excerpt := rep.SecretContent
 		if len(excerpt) > 40 {
@@ -205,6 +206,7 @@ func runCampaign(tb *cloud.Testbed, ccfg attack.CampaignConfig) {
 	} else {
 		fmt.Println("RESULT: no leak (attack unsuccessful under this configuration)")
 	}
+	return nil
 }
 
 // runVictim drives one victim scenario from the internal/victims zoo

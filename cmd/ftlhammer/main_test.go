@@ -1,8 +1,10 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
 )
@@ -65,4 +67,22 @@ func weakConfig(t *testing.T) cloud.Config {
 		t.Fatal(err)
 	}
 	return cfg
+}
+
+// TestRunCampaignReportsFailure checks that a campaign that cannot run
+// returns its error, which main turns into exit status 1, instead of
+// printing a "no leak" result.
+func TestRunCampaignReportsFailure(t *testing.T) {
+	cfg, err := testbedConfig("weak", 1, 0xBEEF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := cloud.NewTestbed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = runCampaign(tb, attack.CampaignConfig{TargetsPerFile: 100000})
+	if err == nil || !strings.Contains(err.Error(), "TargetsPerFile 100000") {
+		t.Fatalf("runCampaign with -targets 100000: error %v, want the fan-out rejected", err)
+	}
 }

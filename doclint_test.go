@@ -14,38 +14,56 @@ import (
 	"testing"
 )
 
-// TestEveryPackageHasDocComment is the doc-lint gate: every package under
-// internal/ and cmd/ must carry a package-level doc comment (godoc
-// convention: a comment block immediately above a `package` clause in one
-// of its files, conventionally doc.go). CI runs this via `go test`; a new
-// package without documentation fails the build.
-// sourcePackages parses every non-test package under internal/ and cmd/.
+// sourceRoots are the directories whose subdirectories hold the repo's
+// non-test packages.
+var sourceRoots = []string{"internal", "cmd", "examples"}
+
+// sourcePackages parses every non-test package under internal/, cmd/ and
+// examples/, comments included, keyed by its directory.
 func sourcePackages(t *testing.T) map[string]*ast.Package {
 	t.Helper()
-	fset := token.NewFileSet()
+	out, err := parseSourceTree(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// parseSourceTree is sourcePackages for the tree at root, keyed by
+// directory relative to root.
+func parseSourceTree(root string) (map[string]*ast.Package, error) {
 	out := map[string]*ast.Package{}
-	for _, root := range []string{"internal", "cmd"} {
-		entries, err := os.ReadDir(root)
+	for _, parent := range sourceRoots {
+		entries, err := os.ReadDir(filepath.Join(root, parent))
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		for _, e := range entries {
 			if !e.IsDir() {
 				continue
 			}
-			dir := filepath.Join(root, e.Name())
-			pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-				return !strings.HasSuffix(fi.Name(), "_test.go")
-			}, 0)
-			if err != nil {
-				t.Fatalf("%s: %v", dir, err)
-			}
-			for _, pkg := range pkgs {
-				out[dir] = pkg
+			if err := parsePackage(root, filepath.Join(parent, e.Name()), out); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return out
+	return out, nil
+}
+
+// parsePackage parses the non-test files of the package in root/dir,
+// comments included, into out[dir]. A directory without Go files adds
+// nothing.
+func parsePackage(root, dir string, out map[string]*ast.Package) error {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join(root, dir), func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ParseComments)
+	if err != nil {
+		return fmt.Errorf("%s: %v", dir, err)
+	}
+	for _, pkg := range pkgs {
+		out[dir] = pkg
+	}
+	return nil
 }
 
 // constStrings collects a package's string-literal constants (name → value).
@@ -298,36 +316,22 @@ func TestSnapshotFormatVersionDocumented(t *testing.T) {
 	}
 }
 
+// TestEveryPackageHasDocComment is the doc-lint gate: every package under
+// internal/, cmd/ and examples/ must carry a package-level doc comment
+// (godoc convention: a comment block immediately above a `package` clause
+// in one of its files, conventionally doc.go). CI runs this via `go test`;
+// a new package without documentation fails the build.
 func TestEveryPackageHasDocComment(t *testing.T) {
-	fset := token.NewFileSet()
-	for _, root := range []string{"internal", "cmd"} {
-		entries, err := os.ReadDir(root)
-		if err != nil {
-			t.Fatal(err)
+	for dir, pkg := range sourcePackages(t) {
+		documented := false
+		for _, f := range pkg.Files {
+			if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
+				documented = true
+				break
+			}
 		}
-		for _, e := range entries {
-			if !e.IsDir() {
-				continue
-			}
-			dir := filepath.Join(root, e.Name())
-			pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-				return !strings.HasSuffix(fi.Name(), "_test.go")
-			}, parser.ParseComments|parser.PackageClauseOnly)
-			if err != nil {
-				t.Fatalf("%s: %v", dir, err)
-			}
-			for name, pkg := range pkgs {
-				documented := false
-				for _, f := range pkg.Files {
-					if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
-						documented = true
-						break
-					}
-				}
-				if !documented {
-					t.Errorf("package %s (%s) has no package doc comment; add a doc.go", name, dir)
-				}
-			}
+		if !documented {
+			t.Errorf("package %s (%s) has no package doc comment; add a doc.go", pkg.Name, dir)
 		}
 	}
 }

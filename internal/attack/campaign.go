@@ -70,13 +70,19 @@ type Campaign struct {
 	trimmed  map[ftl.LBA]bool
 }
 
-// NewCampaign prepares a campaign against the testbed.
+// NewCampaign prepares a campaign against the testbed. It rejects a
+// TargetsPerFile above MaxPointerTargets, the fan-out of one indirect
+// block.
 func NewCampaign(tb *cloud.Testbed, cfg CampaignConfig) (*Campaign, error) {
 	if cfg.SprayFiles <= 0 {
 		cfg.SprayFiles = 512
 	}
 	if cfg.TargetsPerFile <= 0 {
 		cfg.TargetsPerFile = 64
+	}
+	if cfg.TargetsPerFile > MaxPointerTargets {
+		return nil, fmt.Errorf("attack: TargetsPerFile %d exceeds the %d pointers of one indirect block",
+			cfg.TargetsPerFile, MaxPointerTargets)
 	}
 	if cfg.MaxCycles <= 0 {
 		cfg.MaxCycles = 10
@@ -173,11 +179,16 @@ func (c *Campaign) trimBinding(b Binding) error {
 }
 
 // Run executes the campaign until the hunted content is dumped or the
-// cycle budget runs out.
+// cycle budget runs out. On an error it returns the report so far, with
+// the flips induced and the virtual time spent up to the failure.
 func (c *Campaign) Run() (*CampaignReport, error) {
 	rep := &CampaignReport{}
 	start := c.TB.Clock.Now()
 	flipsBefore := c.TB.DRAM.Stats().Flips
+	defer func() {
+		rep.FlipsInduced = c.TB.DRAM.Stats().Flips - flipsBefore
+		rep.Elapsed = c.TB.Clock.Now().Sub(start)
+	}()
 
 	// Offline stage: device layout analysis (§4.2 "hammering stage"
 	// preparation). Many-sided patterns need the analysis to bind extra
@@ -307,7 +318,5 @@ func (c *Campaign) Run() (*CampaignReport, error) {
 			break
 		}
 	}
-	rep.FlipsInduced = c.TB.DRAM.Stats().Flips - flipsBefore
-	rep.Elapsed = c.TB.Clock.Now().Sub(start)
 	return rep, nil
 }

@@ -7,18 +7,19 @@
 // The pipeline has three pluggable roles, mirroring how SWAGE-style
 // frameworks factor DRAM attacks:
 //
-//   - Allocator places attacker state over the FTL (contiguous,
-//     sprayed, fragmented) and derives hammerable Bindings: per-side
-//     LBA groups whose L2P lookups activate each aggressor row, the
-//     victim entries in between, and an optional decoy row.
+//   - Allocator places attacker state over the FTL (ContiguousAllocator,
+//     the paper's linear-L2P layout) and derives hammerable Bindings:
+//     per-side LBA groups whose L2P lookups activate each aggressor row,
+//     the victim entries in between, and an optional decoy row.
 //   - Hammerer drives a declarative Pattern against a Binding: the
 //     classic double-/single-sided and one-location workloads of §3.1
 //     plus TRRespass/ZenHammer-style non-uniform shapes — per-slot
 //     firing frequencies and phases, extra sides, decoy reads, and
 //     REF-synchronized decoys.
-//   - Victim observes corruption: the ext4 indirect-block victim
-//     (Sprayer, the §4.2 spray/scan/dump stages) or the raw-LBA canary
-//     victim that snapshots L2P translations directly.
+//   - Victim observes corruption: the raw-LBA canary victim snapshots
+//     L2P translations directly (internal/victims holds the software
+//     victims). The §4.2 ext4 indirect-block victim is Campaign's
+//     Sprayer, with its spray, scan and dump stages.
 //
 // Pipeline wires the three together. Campaign is the paper's §4.2
 // exploit loop (analyze, spray both partitions with polyglot blocks,

@@ -4,17 +4,14 @@ import (
 	"errors"
 	"fmt"
 
-	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ftl"
-	"ftlhammer/internal/guard"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/sim"
 )
 
-// Hammerer executes a declarative Pattern against one Binding. The
-// device-path implementation issues ordinary reads (the §3.1 workload);
-// the module-level implementation drives a DRAM module directly for
-// experiments that bypass the device.
+// Hammerer executes a declarative Pattern against one Binding. Its
+// implementation, DeviceHammerer, issues ordinary reads (the §3.1
+// workload).
 type Hammerer interface {
 	Hammer(b Binding, p Pattern) error
 }
@@ -201,105 +198,4 @@ func gcd(a, b int) int {
 func (h *DeviceHammerer) aliasLBA(lba, delta ftl.LBA) ftl.LBA {
 	n := ftl.LBA(h.NS.NumLBAs)
 	return (lba + delta) % n
-}
-
-// ModuleHammerer drives aggressor activations directly against a DRAM
-// module — the experiment-local path (rate-threshold bisection) that
-// used to bypass the guard's activation accounting entirely. It reports
-// every genuine activation to the attached guard with the same
-// bank/row key nvme.Device.observeGuard uses, so experiment-local and
-// device-path hammering count activations identically.
-type ModuleHammerer struct {
-	Mod *dram.Module
-	Clk *sim.Clock
-	// Guard, when non-nil, receives every activation under GuardNSID,
-	// keyed by the activated flat bank and row — the exact accounting
-	// the device performs for command-driven lookups.
-	Guard   *guard.Guard
-	GuardNS int
-}
-
-// activate issues one row activation and mirrors the device's guard
-// accounting: only genuine activations count (row-buffer hits cannot
-// hammer), keyed by flat bank << 32 | row.
-func (h *ModuleHammerer) activate(addr uint64) {
-	if h.Guard == nil {
-		h.Mod.Activate(addr)
-		return
-	}
-	before := h.Mod.Stats().Activations
-	h.Mod.Activate(addr)
-	if acts := h.Mod.Stats().Activations - before; acts > 0 {
-		loc := h.Mod.Mapper().Map(addr)
-		key := uint64(h.Mod.Config().Geometry.FlatBank(loc))<<32 | uint64(loc.Row)
-		now := h.Clk.Now()
-		for i := uint64(0); i < acts; i++ {
-			h.Guard.Observe(h.GuardNS, key, now)
-		}
-	}
-}
-
-// HammerRows drives a double-sided hammer against victimRow's
-// neighbours at the given total access rate for the given virtual
-// duration, reporting whether any bit flipped. This is the shared
-// executor behind experiments' rate-threshold probes; its activation
-// and clock sequence is unchanged from the pre-refactor loop, so
-// experiment outputs stay byte-identical.
-func (h *ModuleHammerer) HammerRows(victimRow int, rate float64, dur sim.Duration) bool {
-	before := h.Mod.Stats().Flips
-	iv := sim.Interval(rate)
-	a := h.Mod.Mapper().Unmap(dram.Location{Bank: 0, Row: victimRow - 1})
-	b := h.Mod.Mapper().Unmap(dram.Location{Bank: 0, Row: victimRow + 1})
-	end := h.Clk.Now().Add(dur)
-	for i := 0; h.Clk.Now() < end; i++ {
-		h.activate(a)
-		h.Clk.Advance(iv)
-		h.activate(b)
-		h.Clk.Advance(iv)
-		if i&511 == 0 && h.Mod.Stats().Flips > before {
-			return true
-		}
-	}
-	return h.Mod.Stats().Flips > before
-}
-
-// Hammer implements Hammerer at module level: per iteration the firing
-// slots each activate their target row once (extra sides map to rows
-// offset away from the victim, decoys to a distant row in bank 0),
-// advancing the clock by the module's activation interval. It exists so
-// pattern-shape experiments can run without a device; the device path
-// is DeviceHammerer.
-func (h *ModuleHammerer) Hammer(b Binding, p Pattern) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	slots := p.effectiveSlots()
-	rows := []int{b.Triple.VictimRow - 1, b.Triple.VictimRow + 1}
-	geoRows := h.Mod.Config().Geometry.RowsPerBank
-	for len(rows) < p.Sides {
-		// Deterministic far rows, clear of the victim and aggressors.
-		rows = append(rows, (b.Triple.VictimRow+64*(len(rows)-1))%geoRows)
-	}
-	decoyRow := (b.Triple.VictimRow + geoRows/2) % geoRows
-	iv := sim.Interval(1e7)
-	for i := 0; i < p.Iterations; i++ {
-		for _, s := range slots {
-			if !s.fires(i) {
-				continue
-			}
-			row := decoyRow
-			if s.Aggressor != DecoyTarget {
-				if s.Aggressor >= len(rows) {
-					return fmt.Errorf("attack: pattern targets side %d but the binding has %d", s.Aggressor, len(rows))
-				}
-				row = rows[s.Aggressor]
-			}
-			h.activate(h.Mod.Mapper().Unmap(dram.Location{
-				Channel: b.Triple.Channel, DIMM: b.Triple.DIMM,
-				Rank: b.Triple.Rank, Bank: b.Triple.Bank, Row: row,
-			}))
-			h.Clk.Advance(iv)
-		}
-	}
-	return nil
 }

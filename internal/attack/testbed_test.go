@@ -16,7 +16,6 @@ import (
 	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/sim"
-	"ftlhammer/internal/workload"
 )
 
 // fastConfig builds a scaled-down, highly vulnerable testbed so the
@@ -442,6 +441,9 @@ func TestSingleSidedNeedsFarRow(t *testing.T) {
 }
 
 func TestCacheEvictionBypass(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign-scale; skipped with -short")
+	}
 	// The §5 speculation implemented: a direct-mapped FTL L2P cache
 	// absorbs plain hammering, but an attacker that interleaves reads of
 	// set-aliasing entries evicts the aggressor translations and flips
@@ -537,7 +539,11 @@ func TestScanDetectsRedirectAndDumpLeaks(t *testing.T) {
 	tb := fastTestbed(t, nil)
 	s := NewSprayer(tb.VictimFS, cloud.AttackerCred, "/home/attacker")
 	// Target the victim's secret block explicitly.
-	secretBlk, err := tb.SecretFSBlock()
+	secret, err := tb.VictimFS.Open("/root/.ssh/id_rsa", ext4.Root, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secretBlk, err := secret.MapBlock(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,6 +658,31 @@ func TestCampaignLeaksVictimData(t *testing.T) {
 	}
 	if !strings.Contains(string(rep.SecretContent), "victim-data-block-") {
 		t.Fatal("leaked content mismatch")
+	}
+}
+
+// TestCampaignReportsFailedRun checks the campaign's error paths: a
+// pointer fan-out no indirect block holds is rejected up front, and a run
+// that fails after the polyglot fill and the first spray still reports
+// the virtual time it spent.
+func TestCampaignReportsFailedRun(t *testing.T) {
+	tb := fastTestbed(t, nil)
+	if _, err := NewCampaign(tb, CampaignConfig{TargetsPerFile: MaxPointerTargets + 1}); err == nil {
+		t.Fatal("NewCampaign accepted a fan-out beyond MaxPointerTargets")
+	}
+	// A slot naming a side the pattern lacks fails validation at the
+	// first hammer.
+	bad := Pattern{Sides: 2, Slots: []Slot{{Aggressor: 2}}}
+	camp, err := NewCampaign(tb, CampaignConfig{SprayFiles: 16, MaxCycles: 1, Pattern: bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := camp.Run()
+	if err == nil {
+		t.Fatal("campaign with an invalid pattern succeeded")
+	}
+	if rep.SpraysCreated == 0 || rep.Elapsed == 0 {
+		t.Fatalf("failed run reported %d spray files over %v, want both non-zero", rep.SpraysCreated, rep.Elapsed)
 	}
 }
 
@@ -787,8 +818,8 @@ func TestCampaignSurvivesVictimBackgroundTraffic(t *testing.T) {
 		t.Skip("campaign-scale; skipped with -short")
 	}
 	// The victim tenant keeps doing its own I/O while the attack runs:
-	// interleave Zipf-distributed victim reads with campaign cycles and
-	// confirm flips still land.
+	// skewed victim reads before and after the campaign, and flips must
+	// still land.
 	tb := fastTestbed(t, func(c *cloud.Config) { c.Device.Amplify = 1 })
 	camp, err := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      1024,
@@ -800,11 +831,20 @@ func TestCampaignSurvivesVictimBackgroundTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Background victim traffic before and between campaign stages.
-	bg := workload.NewRunner(tb.Device, tb.VictimNS, nvme.PathHostFS)
-	z := workload.NewZipf(sim.NewRNG(11), tb.VictimNS.NumLBAs/2, 0.9)
-	if err := bg.ZipfReads(z, 20000); err != nil {
-		t.Fatal(err)
+	// A busy tenant's reads: LBAs in the front half of the partition,
+	// skewed toward its start by drawing the bound first.
+	rng := sim.NewRNG(11)
+	half := tb.VictimNS.NumLBAs / 2
+	buf := make([]byte, tb.Device.BlockBytes())
+	victimRead := func() error {
+		lba := ftl.LBA(rng.Uint64n(rng.Uint64n(half) + 1))
+		_, err := tb.Device.Read(tb.VictimNS, lba, buf, nvme.PathHostFS)
+		return err
+	}
+	for i := 0; i < 20000; i++ {
+		if err := victimRead(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rep, err := camp.Run()
 	if err != nil {
@@ -816,11 +856,9 @@ func TestCampaignSurvivesVictimBackgroundTraffic(t *testing.T) {
 	// After the attack the victim's own reads may hit corrupted
 	// translations — the §3.2 data-corruption outcome becoming visible
 	// to the victim. Anything else is a real failure.
-	buf := make([]byte, tb.Device.BlockBytes())
 	corrupt := 0
 	for i := 0; i < 20000; i++ {
-		_, err := tb.Device.Read(tb.VictimNS, ftl.LBA(z.Next()), buf, nvme.PathHostFS)
-		if err != nil {
+		if err := victimRead(); err != nil {
 			var cme *ftl.CorruptMappingError
 			if errors.As(err, &cme) {
 				corrupt++

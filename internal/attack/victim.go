@@ -107,37 +107,3 @@ func (v *CanaryVictim) Check() (VictimReport, error) {
 	}
 	return rep, nil
 }
-
-// IndirectVictim is the paper's ext4 indirect-block victim (§4.2),
-// wrapping the Sprayer that Campaign drives: Arm sprays files
-// whose data blocks are malicious single-indirect pointer arrays; Check
-// scans for probe blocks that no longer read back as written — each
-// such leak means a translation redirect through filesystem metadata.
-type IndirectVictim struct {
-	Spray *Sprayer
-	// Count and PerFile size the spray set (Sprayer.Spray arguments).
-	Count, PerFile int
-	// TargetStart anchors file 0's first pointer.
-	TargetStart uint32
-}
-
-// Arm sprays the filesystem. Bindings are not consulted: the spray
-// covers the victim partition wholesale, which is exactly the paper's
-// coverage strategy.
-func (v *IndirectVictim) Arm([]Binding) error {
-	_, err := v.Spray.Spray(v.Count, v.PerFile, v.TargetStart)
-	return err
-}
-
-// Check scans the spray set for hijacked probe blocks.
-func (v *IndirectVictim) Check() (VictimReport, error) {
-	leaks, err := v.Spray.Scan()
-	if err != nil {
-		return VictimReport{}, err
-	}
-	return VictimReport{
-		Checked:   len(v.Spray.Files()),
-		Corrupted: len(leaks),
-		Remapped:  len(leaks),
-	}, nil
-}

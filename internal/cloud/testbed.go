@@ -263,30 +263,3 @@ func (tb *Testbed) ExecuteBinary(path string, cred ext4.Cred) (ExecResult, error
 	}
 	return res, nil
 }
-
-// VictimSecretPBA returns the flash page currently holding the victim's
-// SSH key block. This is ground truth for the evaluation harness only —
-// the attacker never calls it.
-func (tb *Testbed) VictimSecretPBA() (nand.PPN, error) {
-	f, err := tb.VictimFS.Open("/root/.ssh/id_rsa", ext4.Root, false)
-	if err != nil {
-		return 0, err
-	}
-	fsBlk, err := f.MapBlock(0)
-	if err != nil {
-		return 0, err
-	}
-	globalLBA := tb.VictimNS.StartLBA + ftl.LBA(fsBlk)
-	return tb.FTL.PPNOf(globalLBA), nil
-}
-
-// SecretFSBlock returns the victim-filesystem block number of the SSH key
-// data (evaluation ground truth).
-func (tb *Testbed) SecretFSBlock() (uint64, error) {
-	f, err := tb.VictimFS.Open("/root/.ssh/id_rsa", ext4.Root, false)
-	if err != nil {
-		return 0, err
-	}
-	blk, err := f.MapBlock(0)
-	return uint64(blk), err
-}

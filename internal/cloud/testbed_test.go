@@ -7,6 +7,7 @@ import (
 
 	"ftlhammer/internal/ext4"
 	"ftlhammer/internal/fleet"
+	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nvme"
 )
 
@@ -108,24 +109,27 @@ func TestExecuteGenuineBinary(t *testing.T) {
 	}
 }
 
+// TestGroundTruthHelpers follows the victim's key file from its
+// filesystem block through the FTL to flash, where the secret must be.
 func TestGroundTruthHelpers(t *testing.T) {
 	tb, err := NewTestbed(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ppn, err := tb.VictimSecretPBA()
+	f, err := tb.VictimFS.Open("/root/.ssh/id_rsa", ext4.Root, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	blk, err := f.MapBlock(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blk == 0 || uint64(blk) >= tb.VictimNS.NumLBAs {
+		t.Fatalf("secret fs block %d out of range", blk)
+	}
+	ppn := tb.FTL.PPNOf(tb.VictimNS.StartLBA + ftl.LBA(blk))
 	if uint64(ppn) >= tb.Flash.Geometry().TotalPages() {
 		t.Fatalf("secret PBA %d out of range", ppn)
-	}
-	blk, err := tb.SecretFSBlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blk == 0 || blk >= tb.VictimNS.NumLBAs {
-		t.Fatalf("secret fs block %d out of range", blk)
 	}
 	// Cross-check: reading the flash page directly shows the marker.
 	buf := make([]byte, tb.Device.BlockBytes())

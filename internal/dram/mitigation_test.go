@@ -1,10 +1,10 @@
 package dram
 
 import (
-	"bytes"
 	"testing"
 
 	"ftlhammer/internal/sim"
+	"ftlhammer/internal/snapshot"
 )
 
 func TestParseMitigation(t *testing.T) {
@@ -119,12 +119,14 @@ func TestMitigationRNGSurvivesSnapshot(t *testing.T) {
 		line += uint64(m.cfg.Geometry.RowBytes)
 		w.Clock.Advance(100 * sim.Nanosecond)
 	}
-	wr := &bytes.Buffer{}
-	if err := m.Save(wr); err != nil {
+	wr := snapshot.NewWriter()
+	m.SaveTo(wr)
+	snap, err := snapshot.Decode(wr.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
 	m2, _ := build()
-	if err := m2.Load(wr); err != nil {
+	if err := m2.LoadFrom(snap); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {

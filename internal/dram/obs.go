@@ -25,8 +25,7 @@ func init() {
 // registerObs wires the module into its world's registry. Counters the
 // module maintains anyway (Stats) are projected once at Flush instead of
 // being double-counted on the hot path; the per-bank activation
-// distribution comes from the bankActs array the module keeps for
-// BankActivations. Only rare occurrences (flips, uncorrectable ECC) emit
+// distribution comes from the bankActs array the module keeps. Only rare occurrences (flips, uncorrectable ECC) emit
 // live trace events.
 func (m *Module) registerObs(r *obs.Registry) {
 	r.OnFlush(func() {
@@ -70,7 +69,3 @@ func (m *Module) registerObs(r *obs.Registry) {
 		}
 	})
 }
-
-// BankActivations returns the per-flat-bank activation counts since module
-// creation. The slice is owned by the module; callers must not modify it.
-func (m *Module) BankActivations() []uint64 { return m.bankActs }

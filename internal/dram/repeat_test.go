@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"ftlhammer/internal/sim"
+	"ftlhammer/internal/snapshot"
 )
 
 // cycleStream is a repeated access stream at module level: each cycle
@@ -55,11 +56,9 @@ func repeatCycles(m *Module, s cycleStream, cycles int) (exact int) {
 // bytes (stats, rows, flips, tRC/tFAW state, frames) and its clock.
 func moduleState(t *testing.T, m *Module) ([]byte, sim.Time) {
 	t.Helper()
-	var b bytes.Buffer
-	if err := m.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes(), m.clk.Now()
+	w := snapshot.NewWriter()
+	m.SaveTo(w)
+	return w.Bytes(), m.clk.Now()
 }
 
 // TestCycleLogMatchesExactStream checks the module's half of next-event

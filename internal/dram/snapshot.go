@@ -1,7 +1,6 @@
 package dram
 
 import (
-	"io"
 	"sort"
 
 	"ftlhammer/internal/sim"
@@ -380,26 +379,4 @@ func (m *Module) LoadFrom(snap *snapshot.Snapshot) error {
 	// mapCache entries are pure functions of the address; they stay valid
 	// across a restore and need no invalidation.
 	return nil
-}
-
-// Save writes a standalone snapshot containing only the DRAM section.
-// Checkpoint composition (nvme.Device.Checkpoint) uses SaveTo instead.
-func (m *Module) Save(w io.Writer) error {
-	sw := snapshot.NewWriter()
-	m.SaveTo(sw)
-	_, err := sw.WriteTo(w)
-	return err
-}
-
-// Load restores the module from a standalone snapshot written by Save.
-func (m *Module) Load(r io.Reader) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	snap, err := snapshot.Decode(data)
-	if err != nil {
-		return err
-	}
-	return m.LoadFrom(snap)
 }

@@ -22,12 +22,22 @@ func section(w io.Writer, id, title string) {
 // hammerModule drives a double-sided hammer directly against a DRAM module
 // at the given total access rate, for the given virtual duration, and
 // reports whether any bit flipped. Used by the rate-threshold experiments.
-// It routes through the shared attack.ModuleHammerer so a guard attached
-// via guardedModuleHammerer counts activations exactly like the device
-// path; with no guard the sequence is unchanged.
 func hammerModule(m *dram.Module, clk *sim.Clock, victimRow int, rate float64, dur sim.Duration) bool {
-	h := attack.ModuleHammerer{Mod: m, Clk: clk}
-	return h.HammerRows(victimRow, rate, dur)
+	before := m.Stats().Flips
+	iv := sim.Interval(rate)
+	a := m.Mapper().Unmap(dram.Location{Bank: 0, Row: victimRow - 1})
+	b := m.Mapper().Unmap(dram.Location{Bank: 0, Row: victimRow + 1})
+	end := clk.Now().Add(dur)
+	for i := 0; clk.Now() < end; i++ {
+		m.Activate(a)
+		clk.Advance(iv)
+		m.Activate(b)
+		clk.Advance(iv)
+		if i&511 == 0 && m.Stats().Flips > before {
+			return true
+		}
+	}
+	return m.Stats().Flips > before
 }
 
 // fillVictimRow writes 0xFF over a row so true-cells have charge to lose.

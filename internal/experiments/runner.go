@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ftlhammer/internal/obs"
-	"ftlhammer/internal/stats"
 )
 
 // Options control how an experiment executes.
@@ -222,15 +221,4 @@ func runTrialsObs[T any](opt Options, n int, fn func(trial int, reg *obs.Registr
 		root.Merge(reg)
 	}
 	return out, nil
-}
-
-// mergeSamples folds per-trial samples into one, in trial order. Used by
-// experiments that fan measurement trials across the pool and then report
-// aggregate statistics.
-func mergeSamples(parts []*stats.Sample) *stats.Sample {
-	var m stats.Sample
-	for _, p := range parts {
-		m.Merge(p)
-	}
-	return &m
 }

@@ -40,8 +40,6 @@ const (
 var (
 	// ErrJournalFull reports a transaction that outgrew the log region.
 	ErrJournalFull = errors.New("ext4: transaction exceeds journal capacity")
-	// ErrCrashed reports I/O after the simulated crash point.
-	ErrCrashed = errors.New("ext4: device crashed (writes dropped)")
 )
 
 // JournalDevice wraps a BlockDevice with a write-ahead journal. It
@@ -121,9 +119,6 @@ func (d *JournalDevice) BlockBytes() int { return BlockSize }
 // Stats returns a copy of the journal counters.
 func (d *JournalDevice) Stats() JournalStats { return d.stats }
 
-// Pending is how many blocks the running transaction holds.
-func (d *JournalDevice) Pending() int { return len(d.txnOrder) }
-
 // LogRange returns the underlying block range [start, start+length) of
 // the log region — the crash/corruption surface the fuzzer and the
 // property test aim at.
@@ -136,9 +131,6 @@ func (d *JournalDevice) LogRange() (start, length uint64) {
 // dropped, exactly like a die that never happened. Pass it before the
 // Commit whose journal offset you want to crash at.
 func (d *JournalDevice) CrashAfter(n int) { d.crashAfter = int64(n) }
-
-// Crashed reports whether the crash point has been passed.
-func (d *JournalDevice) Crashed() bool { return d.crashed }
 
 // ReadBlock serves buffered transaction blocks first (read-after-write),
 // then the underlying device.

@@ -541,16 +541,6 @@ func (f *FTL) Trim(lba LBA) error {
 	return f.storeEntry(lba, nand.InvalidPPN)
 }
 
-// IsMapped reports whether lba currently has a translation. It performs
-// the same DRAM traffic as a read (it is a lookup).
-func (f *FTL) IsMapped(lba LBA) (bool, error) {
-	ppn, err := f.loadEntry(lba)
-	if err != nil {
-		return false, err
-	}
-	return ppn != nand.InvalidPPN && uint64(ppn) < f.totalPages, nil
-}
-
 // PPNOf returns lba's current translation without side effects — a
 // simulator-debug view, not a device operation.
 func (f *FTL) PPNOf(lba LBA) nand.PPN {

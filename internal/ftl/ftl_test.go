@@ -8,6 +8,7 @@ import (
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/nand"
 	"ftlhammer/internal/sim"
+	"ftlhammer/internal/snapshot"
 )
 
 // testEnv builds a small FTL over tiny flash and small DRAM.
@@ -669,20 +670,21 @@ func TestReadCountersRepeat(t *testing.T) {
 // rejected rather than truncated into the 32-bit map.
 func TestLoadRejectsOutOfRangeOwner(t *testing.T) {
 	f, _, _, _ := testEnv(t, nil)
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
 	g, _, _, _ := testEnv(t, nil)
-	if err := g.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	load := func() error {
+		w := snapshot.NewWriter()
+		f.SaveTo(w)
+		snap, err := snapshot.Decode(w.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.LoadFrom(snap)
+	}
+	if err := load(); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
 	f.reverse[0] = uint32(f.cfg.NumLBAs)
-	buf.Reset()
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Load(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := load(); err == nil {
 		t.Fatal("snapshot with an out-of-range owner loaded")
 	}
 }

@@ -138,9 +138,6 @@ func (f *FTL) isFree(b int) bool {
 	return false
 }
 
-// FreeBlocks returns the current size of the free pool.
-func (f *FTL) FreeBlocks() int { return len(f.freeBlocks) }
-
 // WriteAmplification returns total flash programs divided by host writes.
 func (f *FTL) WriteAmplification() float64 {
 	if f.stats.HostWrites == 0 {

@@ -1,7 +1,6 @@
 package ftl
 
 import (
-	"io"
 	"sort"
 
 	"ftlhammer/internal/snapshot"
@@ -174,27 +173,6 @@ func (f *FTL) LoadFrom(snap *snapshot.Snapshot) error {
 		}
 	}
 	return nil
-}
-
-// Save writes a standalone snapshot containing only the FTL section.
-func (f *FTL) Save(w io.Writer) error {
-	sw := snapshot.NewWriter()
-	f.SaveTo(sw)
-	_, err := sw.WriteTo(w)
-	return err
-}
-
-// Load restores the FTL from a standalone snapshot written by Save.
-func (f *FTL) Load(r io.Reader) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	snap, err := snapshot.Decode(data)
-	if err != nil {
-		return err
-	}
-	return f.LoadFrom(snap)
 }
 
 // ownersInRange reports whether every reverse-map entry is an LBA below

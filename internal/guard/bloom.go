@@ -61,20 +61,6 @@ func (f *countingBloom) add(key uint64) uint64 {
 	return est
 }
 
-// estimate returns the min-of-k count for a key without mutating.
-func (f *countingBloom) estimate(key uint64) uint64 {
-	h1, h2 := f.probes(key)
-	m := uint64(len(f.counters))
-	est := ^uint64(0)
-	for i := 0; i < f.hashes; i++ {
-		idx := (h1 + uint64(i)*h2) % m
-		if f.counters[idx] < est {
-			est = f.counters[idx]
-		}
-	}
-	return est
-}
-
 // subtract removes up to n from each of the key's k counters (used
 // after a threshold crossing so a persisting attack re-trips once per
 // RowThreshold activations rather than on every subsequent access).

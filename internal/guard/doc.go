@@ -30,8 +30,8 @@
 // memory, which the old exact map (one uint64 pair per hot row per
 // namespace) could not promise.
 //
-// The same machinery doubles as a detector: ObservedAttacks reports
-// namespaces whose traffic crossed the hammer signature, each crossing
+// The same machinery doubles as a detector: Violations counts how often
+// a namespace's traffic crossed the hammer signature, each crossing
 // emits a guard.blacklist trace event, and filter occupancy /
 // false-positive / rotation counters are exported through the device's
 // obs registry (see docs/DEFENSES.md and docs/METRICS.md).

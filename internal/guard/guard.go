@@ -2,7 +2,6 @@ package guard
 
 import (
 	"math"
-	"sort"
 
 	"ftlhammer/internal/obs"
 	"ftlhammer/internal/sim"
@@ -184,19 +183,6 @@ func (g *Guard) Violations(nsID int) uint64 {
 		return st.violations
 	}
 	return 0
-}
-
-// ObservedAttacks lists namespace IDs with at least one violation, in
-// ascending order.
-func (g *Guard) ObservedAttacks() []int {
-	var out []int
-	for id, st := range g.ns {
-		if st.violations > 0 {
-			out = append(out, id)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Stats returns the cumulative filter-level counters.

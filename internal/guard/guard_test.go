@@ -26,9 +26,6 @@ func TestHammerSignatureTrips(t *testing.T) {
 	if cap == 0 {
 		t.Fatal("no throttle imposed on hammering namespace")
 	}
-	if ids := g.ObservedAttacks(); len(ids) != 1 || ids[0] != 1 {
-		t.Fatalf("ObservedAttacks = %v", ids)
-	}
 }
 
 func TestLegitimateTrafficUntouched(t *testing.T) {

@@ -114,12 +114,6 @@ func (g Geometry) FirstPPN(block int) PPN {
 	return PPN(uint64(block) * uint64(g.PagesPerBlock))
 }
 
-// ChannelOf returns the channel that services ppn (blocks are laid out
-// channel-major so consecutive blocks stripe across channels).
-func (g Geometry) ChannelOf(ppn PPN) int {
-	return g.BlockOf(ppn) % g.Channels
-}
-
 // Latency holds per-operation service times (typical SLC/MLC-ish values).
 type Latency struct {
 	Read    sim.Duration // page read (tR + transfer)
@@ -263,9 +257,6 @@ func (a *Array) Repeatable() bool { return a.inj == nil }
 // IsBad reports whether a block has been retired.
 func (a *Array) IsBad(block int) bool { return a.badBlocks[block] }
 
-// EraseCount returns a block's wear.
-func (a *Array) EraseCount(block int) uint32 { return a.eraseCnt[block] }
-
 // checkPPN validates a page number.
 func (a *Array) checkPPN(ppn PPN) error {
 	if uint64(ppn) >= a.geo.TotalPages() {
@@ -391,18 +382,4 @@ func (a *Array) EraseBlock(block int) error {
 		a.stats.BadBlocks++
 	}
 	return nil
-}
-
-// IsProgrammed reports whether a page currently holds data.
-func (a *Array) IsProgrammed(ppn PPN) bool {
-	return uint64(ppn) < a.geo.TotalPages() && a.state[ppn] == pageProgrammed
-}
-
-// MaxMappedReadIOPS estimates the array's sustained 4 KiB random-read
-// throughput assuming perfect channel/die pipelining: one page read per
-// die-time, all dies in parallel. The device front-end uses this to bound
-// the service rate of reads that must touch flash.
-func (a *Array) MaxMappedReadIOPS() float64 {
-	dies := float64(a.geo.Channels * a.geo.DiesPerChan)
-	return dies / a.lat.Read.Seconds()
 }

@@ -123,7 +123,7 @@ func TestEraseRecyclesBlock(t *testing.T) {
 	if err := a.EraseBlock(0); err != nil {
 		t.Fatal(err)
 	}
-	if a.EraseCount(0) != 1 {
+	if a.Stats().WearMax != 1 {
 		t.Fatal("erase count not tracked")
 	}
 	if err := a.Program(0, page(9)); err != nil {
@@ -192,15 +192,6 @@ func TestBusyTimeAccumulates(t *testing.T) {
 	}
 }
 
-func TestMaxMappedReadIOPS(t *testing.T) {
-	a := testArray()
-	// 8 dies at 60µs/read ≈ 133 K IOPS.
-	got := a.MaxMappedReadIOPS()
-	if got < 100e3 || got > 200e3 {
-		t.Fatalf("MaxMappedReadIOPS = %v, want ~133K", got)
-	}
-}
-
 func TestProgramCopiesData(t *testing.T) {
 	a := testArray()
 	data := page(5)
@@ -214,17 +205,6 @@ func TestProgramCopiesData(t *testing.T) {
 	}
 	if got[0] != 5 {
 		t.Fatal("array aliased the caller's buffer")
-	}
-}
-
-func TestChannelStriping(t *testing.T) {
-	g := DefaultGeometry()
-	seen := map[int]bool{}
-	for b := 0; b < g.Channels; b++ {
-		seen[g.ChannelOf(g.FirstPPN(b))] = true
-	}
-	if len(seen) != g.Channels {
-		t.Fatalf("consecutive blocks hit %d channels, want %d", len(seen), g.Channels)
 	}
 }
 

@@ -1,7 +1,6 @@
 package nand
 
 import (
-	"io"
 	"sort"
 
 	"ftlhammer/internal/sim"
@@ -133,25 +132,4 @@ func (a *Array) LoadFrom(snap *snapshot.Snapshot) error {
 		FailedProgs: stats[7], MediaReadFails: stats[8], MediaProgFails: stats[9],
 	}
 	return nil
-}
-
-// Save writes a standalone snapshot containing only the NAND section.
-func (a *Array) Save(w io.Writer) error {
-	sw := snapshot.NewWriter()
-	a.SaveTo(sw)
-	_, err := sw.WriteTo(w)
-	return err
-}
-
-// Load restores the array from a standalone snapshot written by Save.
-func (a *Array) Load(r io.Reader) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	snap, err := snapshot.Decode(data)
-	if err != nil {
-		return err
-	}
-	return a.LoadFrom(snap)
 }

@@ -114,3 +114,33 @@ func TestDoBatchSteadyStateAllocs(t *testing.T) {
 		t.Errorf("DoBatch: %v allocs/op, want 0", avg)
 	}
 }
+
+// TestQueuePairRingAllocs pins that a queue pair reuses its completion
+// slice: once warm, a Ring drained by Completions allocates nothing.
+func TestQueuePairRingAllocs(t *testing.T) {
+	dev, ns, _ := testDevice(t, nil)
+	qp, err := dev.NewQueuePair(ns, PathDirect, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, dev.BlockBytes())
+	ring := func() {
+		for i := 0; i < qp.Depth(); i++ {
+			if err := qp.Submit(Command{Op: OpRead, LBA: ftl.LBA(i), Buf: buf}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		qp.Ring()
+		for _, c := range qp.Completions() {
+			if c.Err != nil {
+				t.Fatal(c.Err)
+			}
+		}
+	}
+	for i := 0; i < 16; i++ {
+		ring()
+	}
+	if avg := testing.AllocsPerRun(100, ring); avg != 0 {
+		t.Errorf("QueuePair Ring+Completions: %v allocs/op, want 0", avg)
+	}
+}

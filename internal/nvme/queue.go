@@ -96,7 +96,8 @@ func (q *QueuePair) Submit(cmd Command) error {
 
 // Ring processes every submitted command in order, filling the completion
 // queue. It returns the number processed. (The simulation is synchronous
-// under the hood; Ring is the "doorbell".)
+// under the hood; Ring is the "doorbell".) The batch's completions
+// replace any the previous Ring left undrained, in the same reused slice.
 //
 // Completion-path invariants (audited for the fault-injection layer; the
 // historical model silently assumed every command eventually succeeds):
@@ -121,15 +122,16 @@ func (q *QueuePair) Ring() int {
 	for i := range q.sq {
 		q.sq[i].NS, q.sq[i].Path = q.ns, q.path
 	}
-	q.cq = q.dev.DoBatch(nil, q.sq, q.cq)
+	q.cq = q.dev.DoBatch(nil, q.sq, q.cq[:0])
 	q.sq = q.sq[:0]
 	return n
 }
 
-// Completions drains and returns the completion queue.
+// Completions drains and returns the last Ring's completions, in
+// submission order. The slice is reused: it is valid until the next Ring.
 func (q *QueuePair) Completions() []Completion {
 	out := q.cq
-	q.cq = nil
+	q.cq = q.cq[:0]
 	return out
 }
 

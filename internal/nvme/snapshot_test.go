@@ -294,8 +294,8 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestSaveLoadStandalonePerLayer covers the per-package Save/Load
-// wrappers directly: each layer round-trips through its own stream.
+// TestSaveLoadStandalonePerLayer round-trips each layer through a
+// snapshot that holds only its own section.
 func TestSaveLoadStandalonePerLayer(t *testing.T) {
 	dev := snapDevice(t, dram.TestbedProfile(), 3, nil)
 	rng := sim.NewRNG(9)
@@ -303,23 +303,23 @@ func TestSaveLoadStandalonePerLayer(t *testing.T) {
 		snapStep(t, dev, rng, i)
 	}
 	dev2 := snapDevice(t, dram.TestbedProfile(), 3, nil)
-
-	var buf bytes.Buffer
-	if err := dev.DRAM().Save(&buf); err != nil {
-		t.Fatal(err)
+	section := func(save func(*snapshot.Writer)) *snapshot.Snapshot {
+		w := snapshot.NewWriter()
+		save(w)
+		snap, err := snapshot.Decode(w.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
 	}
-	if err := dev2.DRAM().Load(bytes.NewReader(buf.Bytes())); err != nil {
+
+	if err := dev2.DRAM().LoadFrom(section(dev.DRAM().SaveTo)); err != nil {
 		t.Fatal(err)
 	}
 	if dev.DRAM().Stats() != dev2.DRAM().Stats() {
 		t.Error("dram standalone round-trip lost stats")
 	}
-
-	buf.Reset()
-	if err := dev.FTL().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := dev2.FTL().Load(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := dev2.FTL().LoadFrom(section(dev.FTL().SaveTo)); err != nil {
 		t.Fatal(err)
 	}
 	if dev.FTL().Stats() != dev2.FTL().Stats() {

@@ -157,9 +157,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 var (
 	// ActivationBuckets spans per-bank activation counts (1 .. 64M).
 	ActivationBuckets = ExpBuckets(1, 4, 14)
-	// RateBuckets spans request/activation rates in events per second
-	// (1K .. 256M).
-	RateBuckets = ExpBuckets(1e3, 4, 10)
 	// SecondsBuckets spans wall-clock durations (100µs .. 1.6ks).
 	SecondsBuckets = ExpBuckets(1e-4, 4, 12)
 	// RetryBuckets spans per-command retry counts (1 .. 32).

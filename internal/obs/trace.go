@@ -87,17 +87,6 @@ func RegisterEventKind(kind, a, b, c string) {
 	eventFields[kind] = [3]string{a, b, c}
 }
 
-// EventKinds returns the registered kinds and their attribute names.
-func EventKinds() map[string][3]string {
-	eventFieldsMu.RLock()
-	defer eventFieldsMu.RUnlock()
-	out := make(map[string][3]string, len(eventFields))
-	for k, v := range eventFields {
-		out[k] = v
-	}
-	return out
-}
-
 func fieldNames(kind string) [3]string {
 	eventFieldsMu.RLock()
 	f, ok := eventFields[kind]

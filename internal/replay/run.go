@@ -124,17 +124,7 @@ func run(dev *nvme.Device, entries []Entry, timed bool) (*Result, error) {
 // diagnosis) when it does not. This is the golden-replay gate: a checked
 // -in trace plus its expected hash pins the simulation's behavior.
 func Verify(dev *nvme.Device, entries []Entry, want uint64) (*Result, error) {
-	return verify(dev, entries, want, false)
-}
-
-// VerifyTimed is Verify over RunTimed: the golden-replay gate for
-// timing-sensitive traces (golden attack patterns).
-func VerifyTimed(dev *nvme.Device, entries []Entry, want uint64) (*Result, error) {
-	return verify(dev, entries, want, true)
-}
-
-func verify(dev *nvme.Device, entries []Entry, want uint64, timed bool) (*Result, error) {
-	res, err := run(dev, entries, timed)
+	res, err := run(dev, entries, false)
 	if err != nil {
 		return nil, err
 	}

@@ -45,14 +45,6 @@ func (d Duration) String() string {
 	}
 }
 
-// DurationOfSeconds converts floating-point seconds to a Duration.
-func DurationOfSeconds(s float64) Duration {
-	if s < 0 {
-		panic("sim: negative duration")
-	}
-	return Duration(s * float64(Second))
-}
-
 // Interval returns the per-event interval for the given event rate
 // (events per second). A zero or negative rate panics: the simulation
 // cannot make progress with an infinite interval.
@@ -98,10 +90,6 @@ func (c *Clock) AdvanceTo(t Time) {
 	}
 	c.now = t
 }
-
-// Reset rewinds the clock to zero. Intended for reusing a simulation
-// harness across benchmark iterations.
-func (c *Clock) Reset() { c.now = 0 }
 
 // Restore sets the clock to an absolute time, backwards moves included.
 // It exists solely for snapshot restoration (a freshly built device's

@@ -27,12 +27,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// Fork derives an independent generator from this one, labelled by tag.
-// Forking with distinct tags yields decorrelated streams.
-func (r *RNG) Fork(tag uint64) *RNG {
-	return NewRNG(r.Uint64() ^ (tag * 0x9e3779b97f4a7c15))
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 pseudo-random bits.
@@ -95,17 +89,6 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns a fair pseudo-random boolean.
 func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {

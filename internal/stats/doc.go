@@ -1,4 +1,4 @@
-// Package stats provides the small numeric helpers the benchmark harness
-// uses to summarize experiment runs: counters, percentiles and fixed-width
-// histograms over float64 samples.
+// Package stats provides Sample, the float64 sample the experiments and
+// CLIs use to summarize runs: per-shard samples merge in shard order, and
+// the summary is the count, the maximum and nearest-rank percentiles.
 package stats

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Sample accumulates observations.
@@ -34,34 +33,6 @@ func (s *Sample) Merge(o *Sample) {
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 
-// Sum returns the total.
-func (s *Sample) Sum() float64 {
-	t := 0.0
-	for _, x := range s.xs {
-		t += x
-	}
-	return t
-}
-
-// Mean returns the average (0 for an empty sample).
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	return s.Sum() / float64(len(s.xs))
-}
-
-// Min returns the smallest observation (+Inf when empty).
-func (s *Sample) Min() float64 {
-	m := math.Inf(1)
-	for _, x := range s.xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest observation (-Inf when empty).
 func (s *Sample) Max() float64 {
 	m := math.Inf(-1)
@@ -71,21 +42,6 @@ func (s *Sample) Max() float64 {
 		}
 	}
 	return m
-}
-
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	v := 0.0
-	for _, x := range s.xs {
-		d := x - mean
-		v += d * d
-	}
-	return math.Sqrt(v / float64(n))
 }
 
 // ensureSorted sorts the backing slice once.
@@ -120,72 +76,3 @@ func (s *Sample) Percentile(p float64) float64 {
 
 // Median returns the 50th percentile.
 func (s *Sample) Median() float64 { return s.Percentile(50) }
-
-// Histogram bins observations into equal-width buckets over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []uint64
-	under    uint64
-	over     uint64
-}
-
-// NewHistogram builds a histogram with n buckets.
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n <= 0 || !(max > min) {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]uint64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Min:
-		h.under++
-	case x >= h.Max:
-		h.over++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns all recorded observations including out-of-range ones.
-func (h *Histogram) Total() uint64 {
-	t := h.under + h.over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// String renders a compact ASCII bar chart.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	maxC := uint64(1)
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	width := (h.Max - h.Min) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		bar := strings.Repeat("#", int(c*40/maxC))
-		fmt.Fprintf(&b, "%12.3g..%-12.3g %8d %s\n", h.Min+float64(i)*width, h.Min+float64(i+1)*width, c, bar)
-	}
-	if h.under > 0 || h.over > 0 {
-		fmt.Fprintf(&b, "(out of range: %d under, %d over)\n", h.under, h.over)
-	}
-	return b.String()
-}
-
-// Ratio formats a/b defensively.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}

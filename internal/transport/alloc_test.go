@@ -112,13 +112,10 @@ func TestFrameCodecAllocs(t *testing.T) {
 // perfgate's ServerBatch case times: once the pooled batch working set
 // has warmed, a 16-command read ring over loopback TCP (client encode,
 // server decode, engine execution, completion encode, client parse)
-// allocates nothing on either side. Like ServerBatch it leaves the
-// completions queued: Client.Completions hands its queue to the caller,
-// so a drain per ring would allocate the next ring's queue.
+// allocates nothing on either side, whether or not the caller drains
+// Completions after it. A caller that never drains, as ServerBatch does,
+// keeps one window of completions, not every ring's.
 func TestLoopbackRingAllocs(t *testing.T) {
-	if sim.RaceEnabled {
-		t.Skip("race builds arm the clock's owner guard, which allocates on every 4096th clock touch")
-	}
 	const window = 16
 	dev, _ := newTestDevice(t, 6, 1, faults.Plan{})
 	addr, _ := startServer(t, NewServer(dev, Config{Window: window}))
@@ -128,7 +125,7 @@ func TestLoopbackRingAllocs(t *testing.T) {
 	}
 	defer c.Close()
 	buf := make([]byte, c.BlockBytes())
-	ring := func() {
+	ring := func(drain bool) {
 		for i := 0; i < window; i++ {
 			if err := c.Submit(nvme.Command{Op: nvme.OpRead, LBA: ftl.LBA(i), Buf: buf}); err != nil {
 				t.Fatal(err)
@@ -137,11 +134,24 @@ func TestLoopbackRingAllocs(t *testing.T) {
 		if n, err := c.Ring(context.Background()); err != nil || n != window {
 			t.Fatalf("Ring: n=%d err=%v", n, err)
 		}
+		if drain {
+			if n := len(c.Completions()); n != window {
+				t.Fatalf("drained %d completions, want %d", n, window)
+			}
+		}
 	}
-	for i := 0; i < 8; i++ {
-		ring()
+	for i := 0; i < 1000; i++ {
+		ring(false)
 	}
-	if avg := testing.AllocsPerRun(100, ring); avg != 0 {
-		t.Errorf("loopback ring: %v allocs per %d-command ring, want 0", avg, window)
+	if got := cap(c.cq); got > window {
+		t.Errorf("1000 undrained rings grew the completion queue to cap %d, want at most %d", got, window)
+	}
+	if sim.RaceEnabled {
+		t.Skip("race builds arm the clock's owner guard, which allocates on every 4096th clock touch")
+	}
+	for _, drain := range []bool{false, true} {
+		if avg := testing.AllocsPerRun(100, func() { ring(drain) }); avg != 0 {
+			t.Errorf("loopback ring (drain=%v): %v allocs per %d-command ring, want 0", drain, avg, window)
+		}
 	}
 }

@@ -169,8 +169,11 @@ func (c *Client) Submit(cmd nvme.Command) error {
 // carry the device's typed errors reconstructed from wire status, so
 // errors.Is(err, nvme.ErrTimeout) etc. work transparently. A canceled
 // ctx abandons the round trip and breaks the session (the stream can be
-// mid-frame); subsequent calls return ErrClientClosed.
+// mid-frame); subsequent calls return ErrClientClosed. The batch's
+// completions replace any the previous Ring left undrained, in the same
+// reused slice.
 func (c *Client) Ring(ctx context.Context) (int, error) {
+	c.cq = c.cq[:0]
 	if c.broken || c.closed {
 		return 0, ErrClientClosed
 	}
@@ -240,10 +243,11 @@ func (c *Client) Ring(ctx context.Context) (int, error) {
 	return n, nil
 }
 
-// Completions drains and returns the completion queue.
+// Completions drains and returns the last Ring's completions, in
+// submission order. The slice is reused: it is valid until the next Ring.
 func (c *Client) Completions() []nvme.Completion {
 	out := c.cq
-	c.cq = nil
+	c.cq = c.cq[:0]
 	return out
 }
 

@@ -364,20 +364,12 @@ func appendBatch(b []byte, cmds []wireCmd) []byte {
 	return b
 }
 
-// parseBatch decodes a command batch, enforcing the semantic shape the
-// server relies on: writes carry exactly blockBytes of data, reads and
-// trims carry none, and opcodes are known.
-func parseBatch(p []byte, blockBytes int) ([]wireCmd, error) {
-	cmds, err := parseBatchInto(nil, p, blockBytes)
-	if err != nil {
-		return nil, err
-	}
-	return cmds, nil
-}
-
-// parseBatchInto is parseBatch appending into a recycled slice: the
-// server's read loop passes its batch set's wcmds[:0] so steady-state
-// decoding allocates nothing. Decoded Data fields alias p.
+// parseBatchInto decodes a command batch, appending into a recycled
+// slice, and enforces the semantic shape the server relies on: writes
+// carry exactly blockBytes of data, reads and trims carry none, and
+// opcodes are known. The server's read loop passes its batch set's
+// wcmds[:0] so steady-state decoding allocates nothing. Decoded Data
+// fields alias p.
 func parseBatchInto(cmds []wireCmd, p []byte, blockBytes int) ([]wireCmd, error) {
 	c := cursor{p: p}
 	n := int(c.u16())
@@ -426,16 +418,9 @@ func appendCompletions(b []byte, comps []wireCompletion) []byte {
 	return b
 }
 
-func parseCompletions(p []byte) ([]wireCompletion, error) {
-	comps, err := parseCompletionsInto(nil, p)
-	if err != nil {
-		return nil, err
-	}
-	return comps, nil
-}
-
-// parseCompletionsInto is parseCompletions appending into a recycled
-// slice (the client's Ring scratch). Decoded Data fields alias p.
+// parseCompletionsInto decodes a completions frame, appending into a
+// recycled slice (the client's Ring scratch). Decoded Data fields alias
+// p.
 func parseCompletionsInto(comps []wireCompletion, p []byte) ([]wireCompletion, error) {
 	c := cursor{p: p}
 	n := int(c.u16())

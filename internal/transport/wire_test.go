@@ -65,7 +65,7 @@ func TestBatchRoundTrip(t *testing.T) {
 				rng.Read(cmds[i].Data)
 			}
 		}
-		got, err := parseBatch(appendBatch(nil, cmds), blockBytes)
+		got, err := parseBatchInto(nil, appendBatch(nil, cmds), blockBytes)
 		if err != nil {
 			t.Fatalf("parseBatch: %v", err)
 		}
@@ -99,7 +99,7 @@ func TestCompletionsRoundTrip(t *testing.T) {
 				rng.Read(comps[i].Data)
 			}
 		}
-		got, err := parseCompletions(appendCompletions(nil, comps))
+		got, err := parseCompletionsInto(nil, appendCompletions(nil, comps))
 		if err != nil {
 			t.Fatalf("parseCompletions: %v", err)
 		}
@@ -129,15 +129,15 @@ func TestParseBatchRejectsMalformedShapes(t *testing.T) {
 		{"unknown opcode", []wireCmd{{Op: 9}}},
 	}
 	for _, tc := range cases {
-		if _, err := parseBatch(appendBatch(nil, tc.cmds), blockBytes); !errors.Is(err, errMalformed) {
+		if _, err := parseBatchInto(nil, appendBatch(nil, tc.cmds), blockBytes); !errors.Is(err, errMalformed) {
 			t.Errorf("%s: err = %v, want errMalformed", tc.name, err)
 		}
 	}
-	if _, err := parseBatch([]byte{0, 1}, blockBytes); !errors.Is(err, errMalformed) {
+	if _, err := parseBatchInto(nil, []byte{0, 1}, blockBytes); !errors.Is(err, errMalformed) {
 		t.Errorf("truncated batch: err = %v, want errMalformed", err)
 	}
 	good := appendBatch(nil, []wireCmd{{Op: byte(nvme.OpRead), Tag: 1, LBA: 2}})
-	if _, err := parseBatch(append(good, 0xFF), blockBytes); !errors.Is(err, errMalformed) {
+	if _, err := parseBatchInto(nil, append(good, 0xFF), blockBytes); !errors.Is(err, errMalformed) {
 		t.Errorf("trailing bytes: err = %v, want errMalformed", err)
 	}
 }
@@ -179,7 +179,7 @@ func FuzzParseBatch(f *testing.F) {
 		if blockBytes < 1 || blockBytes > 1<<16 {
 			return
 		}
-		cmds, err := parseBatch(p, blockBytes)
+		cmds, err := parseBatchInto(nil, p, blockBytes)
 		if err != nil {
 			return
 		}
@@ -196,7 +196,7 @@ func FuzzParseCompletions(f *testing.F) {
 	f.Add(appendCompletions(nil, []wireCompletion{{Tag: 1, Status: StatusTimeout, Msg: "m"}}))
 	f.Add([]byte{0xFF, 0xFF, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, p []byte) {
-		comps, err := parseCompletions(p)
+		comps, err := parseCompletionsInto(nil, p)
 		if err != nil {
 			return
 		}
