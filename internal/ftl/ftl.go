@@ -130,7 +130,6 @@ type FTL struct {
 	freeBlocks []int
 	active     int // block currently receiving writes
 	nextPage   int // next page index within active
-	pageBuf    []byte
 
 	cache *l2pCache
 	inGC  bool
@@ -181,7 +180,6 @@ func New(cfg Config, mem *dram.Module, flash *nand.Array) (*FTL, error) {
 		reverse:    make([]uint32, geo.TotalPages()),
 		valid:      make([]bool, geo.TotalPages()),
 		validCount: make([]int, geo.TotalBlocks()),
-		pageBuf:    make([]byte, geo.PageBytes),
 	}
 	for i := range f.reverse {
 		f.reverse[i] = invalidRev

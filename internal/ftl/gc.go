@@ -109,17 +109,19 @@ func (f *FTL) collect() error {
 	return nil
 }
 
-// relocate moves one live page to the write pointer and updates its
-// translation (a DRAM write: GC also touches the table).
+// relocate moves one live page to the write pointer by copyback, so its
+// data never reaches the host, and updates its translation (a DRAM
+// write: GC also touches the table). The read is decided before the
+// allocation, so a failed read leaves the write pointer where it was.
 func (f *FTL) relocate(lba LBA, old nand.PPN) error {
-	if err := f.flash.Read(old, f.pageBuf); err != nil {
+	if err := f.flash.Sense(old); err != nil {
 		return fmt.Errorf("ftl: gc read: %w", err)
 	}
 	ppn, err := f.allocatePage()
 	if err != nil {
 		return err
 	}
-	if err := f.flash.Program(ppn, f.pageBuf); err != nil {
+	if err := f.flash.CopyProgram(ppn, old); err != nil {
 		return fmt.Errorf("ftl: gc program: %w", err)
 	}
 	f.stats.FlashPrograms++

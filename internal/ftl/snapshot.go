@@ -14,8 +14,8 @@ import (
 const snapSection = "ftl"
 
 // SaveTo appends the FTL's mutable state to a snapshot under
-// construction. pageBuf is scratch and inGC is always false between
-// commands, so neither is stored.
+// construction. inGC is always false between commands, so it is not
+// stored.
 func (f *FTL) SaveTo(w *snapshot.Writer) {
 	s := w.Section(snapSection)
 	st := f.stats

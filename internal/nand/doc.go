@@ -11,4 +11,10 @@
 // miss the mapping table entirely (trimmed/unmapped LBAs) skip the flash
 // and are serviced at interface speed, which is why the paper's attacker
 // prefers them (§3, threat model).
+//
+// Garbage collection moves live pages by copyback: Sense reads a page
+// into the die and CopyProgram programs it elsewhere without the data
+// crossing to the host. A copyback is charged as a read plus a program,
+// with the same counters and fault decisions, in the same order, as
+// Read followed by Program.
 package nand

@@ -3,6 +3,7 @@ package nand
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"ftlhammer/internal/faults"
 	"ftlhammer/internal/sim"
@@ -81,6 +82,9 @@ func (g Geometry) Validate() error {
 			return fmt.Errorf("nand: %s = %d must be positive", f.name, f.v)
 		}
 	}
+	if p := g.TotalPages(); p > math.MaxUint32-uint64(slotBase) {
+		return fmt.Errorf("nand: %d pages exceed the page store's 32-bit index", p)
+	}
 	return nil
 }
 
@@ -144,12 +148,12 @@ type Stats struct {
 	MediaProgFails uint64       // injected program-status failures
 }
 
-// pageState tracks the lifecycle of one page.
-type pageState uint8
-
+// Page slots: what each page holds. A slot at or above slotBase is the
+// index of the page buffer holding the page's data.
 const (
-	pageFree pageState = iota
-	pageProgrammed
+	slotFree   uint32 = iota // erased
+	slotFailed               // consumed by a failed program, holds no data
+	slotBase
 )
 
 // Array is the flash device. It is not safe for concurrent use.
@@ -160,17 +164,23 @@ type Array struct {
 	// means unlimited.
 	endurance uint32
 
-	state     []pageState
-	data      map[PPN][]byte
+	// slot is the page store, one entry per page: slotFree, slotFailed
+	// or the index of the page's buffer in bufs.
+	slot      []uint32
 	nextPage  []int // per block: next programmable page index
 	eraseCnt  []uint32
 	badBlocks []bool
 	inj       *faults.Injector
 	stats     Stats
-	// free recycles page buffers released by EraseBlock back into
+	// bufs holds the page buffers (indices below slotBase unused), and
+	// refs[i] counts the pages whose slot is i: CopyProgram shares a
+	// buffer instead of copying it. EraseBlock releases a buffer when
+	// its count reaches 0, and spare keeps the released ones for
 	// Program, so steady-state write traffic (program/erase cycles over
 	// a bounded page population) does not allocate.
-	free [][]byte
+	bufs  [][]byte
+	refs  []uint32
+	spare []uint32
 }
 
 // Option configures an Array.
@@ -197,11 +207,12 @@ func New(geo Geometry, lat Latency, opts ...Option) *Array {
 	a := &Array{
 		geo:       geo,
 		lat:       lat,
-		state:     make([]pageState, geo.TotalPages()),
-		data:      make(map[PPN][]byte),
+		slot:      make([]uint32, geo.TotalPages()),
 		nextPage:  make([]int, geo.TotalBlocks()),
 		eraseCnt:  make([]uint32, geo.TotalBlocks()),
 		badBlocks: make([]bool, geo.TotalBlocks()),
+		bufs:      make([][]byte, slotBase),
+		refs:      make([]uint32, slotBase),
 	}
 	for _, o := range opts {
 		o(a)
@@ -275,28 +286,47 @@ func (a *Array) Read(ppn PPN, buf []byte) error {
 	if len(buf) != a.geo.PageBytes {
 		return fmt.Errorf("nand: read buffer %d bytes, want %d", len(buf), a.geo.PageBytes)
 	}
+	if err := a.sense(ppn); err != nil {
+		return err
+	}
+	if s := a.slot[ppn]; s >= slotBase {
+		copy(buf, a.bufs[s])
+		return nil
+	}
+	for i := range buf {
+		buf[i] = 0xFF
+	}
+	return nil
+}
+
+// Sense reads a page into the die's page register without transferring
+// it to the host: the first half of a copyback (see CopyProgram). It
+// charges, counts and fails exactly as Read does.
+func (a *Array) Sense(ppn PPN) error {
+	if err := a.checkPPN(ppn); err != nil {
+		return err
+	}
+	return a.sense(ppn)
+}
+
+// sense charges one page read and decides whether it fails.
+func (a *Array) sense(ppn PPN) error {
 	a.stats.Reads++
 	a.stats.BusyTime += a.lat.Read
 	if hit, _ := a.inj.Decide(faults.KindNANDRead, uint64(ppn)); hit {
 		a.stats.MediaReadFails++
 		return fmt.Errorf("nand: read of ppn %d: %w", ppn, ErrMediaRead)
 	}
-	if a.state[ppn] != pageProgrammed {
+	switch a.slot[ppn] {
+	case slotFree:
 		a.stats.ReadErased++
-		for i := range buf {
-			buf[i] = 0xFF
-		}
-		return nil
-	}
-	page, ok := a.data[ppn]
-	if !ok {
+	case slotFailed:
 		// Only pages consumed by an injected program-status failure
 		// are programmed-but-dataless; reading one back is itself an
 		// uncorrectable media read.
 		a.stats.MediaReadFails++
 		return fmt.Errorf("nand: read of failed-program ppn %d: %w", ppn, ErrMediaRead)
 	}
-	copy(buf, page)
 	return nil
 }
 
@@ -309,12 +339,56 @@ func (a *Array) Program(ppn PPN, data []byte) error {
 	if len(data) != a.geo.PageBytes {
 		return fmt.Errorf("nand: program buffer %d bytes, want %d", len(data), a.geo.PageBytes)
 	}
+	if err := a.program(ppn); err != nil {
+		return err
+	}
+	b := a.takeBuf()
+	copy(a.bufs[b], data)
+	a.slot[ppn] = b
+	return nil
+}
+
+// CopyProgram programs dst with src's contents, the second half of a
+// copyback after Sense(src): the data never leaves the device, so dst
+// shares src's buffer, and src keeps its data until its block is
+// erased. It charges, counts and fails exactly as Program(dst) does. An
+// erased src programs the erased pattern, as Read then Program would.
+func (a *Array) CopyProgram(dst, src PPN) error {
+	if err := a.checkPPN(dst); err != nil {
+		return err
+	}
+	if err := a.checkPPN(src); err != nil {
+		return err
+	}
+	if a.slot[src] == slotFailed {
+		return fmt.Errorf("nand: copyback from failed-program ppn %d", src)
+	}
+	if err := a.program(dst); err != nil {
+		return err
+	}
+	b := a.slot[src]
+	if b == slotFree {
+		b = a.takeBuf()
+		for i := range a.bufs[b] {
+			a.bufs[b][i] = 0xFF
+		}
+	} else {
+		a.refs[b]++
+	}
+	a.slot[dst] = b
+	return nil
+}
+
+// program checks that ppn may be programmed now, decides whether the
+// program fails, and charges it. On a nil error the caller stores the
+// page's data in its slot.
+func (a *Array) program(ppn PPN) error {
 	block := a.geo.BlockOf(ppn)
 	if a.badBlocks[block] {
 		a.stats.FailedProgs++
 		return fmt.Errorf("nand: program to bad block %d", block)
 	}
-	if a.state[ppn] == pageProgrammed {
+	if a.slot[ppn] != slotFree {
 		a.stats.FailedProgs++
 		return fmt.Errorf("nand: in-place program of ppn %d (erase required)", ppn)
 	}
@@ -330,26 +404,31 @@ func (a *Array) Program(ppn PPN, data []byte) error {
 		// in lockstep with the FTL's, so a retried write lands on the
 		// next page of the same block instead of cascading into
 		// out-of-order errors.
-		a.state[ppn] = pageProgrammed
+		a.slot[ppn] = slotFailed
 		a.nextPage[block]++
 		a.stats.FailedProgs++
 		a.stats.MediaProgFails++
 		a.stats.BusyTime += a.lat.Program
 		return fmt.Errorf("nand: program of ppn %d: %w", ppn, ErrMediaProgram)
 	}
-	var page []byte
-	if n := len(a.free); n > 0 {
-		page, a.free = a.free[n-1], a.free[:n-1]
-	} else {
-		page = make([]byte, a.geo.PageBytes)
-	}
-	copy(page, data)
-	a.data[ppn] = page
-	a.state[ppn] = pageProgrammed
 	a.nextPage[block]++
 	a.stats.Programs++
 	a.stats.BusyTime += a.lat.Program
 	return nil
+}
+
+// takeBuf returns a buffer with a reference count of 1, reusing a
+// released one when there is one.
+func (a *Array) takeBuf() uint32 {
+	if n := len(a.spare); n > 0 {
+		b := a.spare[n-1]
+		a.spare = a.spare[:n-1]
+		a.refs[b] = 1
+		return b
+	}
+	a.bufs = append(a.bufs, make([]byte, a.geo.PageBytes))
+	a.refs = append(a.refs, 1)
+	return uint32(len(a.bufs) - 1)
 }
 
 // EraseBlock resets every page in the block to free. Wear is tracked and,
@@ -362,14 +441,16 @@ func (a *Array) EraseBlock(block int) error {
 		return fmt.Errorf("nand: erase of bad block %d", block)
 	}
 	first := a.geo.FirstPPN(block)
-	for i := 0; i < a.geo.PagesPerBlock; i++ {
-		ppn := first + PPN(i)
-		a.state[ppn] = pageFree
-		if page, ok := a.data[ppn]; ok {
-			a.free = append(a.free, page)
-			delete(a.data, ppn)
+	slots := a.slot[first : first+PPN(a.geo.PagesPerBlock)]
+	for _, b := range slots {
+		if b < slotBase {
+			continue
+		}
+		if a.refs[b]--; a.refs[b] == 0 {
+			a.spare = append(a.spare, b)
 		}
 	}
+	clear(slots)
 	a.nextPage[block] = 0
 	a.eraseCnt[block]++
 	if a.eraseCnt[block] > a.stats.WearMax {

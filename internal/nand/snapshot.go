@@ -1,8 +1,6 @@
 package nand
 
 import (
-	"sort"
-
 	"ftlhammer/internal/sim"
 	"ftlhammer/internal/snapshot"
 )
@@ -11,24 +9,31 @@ import (
 const snapSection = "nand"
 
 // SaveTo appends the array's mutable state — page lifecycle, programmed
-// page contents (sorted by PPN), per-block program cursors, wear and
-// bad-block tables, stats — to a snapshot under construction.
+// page contents (in PPN order), per-block program cursors, wear and
+// bad-block tables, stats — to a snapshot under construction. Each page
+// is stored with its own copy of its data, shared buffer or not, and
+// LoadFrom gives each its own buffer.
 func (a *Array) SaveTo(w *snapshot.Writer) {
 	s := w.Section(snapSection)
-	states := make([]byte, len(a.state))
-	for i, st := range a.state {
-		states[i] = byte(st)
+	states := make([]byte, len(a.slot))
+	n := 0
+	for i, b := range a.slot {
+		if b != slotFree {
+			states[i] = 1
+		}
+		if b >= slotBase {
+			n++
+		}
 	}
 	s.Bytes("state", states)
 
-	keys := make([]uint64, 0, len(a.data))
-	for ppn := range a.data {
-		keys = append(keys, uint64(ppn))
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	blob := make([]byte, 0, len(keys)*a.geo.PageBytes)
-	for _, k := range keys {
-		blob = append(blob, a.data[PPN(k)]...)
+	keys := make([]uint64, 0, n)
+	blob := make([]byte, 0, n*a.geo.PageBytes)
+	for i, b := range a.slot {
+		if b >= slotBase {
+			keys = append(keys, uint64(i))
+			blob = append(blob, a.bufs[b]...)
+		}
 	}
 	s.U64s("data_keys", keys)
 	s.Bytes("data", blob)
@@ -87,9 +92,17 @@ func (a *Array) LoadFrom(snap *snapshot.Snapshot) error {
 		}
 	}
 	if s.Err() == nil {
-		for _, k := range keys {
+		for i, k := range keys {
 			if k >= totalPages {
 				s.Reject("data_keys", "PPN %d beyond %d pages", k, totalPages)
+				break
+			}
+			if i > 0 && k <= keys[i-1] {
+				s.Reject("data_keys", "PPN %d follows %d; keys must increase", k, keys[i-1])
+				break
+			}
+			if states[k] == 0 {
+				s.Reject("data_keys", "PPN %d has data but a free state", k)
 				break
 			}
 		}
@@ -111,12 +124,21 @@ func (a *Array) LoadFrom(snap *snapshot.Snapshot) error {
 		return err
 	}
 
+	// A programmed page without a key is one a failed program consumed.
 	for i, st := range states {
-		a.state[i] = pageState(st)
+		a.slot[i] = uint32(st)
 	}
-	a.data = make(map[PPN][]byte, len(keys))
+	// The blob aliases the decoded snapshot, which may be loaded again:
+	// copy it once and give each key its own buffer within the copy.
+	own := append([]byte(nil), blob...)
+	pb := a.geo.PageBytes
+	a.bufs = make([][]byte, slotBase, int(slotBase)+len(keys))
+	a.refs = make([]uint32, slotBase, int(slotBase)+len(keys))
+	a.spare = nil
 	for i, k := range keys {
-		a.data[PPN(k)] = append([]byte(nil), blob[i*a.geo.PageBytes:(i+1)*a.geo.PageBytes]...)
+		a.slot[k] = uint32(len(a.bufs))
+		a.bufs = append(a.bufs, own[i*pb:(i+1)*pb:(i+1)*pb])
+		a.refs = append(a.refs, 1)
 	}
 	for i, n := range next {
 		a.nextPage[i] = int(n)

@@ -5,6 +5,7 @@ import (
 
 	"ftlhammer/internal/faults"
 	"ftlhammer/internal/ftl"
+	"ftlhammer/internal/sim"
 )
 
 // TestDoContextFastPathAllocs pins the zero-allocation property of the
@@ -62,6 +63,52 @@ func TestDoContextFastPathAllocs(t *testing.T) {
 				t.Errorf("%s: %v allocs/op, want 0", tc.name, avg)
 			}
 		})
+	}
+}
+
+// TestRelocatingWriteAllocs pins garbage collection's relocation of live
+// pages at 0 allocs/op. Random overwrites of a namespace written in full
+// first leave live pages in the blocks GC reclaims, unlike the fast-path
+// write case, which rewrites one LBA. One measured run writes two
+// blocks' worth of pages, enough to open a block that sets GC off, so an
+// allocation per GC pass shows as at least one per run.
+func TestRelocatingWriteAllocs(t *testing.T) {
+	dev, ns, _ := testDevice(t, nil)
+	cmd := Command{Op: OpWrite, NS: ns, Buf: make([]byte, dev.BlockBytes())}
+	write := func() {
+		if c, err := dev.Do(cmd); err != nil || c.Err != nil {
+			t.Fatalf("write LBA %d: %v / %v", cmd.LBA, err, c.Err)
+		}
+	}
+	for lba := uint64(0); lba < ns.NumLBAs; lba++ {
+		cmd.LBA = ftl.LBA(lba)
+		write()
+	}
+	rng := sim.NewRNG(1)
+	perRun := 2 * dev.flash.Geometry().PagesPerBlock
+	run := func() {
+		for i := 0; i < perRun; i++ {
+			cmd.LBA = ftl.LBA(rng.Uint64n(ns.NumLBAs))
+			write()
+		}
+	}
+	// Warm up until the page buffers in use stop growing.
+	for dev.flash.Stats().Erases < 64 {
+		run()
+	}
+	const runs = 50
+	before := dev.FTL().Stats()
+	avg := testing.AllocsPerRun(runs, run)
+	after := dev.FTL().Stats()
+	if passes := after.GCRuns - before.GCRuns; passes < runs {
+		t.Fatalf("%d GC passes in %d runs, want at least one per run", passes, runs)
+	}
+	if moved := after.GCPagesMoved - before.GCPagesMoved; moved < after.GCRuns-before.GCRuns {
+		t.Fatalf("GC moved %d live pages in %d passes, want at least one per pass",
+			moved, after.GCRuns-before.GCRuns)
+	}
+	if avg != 0 {
+		t.Errorf("relocating writes: %v allocs per %d writes, want 0", avg, perRun)
 	}
 }
 

@@ -176,7 +176,10 @@ type Server struct {
 	devMu sync.Mutex
 
 	// batchPool recycles batch buffer sets across sessions and shards.
-	batchPool sync.Pool
+	// It is allocated apart from the Server: the runtime keeps every
+	// pool used since the last GC alive for one more cycle, and a pool
+	// inside the Server would keep the Server, and its device, with it.
+	batchPool *sync.Pool
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -210,7 +213,7 @@ func NewServer(dev *nvme.Device, cfg Config) *Server {
 	for i := range s.shards {
 		s.shards[i] = make(chan engineItem, 64)
 	}
-	s.batchPool.New = func() any { return &batchBuffers{} }
+	s.batchPool = &sync.Pool{New: func() any { return &batchBuffers{} }}
 	if s.reg != nil {
 		s.registerObs(s.reg)
 	}

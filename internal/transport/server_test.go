@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -347,5 +348,65 @@ func TestMaxSessions(t *testing.T) {
 			t.Fatalf("slot never freed: %v", err)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestShutdownServerFreesDevice checks that a drained Server and its
+// device are garbage at the first GC after the last reference to them
+// goes. The runtime keeps every sync.Pool used since the previous GC
+// alive for one more cycle, so a pool stored inside the Server kept the
+// whole device with it, and a caller that built the next device right
+// after a teardown held both at once.
+func TestShutdownServerFreesDevice(t *testing.T) {
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	goroutines := runtime.NumGoroutine()
+	base := liveHeap()
+	var footprint int64
+	func() {
+		dev, _ := newTestDevice(t, 14, 1, faults.Plan{})
+		ns := dev.Namespaces()[0]
+		data := make([]byte, dev.BlockBytes())
+		for lba := uint64(0); lba < ns.NumLBAs; lba++ {
+			if err := dev.Write(ns, ftl.LBA(lba), data, nvme.PathDirect); err != nil {
+				t.Fatal(err)
+			}
+		}
+		footprint = liveHeap() - base
+		srv := NewServer(dev, Config{Window: 4})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- srv.Serve(context.Background(), ln) }()
+		c, err := Dial(context.Background(), ln.Addr().String(), ClientConfig{NSID: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Read(context.Background(), 3, data); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-serveErr; !errors.Is(err, ErrServerClosed) {
+			t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+		}
+	}()
+	// The server's goroutines hold it until they have exited.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after shutdown, %d before", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if kept := liveHeap() - base; kept > footprint/2 {
+		t.Errorf("one GC after shutdown the heap still holds %d of the device's %d bytes", kept, footprint)
 	}
 }
