@@ -224,6 +224,9 @@ func main() {
 	if corrupt > 0 {
 		fatal(fmt.Errorf("%d corrupt reads", corrupt))
 	}
+	if failedSessions > 0 {
+		fatal(fmt.Errorf("%d of %d sessions failed", failedSessions, *sessions))
+	}
 }
 
 // parseTenantSet decodes a comma-separated tenant list into a set.

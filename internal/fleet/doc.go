@@ -3,7 +3,7 @@
 // cluster: each member owns its own sim.World, nvme.Device and transport
 // server, and a routing frontend speaks the unmodified transport protocol
 // to clients, resolving the hello's namespace ID as a fleet-wide tenant
-// ID and splicing the session to the member that owns it.
+// ID and handing the session to the server of the member that owns it.
 //
 // A placement table (spread, pack or pinned policies) decides which
 // tenants share a device — and therefore a DRAM chip, which is the

@@ -76,7 +76,6 @@ type Member struct {
 	BD *BuiltDevice
 
 	srv  *transport.Server
-	ln   net.Listener
 	addr string
 	done chan struct{}
 	// serveErr is the Serve result, readable after done closes.
@@ -110,8 +109,11 @@ type Fleet struct {
 	// migrateMu serializes migrations: one device transfer at a time.
 	migrateMu sync.Mutex
 
+	// listen opens a member's loopback listener, which serves direct dials
+	// (routed sessions are handed off in process). Tests replace it.
+	listen func() (net.Listener, error)
+
 	// frontend state
-	feLn   net.Listener
 	feAddr atomic.Value // string
 	feWG   sync.WaitGroup
 
@@ -149,7 +151,7 @@ func New(cfg Config) (*Fleet, error) {
 			return nil, err
 		}
 	}
-	f := &Fleet{cfg: cfg, table: table}
+	f := &Fleet{cfg: cfg, table: table, listen: listenLoopback}
 	for i := 0; i < cfg.Devices; i++ {
 		seed := sim.SplitSeed(cfg.Seed, uint64(i))
 		reg := f.newMemberRegistry()
@@ -162,6 +164,8 @@ func New(cfg Config) (*Fleet, error) {
 	registerFleetObs(f, cfg.Obs)
 	return f, nil
 }
+
+func listenLoopback() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 
 // newMemberRegistry makes a fresh registry for one member device. When the
 // root registry traces, members trace too (same ring capacity), so the
@@ -215,7 +219,7 @@ func (f *Fleet) Start(ctx context.Context) error {
 // startMemberLocked starts (or restarts, after a migration abort) one
 // member's server. Caller holds f.mu.
 func (f *Fleet) startMemberLocked(m *Member) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := f.listen()
 	if err != nil {
 		return fmt.Errorf("fleet: device %d listener: %w", m.Index, err)
 	}
@@ -224,7 +228,6 @@ func (f *Fleet) startMemberLocked(m *Member) error {
 		tcfg.Faults = m.BD.Injector
 	}
 	m.srv = transport.NewServer(m.BD.Device, tcfg)
-	m.ln = ln
 	m.addr = ln.Addr().String()
 	m.done = make(chan struct{})
 	srv, done := m.srv, m.done

@@ -40,6 +40,14 @@ func startFleet(t *testing.T, cfg Config) (*Fleet, string, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr, stop := serveFleet(t, f)
+	return f, addr, stop
+}
+
+// serveFleet starts a built fleet and its frontend, returning the
+// frontend address and a stop function that drains everything.
+func serveFleet(t *testing.T, f *Fleet) (string, func()) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	if err := f.Start(ctx); err != nil {
 		t.Fatal(err)
@@ -65,7 +73,7 @@ func startFleet(t *testing.T, cfg Config) (*Fleet, string, func()) {
 		})
 	}
 	t.Cleanup(stopFn)
-	return f, ln.Addr().String(), stopFn
+	return ln.Addr().String(), stopFn
 }
 
 // payloadFor stamps a block with the tenant and sequence so reads prove
@@ -81,7 +89,7 @@ func payloadFor(buf []byte, tenant int, seq uint64) {
 // TestFleetServesTenantsThroughFrontend drives every tenant of a 4-device
 // fleet concurrently through one frontend and verifies each session reads
 // back exactly its own writes — cross-tenant and cross-device isolation
-// through the splice path.
+// through the frontend.
 func TestFleetServesTenantsThroughFrontend(t *testing.T) {
 	const devices, slots = 4, 2
 	f, addr, stop := startFleet(t, Config{

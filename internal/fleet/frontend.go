@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 
 	"ftlhammer/internal/transport"
@@ -17,26 +16,26 @@ var ErrFrontendClosed = errors.New("fleet: frontend closed")
 // ServeFrontend accepts client sessions on ln and routes each to the
 // member owning its tenant, speaking the unmodified transport protocol:
 // the frontend reads the client hello (whose namespace ID is the
-// fleet-wide tenant ID), resolves the route, opens the backend leg with
-// the namespace rewritten to the device-local one, and from then on
-// splices bytes both ways — the backend's welcome, batches and
-// completions flow through untouched.
+// fleet-wide tenant ID), resolves the route, and hands the connection,
+// with the namespace rewritten to the device-local one, to the member's
+// transport server in process (transport.Server.Handoff). From then on
+// the member serves the session as if it had accepted it: the welcome,
+// batches and completions cross only the client's connection.
 //
 // Sessions for migrating or moved tenants are refused with StatusShutdown
 // (clients retry; moved refusals name the new instance), unknown tenants
 // with StatusInvalid. A refusal is the only alternative to a correct
 // route: the table flips a route to migrating before its device drains
 // and back only after the restore is verified, so a session is never
-// spliced to a device that no longer (or does not yet) own the tenant's
+// handed to a device that no longer (or does not yet) own the tenant's
 // state.
 //
 // ServeFrontend returns ErrFrontendClosed once ctx is canceled and every
-// spliced session has ended (member drain closes the backend legs).
+// handshake in progress has ended. Routed sessions belong to their
+// members and end with the members' drain (Shutdown, or the cancellation
+// of the context Start was given).
 func (f *Fleet) ServeFrontend(ctx context.Context, ln net.Listener) error {
 	f.feAddr.Store(ln.Addr().String())
-	f.mu.Lock()
-	f.feLn = ln
-	f.mu.Unlock()
 	stop := make(chan struct{})
 	go func() {
 		select {
@@ -77,87 +76,55 @@ func (f *Fleet) FrontendAddr() string {
 	return ""
 }
 
-// route runs one client connection: read the hello, resolve the tenant,
-// splice or refuse.
+// route runs one client connection's handshake: read the hello, resolve
+// the tenant, then hand the session to the owning member's server or
+// refuse it.
 func (f *Fleet) route(conn net.Conn) {
-	defer conn.Close()
 	h, err := transport.ReadHello(conn, f.cfg.HandshakeTimeout)
 	if err != nil {
 		f.refused.Add(1)
+		conn.Close()
 		return
 	}
 	r, err := f.table.Lookup(h.NSID)
 	if err != nil {
 		f.unknownTenants.Add(1)
-		f.refused.Add(1)
-		transport.Refuse(conn, transport.StatusInvalid, err.Error())
+		f.refuse(conn, transport.StatusInvalid, err.Error())
 		return
 	}
 	switch r.State {
 	case RouteMigrating:
-		f.refused.Add(1)
-		transport.Refuse(conn, transport.StatusShutdown,
+		f.refuse(conn, transport.StatusShutdown,
 			fmt.Sprintf("fleet: tenant %d is migrating; retry", r.Tenant))
 		return
 	case RouteMoved:
-		f.refused.Add(1)
-		transport.Refuse(conn, transport.StatusShutdown,
+		f.refuse(conn, transport.StatusShutdown,
 			fmt.Sprintf("fleet: tenant %d moved to %s", r.Tenant, r.MovedTo))
 		return
 	}
-	m := f.Member(r.Device)
-	if m == nil || m.addr == "" {
-		f.refused.Add(1)
-		transport.Refuse(conn, transport.StatusShutdown,
+	// restartSource replaces a member's server, so read it under f.mu. A
+	// server that began draining since the lookup (a migration racing
+	// this handshake) refuses with StatusShutdown, and the retrying client
+	// lands on the new route once the transfer completes.
+	f.mu.Lock()
+	srv := f.members[r.Device].srv
+	f.mu.Unlock()
+	if srv == nil {
+		f.refuse(conn, transport.StatusShutdown,
 			fmt.Sprintf("fleet: device %d is not serving", r.Device))
 		return
 	}
-	backend, err := net.Dial("tcp", m.addr)
-	if err != nil {
-		// The member began draining between lookup and dial (a migration
-		// racing this handshake). Refuse; the retrying client lands on the
-		// new route once the transfer completes.
+	h.NSID = r.NSID
+	if srv.Handoff(conn, h) {
+		f.routed.Add(1)
+	} else {
 		f.refused.Add(1)
-		transport.Refuse(conn, transport.StatusShutdown,
-			fmt.Sprintf("fleet: device %d is draining; retry", r.Device))
-		return
 	}
-	defer backend.Close()
-	if err := transport.SendHello(backend, transport.Hello{
-		NSID:   r.NSID,
-		Path:   h.Path,
-		Window: h.Window,
-	}); err != nil {
-		f.refused.Add(1)
-		transport.Refuse(conn, transport.StatusShutdown, "fleet: backend handshake failed")
-		return
-	}
-	f.routed.Add(1)
-	splice(conn, backend)
 }
 
-// splice shuttles bytes both ways until both directions end, half-closing
-// each leg as its feed finishes so the peer sees a clean EOF: when the
-// client stops sending (bye or disconnect) the backend drains and flushes
-// its remaining completions; when the backend closes (drain complete) the
-// client sees the session end exactly as it would against a single-device
-// server.
-func splice(client, backend net.Conn) {
-	done := make(chan struct{}, 2)
-	shuttle := func(dst, src net.Conn) {
-		io.Copy(dst, src)
-		if cw, ok := dst.(interface{ CloseWrite() error }); ok {
-			cw.CloseWrite()
-		} else {
-			dst.Close()
-		}
-		done <- struct{}{}
-	}
-	go shuttle(backend, client)
-	shuttle(client, backend)
-	// The backend leg has ended; its close unblocks the client-side copy
-	// (or already has), so both tokens arrive promptly.
-	client.Close()
-	<-done
-	<-done
+// refuse answers a handshake with a failure welcome and closes it.
+func (f *Fleet) refuse(conn net.Conn, st transport.Status, msg string) {
+	f.refused.Add(1)
+	transport.Refuse(conn, st, msg)
+	conn.Close()
 }

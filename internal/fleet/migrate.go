@@ -233,7 +233,9 @@ func (f *Fleet) MigrateOut(ctx context.Context, src int, targetURL string, hc *h
 // Receive is the inbound half of MigrateOut: build a member from this
 // fleet's spec and the sender's seed, restore the snapshot, verify the
 // state hash, start serving and install the tenant routes. The fleet must
-// have been Started (the new member needs the serve context).
+// have been Started (the new member needs the serve context). Routes are
+// installed only once the member serves; a transfer that fails anywhere
+// installs none, so its tenants are refused, never misrouted.
 func (f *Fleet) Receive(seed uint64, wantHash uint64, routes []Route, snap io.Reader) (*MigrationReport, error) {
 	f.migrateMu.Lock()
 	defer f.migrateMu.Unlock()
@@ -245,6 +247,13 @@ func (f *Fleet) Receive(seed uint64, wantHash uint64, routes []Route, snap io.Re
 	f.mu.Unlock()
 	if !started {
 		return nil, errors.New("fleet: cannot receive before Start")
+	}
+	// Refuse collisions before any work. migrateMu serializes every route
+	// change, so AddRoutes below finds the same tenants free.
+	for _, r := range routes {
+		if _, err := f.table.Lookup(r.Tenant); err == nil {
+			return nil, fmt.Errorf("fleet: tenant %d already placed here", r.Tenant)
+		}
 	}
 
 	reg := f.newMemberRegistry()
@@ -263,13 +272,6 @@ func (f *Fleet) Receive(seed uint64, wantHash uint64, routes []Route, snap io.Re
 
 	f.mu.Lock()
 	dst := &Member{Index: len(f.members), Seed: seed, Reg: reg, BD: bd}
-	for i := range routes {
-		routes[i].Device = dst.Index
-	}
-	if err := f.table.AddRoutes(routes); err != nil {
-		f.mu.Unlock()
-		return nil, err
-	}
 	f.members = append(f.members, dst)
 	if err := f.startMemberLocked(dst); err != nil {
 		f.members = f.members[:len(f.members)-1]
@@ -277,6 +279,12 @@ func (f *Fleet) Receive(seed uint64, wantHash uint64, routes []Route, snap io.Re
 		return nil, err
 	}
 	f.mu.Unlock()
+	for i := range routes {
+		routes[i].Device = dst.Index
+	}
+	if err := f.table.AddRoutes(routes); err != nil {
+		return nil, err
+	}
 	f.migrations.Add(1)
 	f.cfg.Obs.Emit(clockNow, EvMigrate, -1, int64(dst.Index), 0)
 	return &MigrationReport{

@@ -10,12 +10,12 @@ import (
 
 // Hello is the decoded client half of the handshake, exposed for routing
 // frontends (internal/fleet) that must see which namespace a session wants
-// before deciding which backend server gets the connection. The wire form
-// stays private; ReadHello/SendHello are the only way in and out.
+// before deciding which server gets the connection. The wire form stays
+// private: ReadHello decodes it, and Server.Handoff takes the decoded form.
 type Hello struct {
 	// NSID is the namespace the client asks to bind to. A fleet frontend
 	// treats it as the fleet-wide tenant ID and rewrites it to the
-	// device-local namespace before forwarding.
+	// device-local namespace before handing the session off.
 	NSID int
 	// Path is the submission cost model the session requests.
 	Path nvme.Path
@@ -25,10 +25,11 @@ type Hello struct {
 
 // ReadHello consumes exactly the hello frame from conn, validating the
 // protocol version and path byte. timeout bounds how long the peer may
-// take to send it (the frontend's handshake deadline); the read deadline
-// is cleared again before returning. The connection stream is left
-// positioned exactly after the hello, so it can be spliced verbatim to a
-// backend server that has already been sent its own rewritten hello.
+// take to send it (the handshake deadline); the read deadline is cleared
+// again before returning. A hello that is malformed, speaks another
+// protocol version or names an unknown path is answered with a
+// StatusInvalid welcome naming the problem; a read error or a frame of
+// another type gets no answer. On any error the caller closes conn.
 func ReadHello(conn net.Conn, timeout time.Duration) (Hello, error) {
 	if timeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(timeout))
@@ -41,6 +42,16 @@ func ReadHello(conn net.Conn, timeout time.Duration) (Hello, error) {
 	if typ != frameHello {
 		return Hello{}, fmt.Errorf("%w: frame type %d, want hello", errMalformed, typ)
 	}
+	h, err := decodeHello(payload)
+	if err != nil {
+		Refuse(conn, StatusInvalid, err.Error())
+		return Hello{}, err
+	}
+	return h, nil
+}
+
+// decodeHello parses and validates a hello frame's payload.
+func decodeHello(payload []byte) (Hello, error) {
 	h, err := parseHello(payload)
 	if err != nil {
 		return Hello{}, err
@@ -53,25 +64,6 @@ func ReadHello(conn net.Conn, timeout time.Duration) (Hello, error) {
 		return Hello{}, err
 	}
 	return Hello{NSID: int(h.NSID), Path: path, Window: int(h.Window)}, nil
-}
-
-// SendHello writes h as a hello frame — the client half of the handshake.
-// A routing frontend uses it to open the backend leg of a spliced session
-// with the namespace ID rewritten; everything after it (welcome included)
-// flows through the splice untouched.
-func SendHello(conn net.Conn, h Hello) error {
-	if h.NSID < 0 || h.NSID > 0xFFFF {
-		return fmt.Errorf("transport: namespace ID %d out of wire range", h.NSID)
-	}
-	if h.Window < 0 || h.Window > 0xFFFF {
-		return fmt.Errorf("transport: window %d out of wire range", h.Window)
-	}
-	return writeFrame(conn, frameHello, appendHello(nil, hello{
-		Version: ProtocolVersion,
-		NSID:    uint16(h.NSID),
-		Path:    pathByte(h.Path),
-		Window:  uint16(h.Window),
-	}))
 }
 
 // Refuse answers a handshake with a failure welcome — the same shape a

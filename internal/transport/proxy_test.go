@@ -1,16 +1,18 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"ftlhammer/internal/nvme"
 )
 
-// TestProxyHelloRoundTrip: SendHello's frame decodes through ReadHello
-// with every field intact, for both paths.
+// TestProxyHelloRoundTrip: the hello a Client sends decodes through
+// ReadHello with every field intact, for both paths.
 func TestProxyHelloRoundTrip(t *testing.T) {
 	for _, h := range []Hello{
 		{NSID: 1, Path: nvme.PathDirect, Window: 0},
@@ -19,14 +21,19 @@ func TestProxyHelloRoundTrip(t *testing.T) {
 		a, b := net.Pipe()
 		errc := make(chan error, 1)
 		go func() {
-			errc <- SendHello(a, h)
+			errc <- writeFrame(a, frameHello, appendHello(nil, hello{
+				Version: ProtocolVersion,
+				NSID:    uint16(h.NSID),
+				Path:    pathByte(h.Path),
+				Window:  uint16(h.Window),
+			}))
 		}()
 		got, err := ReadHello(b, time.Second)
 		if err != nil {
 			t.Fatalf("ReadHello(%+v): %v", h, err)
 		}
 		if err := <-errc; err != nil {
-			t.Fatalf("SendHello(%+v): %v", h, err)
+			t.Fatalf("sending %+v: %v", h, err)
 		}
 		if got != h {
 			t.Errorf("hello round trip: got %+v, want %+v", got, h)
@@ -36,14 +43,14 @@ func TestProxyHelloRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSendHelloRejectsOutOfRange(t *testing.T) {
-	a, _ := net.Pipe()
-	defer a.Close()
-	if err := SendHello(a, Hello{NSID: 0x10000}); err == nil {
-		t.Error("oversized NSID accepted")
-	}
-	if err := SendHello(a, Hello{NSID: 1, Window: -1}); err == nil {
-		t.Error("negative window accepted")
+// TestDialRejectsOutOfRange: a namespace ID or window the hello cannot
+// carry fails before anything is dialed.
+func TestDialRejectsOutOfRange(t *testing.T) {
+	for _, cfg := range []ClientConfig{{NSID: 0x10000}, {NSID: 1, Window: -1}} {
+		if _, err := Dial(context.Background(), "127.0.0.1:1", cfg); err == nil ||
+			!strings.Contains(err.Error(), "out of wire range") {
+			t.Errorf("Dial(%+v): %v, want an out-of-wire-range error", cfg, err)
+		}
 	}
 }
 
@@ -64,8 +71,19 @@ func TestReadHelloRejectsBadFrames(t *testing.T) {
 		defer a.Close()
 		defer b.Close()
 		go writeFrame(a, frameHello, appendHello(nil, hello{Version: ProtocolVersion + 1, NSID: 1}))
+		answer := make(chan welcome, 1)
+		go func() {
+			_, payload, _ := readFrame(a, 64+maxMsgLen)
+			w, _ := parseWelcome(payload)
+			answer <- w
+		}()
 		if _, err := ReadHello(b, time.Second); err == nil {
 			t.Error("future protocol version accepted")
+		}
+		b.Close() // ends the peer's read if no answer came
+		// The peer learns why, as from a Server.
+		if w := <-answer; w.Status != StatusInvalid || !strings.Contains(w.Msg, "protocol version") {
+			t.Errorf("answer to a bad version: %+v, want StatusInvalid naming the version", w)
 		}
 	})
 	t.Run("silent peer", func(t *testing.T) {

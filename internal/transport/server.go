@@ -187,6 +187,9 @@ type Server struct {
 	nextID   uint32
 	draining bool
 	serving  bool
+	// live counts admitted sessions, accepted and handed-off alike, until
+	// they end; Serve waits for it before closing the shard channels.
+	live sync.WaitGroup
 
 	// st is engine-owned (under devMu); read at Flush after quiesce.
 	st serverStats
@@ -247,6 +250,7 @@ func (s *Server) shardOf(nsid int) chan engineItem {
 // Serve accepts sessions on ln until ctx is canceled or Shutdown is
 // called, then drains inflight commands and returns ErrServerClosed. Any
 // other listener error is returned verbatim. Serve may be called once.
+// Sessions handed off (Handoff) are served too, and drained the same way.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	s.mu.Lock()
 	if s.serving {
@@ -255,13 +259,12 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 	s.serving = true
 	s.ln = ln
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.draining {
+		// Shutdown came first: accept nothing, but still serve out the
+		// sessions handed off before it.
 		ln.Close()
-		close(s.done)
-		return ErrServerClosed
 	}
+	s.mu.Unlock()
 
 	// The engine shards become the device's clock owners for the run
 	// (ownership passes between them with devMu; see engine).
@@ -306,6 +309,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	close(stopWatch)
 	s.beginDrain()
 	wg.Wait()
+	s.live.Wait()
 	for _, work := range s.shards {
 		close(work)
 	}
@@ -350,8 +354,8 @@ func (s *Server) beginDrain() {
 // Shutdown gracefully drains the server: no new sessions, inflight
 // commands complete, completions flush, then Serve returns. If ctx expires
 // first, remaining connections are force-closed and ctx's error returned.
-// Shutdown before Serve marks the server closed; a later Serve returns
-// immediately.
+// Shutdown before Serve marks the server closed; a later Serve accepts
+// nothing, serves out the sessions handed off before it, and returns.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	started := s.serving
@@ -377,41 +381,48 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // reject answers a failed handshake and closes the connection.
 func (s *Server) reject(conn net.Conn, st Status, msg string) {
 	s.rejected.Add(1)
-	payload := appendWelcome(nil, welcome{Version: ProtocolVersion, Status: st, Msg: msg})
-	_ = writeFrame(conn, frameWelcome, payload)
+	_ = Refuse(conn, st, msg)
+	conn.Close()
 }
 
-// serveConn runs one session: handshake, then the read loop feeding the
-// session's engine shard, with a writer goroutine flushing completions
-// back.
+// serveConn runs one accepted connection: read its hello, then admit and
+// run the session it asks for.
 func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	typ, payload, err := readFrame(conn, 64)
-	if err != nil || typ != frameHello {
+	h, err := ReadHello(conn, s.cfg.HandshakeTimeout)
+	if err != nil {
 		s.rejected.Add(1)
-		return
+		conn.Close()
+	} else if se := s.admit(conn, h); se != nil {
+		s.run(se)
 	}
-	h, err := parseHello(payload)
-	if err != nil {
-		s.reject(conn, StatusInvalid, err.Error())
-		return
+}
+
+// Handoff runs a session on conn, whose hello a routing frontend has
+// already read (ReadHello) and pointed at one of this server's namespaces.
+// The session is admitted, windowed, drained and reset exactly like one
+// Serve accepts. Handoff takes conn over and reports whether the session
+// was admitted: a refused one is answered and closed, an admitted one runs
+// on its own goroutine, and Serve waits for it. A session handed off
+// before Serve starts is admitted; its batches wait for Serve's engines.
+func (s *Server) Handoff(conn net.Conn, h Hello) bool {
+	se := s.admit(conn, h)
+	if se != nil {
+		go s.run(se)
 	}
-	if h.Version != ProtocolVersion {
-		s.reject(conn, StatusInvalid, fmt.Sprintf("transport: protocol version %d, want %d", h.Version, ProtocolVersion))
-		return
-	}
-	path, err := pathOf(h.Path)
-	if err != nil {
-		s.reject(conn, StatusInvalid, err.Error())
-		return
-	}
-	ns, ok := s.dev.NamespaceByID(int(h.NSID))
+	return se != nil
+}
+
+// admit applies the admission rules to hello h: the namespace must exist,
+// the server must not be draining and the session limit must not be
+// reached. A refusal is answered and closes conn. An admitted session is
+// registered, so a drain kicks it, and counted in live until run ends it.
+func (s *Server) admit(conn net.Conn, h Hello) *session {
+	ns, ok := s.dev.NamespaceByID(h.NSID)
 	if !ok {
 		s.reject(conn, StatusInvalid, fmt.Sprintf("transport: no namespace %d", h.NSID))
-		return
+		return nil
 	}
-	window := int(h.Window)
+	window := h.Window
 	if window <= 0 || window > s.cfg.Window {
 		window = s.cfg.Window
 	}
@@ -420,19 +431,19 @@ func (s *Server) serveConn(conn net.Conn) {
 	if s.draining {
 		s.mu.Unlock()
 		s.reject(conn, StatusShutdown, "transport: server is draining")
-		return
+		return nil
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		s.mu.Unlock()
 		s.reject(conn, StatusInvalid, fmt.Sprintf("transport: session limit %d reached", s.cfg.MaxSessions))
-		return
+		return nil
 	}
 	s.nextID++
 	se := &session{
 		id:         s.nextID,
 		nsid:       ns.ID,
 		ns:         ns,
-		path:       path,
+		path:       h.Path,
 		conn:       conn,
 		window:     window,
 		tokens:     make(chan struct{}, window),
@@ -440,21 +451,31 @@ func (s *Server) serveConn(conn net.Conn) {
 		writerDone: make(chan struct{}),
 	}
 	s.sessions[se.id] = se
+	s.live.Add(1)
 	s.mu.Unlock()
+	return se
+}
+
+// run serves an admitted session: the welcome, then the read loop feeding
+// the session's engine shard, with a writer goroutine flushing
+// completions back. It closes the connection when the session ends.
+func (s *Server) run(se *session) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.sessions, se.id)
 		s.mu.Unlock()
+		se.conn.Close()
+		s.live.Done()
 	}()
-
+	conn := se.conn
 	blockBytes := s.dev.BlockBytes()
 	wpayload := appendWelcome(nil, welcome{
 		Version:    ProtocolVersion,
 		Status:     StatusOK,
 		SessionID:  se.id,
 		BlockBytes: uint32(blockBytes),
-		NumLBAs:    ns.NumLBAs,
-		Window:     uint16(window),
+		NumLBAs:    se.ns.NumLBAs,
+		Window:     uint16(se.window),
 	})
 	if err := writeFrame(conn, frameWelcome, wpayload); err != nil {
 		return
@@ -463,8 +484,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	work := s.shardOf(se.nsid)
 	work <- engineItem{sess: se, open: true}
 	go s.writeLoop(se)
-	maxPayload := maxBatchPayload(window, blockBytes)
-	conn.SetReadDeadline(time.Time{})
+	maxPayload := maxBatchPayload(se.window, blockBytes)
 	for {
 		bb := s.getBatch()
 		typ, payload, err := readFrameInto(conn, bb.payload, maxPayload)
@@ -476,7 +496,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		s.bytesIn.Add(uint64(frameHeaderLen + len(payload)))
 		bb.wcmds, err = parseBatchInto(bb.wcmds[:0], payload, blockBytes)
-		if err != nil || len(bb.wcmds) == 0 || len(bb.wcmds) > window {
+		if err != nil || len(bb.wcmds) == 0 || len(bb.wcmds) > se.window {
 			s.putBatch(bb)
 			break
 		}
