@@ -12,7 +12,9 @@
 // Everything is written through to the underlying block device, which in
 // the attack scenarios is an NVMe namespace over the shared FTL: a
 // rowhammer bitflip in the device's L2P table really changes what the
-// filesystem reads back.
+// filesystem reads back. Directory blocks are read from the device on
+// every visit too; only their decoding is cached, and reused only while
+// a read returns the bytes it was decoded from.
 //
 // The implementation is deliberately compact: one block group, write
 // through. It still enforces UNIX permissions (the victim's secrets are

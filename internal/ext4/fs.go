@@ -2,6 +2,7 @@ package ext4
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // FS is a mounted filesystem. It is not safe for concurrent use; all
@@ -11,7 +12,7 @@ import (
 // Each belongs to exactly one function (buf to the inode-table and bitmap
 // leaves, which call nothing that uses it), and that function never runs
 // inside itself (freeIndirectTree recurses, so it owns one block per
-// depth). The deepest nesting is dirScan -> callback -> writeFileBlock ->
+// depth). The deepest nesting is dirWalk -> callback -> writeFileBlock ->
 // bmap -> walkIndirect -> allocBlock -> bitmap, and each step of that
 // chain has its own block. Reuse is safe because a BlockDevice copies
 // what it is given and keeps no buffer passed to it.
@@ -19,9 +20,15 @@ type FS struct {
 	dev BlockDevice
 	sb  superblock
 	buf []byte // inode table and bitmap reads and writes
-	// dirBuf is dirScan's block; dirInit and dirAdd's extension block
-	// reuse it, after clearing it, because no scan is running then.
-	dirBuf  []byte
+	// dirBuf is dirWalk's block: each directory block is read into it,
+	// and dirAdd's and dirRemove's callbacks rewrite it there and write
+	// it back. dirInit and dirAdd's extension block reuse it, cleared,
+	// when no walk runs.
+	dirBuf []byte
+	// dirs caches each directory's decoded blocks. A decoded block keeps
+	// its own copy of the bytes it came from and is reused only while
+	// every read returns those bytes.
+	dirs    map[uint32]*dirBlocks
 	walkBuf []byte    // walkIndirect
 	freeBuf [3][]byte // freeIndirectTree, one per depth
 	ioBuf   []byte    // File.ReadAt and File.WriteAt
@@ -146,6 +153,7 @@ func openFS(dev BlockDevice, sb superblock) *FS {
 		sb:      sb,
 		buf:     make([]byte, BlockSize),
 		dirBuf:  make([]byte, BlockSize),
+		dirs:    make(map[uint32]*dirBlocks),
 		walkBuf: make([]byte, BlockSize),
 		ioBuf:   make([]byte, BlockSize),
 		zero:    make([]byte, BlockSize),
@@ -244,27 +252,31 @@ func (fs *FS) bitmapSet(start uint64, idx uint64, used bool) error {
 	return fs.dev.WriteBlock(blk, fs.buf)
 }
 
-// bitmapFindFree scans for a zero bit in [lo, hi).
+// bitmapFindFree scans for a zero bit in [lo, hi), 64 bits at a time.
 func (fs *FS) bitmapFindFree(start, lo, hi uint64) (uint64, bool, error) {
-	for blkIdx := lo / (BlockSize * 8); blkIdx*BlockSize*8 < hi; blkIdx++ {
+	const bitsPerBlock = BlockSize * 8
+	for blkIdx := lo / bitsPerBlock; blkIdx*bitsPerBlock < hi; blkIdx++ {
 		if err := fs.dev.ReadBlock(start+blkIdx, fs.buf); err != nil {
 			return 0, false, err
 		}
-		base := blkIdx * BlockSize * 8
-		for byteIdx := 0; byteIdx < BlockSize; byteIdx++ {
-			b := fs.buf[byteIdx]
-			if b == 0xFF {
+		base := blkIdx * bitsPerBlock
+		w := uint64(0)
+		if lo > base {
+			w = (lo - base) / 64
+		}
+		for ; w < BlockSize/8; w++ {
+			wordBase := base + w*64
+			free := ^binaryLE.Uint64(fs.buf[w*8:])
+			if lo > wordBase {
+				free &= ^uint64(0) << (lo - wordBase)
+			}
+			if free == 0 {
 				continue
 			}
-			for bit := 0; bit < 8; bit++ {
-				idx := base + uint64(byteIdx)*8 + uint64(bit)
-				if idx < lo || idx >= hi {
-					continue
-				}
-				if b&(1<<bit) == 0 {
-					return idx, true, nil
-				}
+			if idx := wordBase + uint64(bits.TrailingZeros64(free)); idx < hi {
+				return idx, true, nil
 			}
+			return 0, false, nil
 		}
 	}
 	return 0, false, nil

@@ -44,6 +44,8 @@ func (f *Fleet) ServeFrontend(ctx context.Context, ln net.Listener) error {
 		case <-stop:
 		}
 	}()
+	// hs holds the connections still reading their hello.
+	var hs transport.Handshakes
 	var acceptErr error
 	for {
 		conn, err := ln.Accept()
@@ -56,10 +58,13 @@ func (f *Fleet) ServeFrontend(ctx context.Context, ln net.Listener) error {
 		f.feWG.Add(1)
 		go func() {
 			defer f.feWG.Done()
-			f.route(conn)
+			f.route(conn, &hs)
 		}()
 	}
 	close(stop)
+	// Cut every handshake still waiting for its hello short, so closing
+	// does not wait out HandshakeTimeout for a silent client.
+	hs.Close()
 	f.feWG.Wait()
 	if acceptErr != nil {
 		return acceptErr
@@ -76,11 +81,11 @@ func (f *Fleet) FrontendAddr() string {
 	return ""
 }
 
-// route runs one client connection's handshake: read the hello, resolve
-// the tenant, then hand the session to the owning member's server or
-// refuse it.
-func (f *Fleet) route(conn net.Conn) {
-	h, err := transport.ReadHello(conn, f.cfg.HandshakeTimeout)
+// route runs one client connection's handshake: read the hello (tracked
+// in hs), resolve the tenant, then hand the session to the
+// owning member's server or refuse it.
+func (f *Fleet) route(conn net.Conn, hs *transport.Handshakes) {
+	h, err := hs.Read(conn, f.cfg.HandshakeTimeout)
 	if err != nil {
 		f.refused.Add(1)
 		conn.Close()

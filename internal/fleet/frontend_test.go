@@ -36,6 +36,49 @@ func (l countingListener) Accept() (net.Conn, error) {
 	return c, err
 }
 
+// TestFrontendCloseCutsSilentHandshake: with a client connected that
+// never sends its hello, ServeFrontend returns within a second of its
+// context's cancellation instead of waiting out HandshakeTimeout.
+func TestFrontendCloseCutsSilentHandshake(t *testing.T) {
+	f, err := New(Config{Spec: testSpec(1), Seed: 3, HandshakeTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepts atomic.Int64
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	feErr := make(chan error, 1)
+	go func() { feErr <- f.ServeFrontend(ctx, countingListener{Listener: inner, accepts: &accepts}) }()
+	conn, err := net.Dial("tcp", inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for deadline := time.Now().Add(10 * time.Second); accepts.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the frontend never accepted the connection")
+		}
+	}
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-feErr:
+		if !errors.Is(err, ErrFrontendClosed) {
+			t.Errorf("ServeFrontend returned %v, want ErrFrontendClosed", err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("ServeFrontend returned %v after its context was canceled", took)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ServeFrontend did not return after its context was canceled")
+	}
+}
+
 // TestFrontendAnswersBadHelloLikeMember: a hello of another protocol
 // version gets the same StatusInvalid welcome from the frontend as from a
 // member server, naming the version, instead of a silent close.
@@ -156,7 +199,7 @@ func TestSessionRoutedRightAfterStartIsAdmitted(t *testing.T) {
 		runtime.GOMAXPROCS(prev)
 		t.Fatal(err)
 	}
-	f.route(&helloConn{Conn: conn, r: io.MultiReader(bytes.NewReader(hello), conn)})
+	f.route(&helloConn{Conn: conn, r: io.MultiReader(bytes.NewReader(hello), conn)}, new(transport.Handshakes))
 	runtime.GOMAXPROCS(prev)
 
 	d := <-dialDone

@@ -25,6 +25,19 @@ func TestSampleBasics(t *testing.T) {
 	}
 }
 
+// TestPercentileSingleObservation pins the one-element case, which the
+// randomized TestPercentileMonotone reaches only when it happens to
+// build a one-element sample: every percentile is the only value.
+func TestPercentileSingleObservation(t *testing.T) {
+	var s Sample
+	s.Add(7.5)
+	for _, p := range []float64{0, 0.5, 25, 50, 99.9, 100} {
+		if got := s.Percentile(p); got != 7.5 {
+			t.Fatalf("P%v of {7.5} = %v", p, got)
+		}
+	}
+}
+
 func TestPercentileMonotone(t *testing.T) {
 	var s Sample
 	f := func(xs []float64) bool {

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"ftlhammer/internal/nvme"
@@ -11,7 +12,8 @@ import (
 // Hello is the decoded client half of the handshake, exposed for routing
 // frontends (internal/fleet) that must see which namespace a session wants
 // before deciding which server gets the connection. The wire form stays
-// private: ReadHello decodes it, and Server.Handoff takes the decoded form.
+// private: Handshakes.Read decodes it, and Server.Handoff takes the
+// decoded form.
 type Hello struct {
 	// NSID is the namespace the client asks to bind to. A fleet frontend
 	// treats it as the fleet-wide tenant ID and rewrites it to the
@@ -23,18 +25,42 @@ type Hello struct {
 	Window int
 }
 
-// ReadHello consumes exactly the hello frame from conn, validating the
-// protocol version and path byte. timeout bounds how long the peer may
-// take to send it (the handshake deadline); the read deadline is cleared
-// again before returning. A hello that is malformed, speaks another
-// protocol version or names an unknown path is answered with a
-// StatusInvalid welcome naming the problem; a read error or a frame of
-// another type gets no answer. On any error the caller closes conn.
-func ReadHello(conn net.Conn, timeout time.Duration) (Hello, error) {
-	if timeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(timeout))
-		defer conn.SetReadDeadline(time.Time{})
+// Handshakes tracks the connections still reading their hello, so that a
+// drain cuts their wait short instead of leaving it to the handshake
+// timeout: a connection either starts its handshake before Close and is
+// expired by it, or starts after and is expired at once. The zero value
+// is ready to use.
+type Handshakes struct {
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+}
+
+// Read consumes exactly the hello frame from conn as a tracked
+// handshake, with a read deadline of timeout from now, or of now once
+// Close has run, and clears the deadline again before returning. A hello
+// that is malformed, speaks another protocol version or names an unknown
+// path is answered with a StatusInvalid welcome naming the problem; a
+// read error or a frame of another type gets no answer. On any error the
+// caller closes conn.
+func (hs *Handshakes) Read(conn net.Conn, timeout time.Duration) (Hello, error) {
+	hs.mu.Lock()
+	if hs.conns == nil {
+		hs.conns = make(map[net.Conn]struct{})
 	}
+	hs.conns[conn] = struct{}{}
+	deadline := time.Now()
+	if !hs.closed {
+		deadline = deadline.Add(timeout)
+	}
+	conn.SetReadDeadline(deadline)
+	hs.mu.Unlock()
+	defer func() {
+		hs.mu.Lock()
+		delete(hs.conns, conn)
+		conn.SetReadDeadline(time.Time{})
+		hs.mu.Unlock()
+	}()
 	typ, payload, err := readFrame(conn, 64)
 	if err != nil {
 		return Hello{}, err
@@ -48,6 +74,18 @@ func ReadHello(conn net.Conn, timeout time.Duration) (Hello, error) {
 		return Hello{}, err
 	}
 	return h, nil
+}
+
+// Close sets the read deadline of every connection in Read to now, so
+// each one's Read fails at once, and makes every later Read do the same.
+func (hs *Handshakes) Close() {
+	hs.mu.Lock()
+	defer hs.mu.Unlock()
+	hs.closed = true
+	now := time.Now()
+	for conn := range hs.conns {
+		conn.SetReadDeadline(now)
+	}
 }
 
 // decodeHello parses and validates a hello frame's payload.

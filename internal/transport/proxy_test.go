@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 )
 
 // TestProxyHelloRoundTrip: the hello a Client sends decodes through
-// ReadHello with every field intact, for both paths.
+// Handshakes.Read with every field intact, for both paths.
 func TestProxyHelloRoundTrip(t *testing.T) {
 	for _, h := range []Hello{
 		{NSID: 1, Path: nvme.PathDirect, Window: 0},
@@ -28,9 +29,10 @@ func TestProxyHelloRoundTrip(t *testing.T) {
 				Window:  uint16(h.Window),
 			}))
 		}()
-		got, err := ReadHello(b, time.Second)
+		var hs Handshakes
+		got, err := hs.Read(b, time.Second)
 		if err != nil {
-			t.Fatalf("ReadHello(%+v): %v", h, err)
+			t.Fatalf("Read(%+v): %v", h, err)
 		}
 		if err := <-errc; err != nil {
 			t.Fatalf("sending %+v: %v", h, err)
@@ -55,14 +57,15 @@ func TestDialRejectsOutOfRange(t *testing.T) {
 }
 
 // TestReadHelloRejectsBadFrames: wrong frame type, bad version, and a
-// peer that never speaks all fail (the last via the timeout).
+// peer that never speaks all fail (the last via the handshake timeout).
 func TestReadHelloRejectsBadFrames(t *testing.T) {
 	t.Run("wrong type", func(t *testing.T) {
 		a, b := net.Pipe()
 		defer a.Close()
 		defer b.Close()
 		go writeFrame(a, frameBye, nil)
-		if _, err := ReadHello(b, time.Second); err == nil {
+		var hs Handshakes
+		if _, err := hs.Read(b, time.Second); err == nil {
 			t.Error("bye frame accepted as hello")
 		}
 	})
@@ -77,7 +80,8 @@ func TestReadHelloRejectsBadFrames(t *testing.T) {
 			w, _ := parseWelcome(payload)
 			answer <- w
 		}()
-		if _, err := ReadHello(b, time.Second); err == nil {
+		var hs Handshakes
+		if _, err := hs.Read(b, time.Second); err == nil {
 			t.Error("future protocol version accepted")
 		}
 		b.Close() // ends the peer's read if no answer came
@@ -90,10 +94,39 @@ func TestReadHelloRejectsBadFrames(t *testing.T) {
 		a, b := net.Pipe()
 		defer a.Close()
 		defer b.Close()
-		if _, err := ReadHello(b, 20*time.Millisecond); err == nil {
+		done := make(chan error, 1)
+		go func() {
+			var hs Handshakes
+			_, err := hs.Read(b, 20*time.Millisecond)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Errorf("silent peer: Read returned %v, want a deadline error", err)
+			}
+		case <-time.After(5 * time.Second):
 			t.Error("silent peer did not time out")
 		}
 	})
+}
+
+// TestReadClearsHandshakeDeadline: once the hello is read, the session's
+// later reads are not bound by the handshake timeout.
+func TestReadClearsHandshakeDeadline(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	go writeFrame(a, frameHello, appendHello(nil, hello{Version: ProtocolVersion, NSID: 1}))
+	var hs Handshakes
+	if _, err := hs.Read(b, 250*time.Millisecond); err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	time.Sleep(350 * time.Millisecond)
+	go a.Write([]byte{1})
+	if _, err := b.Read(make([]byte, 1)); err != nil {
+		t.Errorf("read after the handshake timeout passed: %v", err)
+	}
 }
 
 // TestRefuseSurfacesAsRemoteError: a frontend refusal decodes client-side

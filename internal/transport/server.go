@@ -198,6 +198,10 @@ type Server struct {
 	rejected atomic.Uint64
 	bytesIn  atomic.Uint64
 	bytesOut atomic.Uint64
+
+	// handshakes holds the accepted connections still reading their
+	// hello; beginDrain closes it.
+	handshakes Handshakes
 }
 
 // NewServer wraps a device. The device's world registry (if any) receives
@@ -325,7 +329,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // unblocks the reader immediately, and the write deadline gives in-flight
 // completion frames DrainGrace to flush — after that the writer goes dead
 // and keeps draining tokens, so a peer that stopped reading cannot wedge
-// a shard (or graceful Shutdown) behind a blocked socket write.
+// a shard (or graceful Shutdown) behind a blocked socket write. A
+// connection still waiting for its hello gets the same read deadline, so
+// a silent client cannot hold the drain for HandshakeTimeout.
 func (s *Server) beginDrain() {
 	s.mu.Lock()
 	if s.draining {
@@ -343,6 +349,7 @@ func (s *Server) beginDrain() {
 	if ln != nil {
 		ln.Close()
 	}
+	s.handshakes.Close()
 	now := time.Now()
 	for _, se := range kick {
 		// Unblock the reader; queued batches drain through the engine.
@@ -388,7 +395,7 @@ func (s *Server) reject(conn net.Conn, st Status, msg string) {
 // serveConn runs one accepted connection: read its hello, then admit and
 // run the session it asks for.
 func (s *Server) serveConn(conn net.Conn) {
-	h, err := ReadHello(conn, s.cfg.HandshakeTimeout)
+	h, err := s.handshakes.Read(conn, s.cfg.HandshakeTimeout)
 	if err != nil {
 		s.rejected.Add(1)
 		conn.Close()
@@ -398,7 +405,8 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // Handoff runs a session on conn, whose hello a routing frontend has
-// already read (ReadHello) and pointed at one of this server's namespaces.
+// already read (Handshakes.Read) and pointed at one of this server's
+// namespaces.
 // The session is admitted, windowed, drained and reset exactly like one
 // Serve accepts. Handoff takes conn over and reports whether the session
 // was admitted: a refused one is answered and closed, an admitted one runs
