@@ -86,7 +86,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		seed          = fs.Uint64("seed", 0xBEEF, "simulation seed")
 		tenants       = fs.Int("tenants", 4, "number of equal namespaces carved from each device")
 		amplify       = fs.Int("amplify", 1, "firmware hammers per I/O (paper testbed: 5)")
-		window        = fs.Int("window", 64, "max per-session inflight window")
+		window        = fs.Int("window", 64, "max commands per session batch (a session holds one batch at a time)")
 		maxSessions   = fs.Int("max-sessions", 256, "max concurrently open sessions per device")
 		faultRate     = fs.Float64("fault-rate", 0, "inject device faults at this per-op probability (standard mix, see docs/FAULTS.md)")
 		connFaultRate = fs.Float64("conn-fault-rate", 0, "inject connection resets at this per-batch probability")

@@ -96,17 +96,74 @@ func constStrings(pkg *ast.Package) map[string]string {
 	return consts
 }
 
+// metricsDocNames returns every backticked name in the first column of a
+// docs/METRICS.md table row, with its labels stripped
+// (`nvme_ns_reads_total{ns=}` gives nvme_ns_reads_total): the series
+// and event kinds the page documents.
+func metricsDocNames(doc string) []string {
+	backticked := regexp.MustCompile("`([^`]+)`")
+	var names []string
+	for _, line := range strings.Split(doc, "\n") {
+		cells := strings.Split(line, "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 3 {
+			continue
+		}
+		for _, m := range backticked.FindAllStringSubmatch(cells[1], -1) {
+			name, _, _ := strings.Cut(m[1], "{")
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// staleMetricsDocNames returns the names docs/METRICS.md's tables list
+// (metricsDocNames) that are in none of the known sets.
+func staleMetricsDocNames(doc string, known ...map[string]string) []string {
+	var stale []string
+names:
+	for _, name := range metricsDocNames(doc) {
+		for _, set := range known {
+			if _, ok := set[name]; ok {
+				continue names
+			}
+		}
+		stale = append(stale, name)
+	}
+	return stale
+}
+
+// TestStaleMetricsDocNamesFindsPlantedRow: a METRICS.md row naming a
+// series no code creates is reported, with its labels stripped, and the
+// rows of the real page are not.
+func TestStaleMetricsDocNamesFindsPlantedRow(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("docs", "METRICS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := map[string]string{}
+	for _, name := range metricsDocNames(string(doc)) {
+		known[name] = "METRICS.md"
+	}
+	planted := string(doc) + "\n| `transport_planted_total{shard=N}` | counter | no code creates this |\n"
+	if got := staleMetricsDocNames(planted, known); len(got) != 1 || got[0] != "transport_planted_total" {
+		t.Errorf("stale names = %q, want [transport_planted_total]", got)
+	}
+}
+
 // TestDocsTrackCode is the docs-drift gate: every observability event kind
 // registered anywhere in the tree (obs.RegisterEventKind's first argument,
 // resolved through Ev* constants) must be documented in docs/METRICS.md,
 // docs/FAULTS.md, docs/DEFENSES.md, docs/ATTACKS.md or docs/VICTIMS.md;
 // every metric series name the code
-// creates (Counter/Gauge/Histogram first arguments, including obs.L labels
-// and the obs.go `add` helper idiom) must appear in docs/METRICS.md; and
+// creates (the first argument of Counter, Gauge, Histogram, CounterAdd and
+// their Volatile forms, including obs.L labels and the obs.go `add` helper
+// idiom) must appear in docs/METRICS.md; and
 // every exported fault kind must be documented in docs/FAULTS.md. Adding
 // an event kind, a metric series or a fault kind without documenting it
-// fails CI. (Series built from non-constant names escape the lint; keep
-// registrations literal.)
+// fails CI. The reverse holds for docs/METRICS.md's tables: every name in
+// a row's first column must be a series or event kind the scan found, so
+// deleting one without its row fails CI too. (Series built from
+// non-constant names escape the lint; keep registrations literal.)
 func TestDocsTrackCode(t *testing.T) {
 	metricsDoc, err := os.ReadFile(filepath.Join("docs", "METRICS.md"))
 	if err != nil {
@@ -196,7 +253,7 @@ func TestDocsTrackCode(t *testing.T) {
 					default:
 						t.Errorf("%s: RegisterEventKind with a non-constant kind argument", dir)
 					}
-				case "Counter", "Gauge", "Histogram", "add":
+				case "Counter", "Gauge", "Histogram", "CounterAdd", "VolatileGauge", "VolatileHistogram", "add":
 					// "add" is the obs.go helper idiom wrapping r.Counter.
 					if v, ok := resolveString(call.Args[0]); ok {
 						series[v] = dir
@@ -254,6 +311,13 @@ func TestDocsTrackCode(t *testing.T) {
 		if !strings.Contains(string(metricsDoc), s) {
 			t.Errorf("metric series %q (created in %s) is not documented in docs/METRICS.md", s, series[s])
 		}
+	}
+
+	if n := len(metricsDocNames(string(metricsDoc))); n < 100 {
+		t.Fatalf("found only %d names in docs/METRICS.md's tables; the table parser is miswired", n)
+	}
+	for _, name := range staleMetricsDocNames(string(metricsDoc), series, eventKinds) {
+		t.Errorf("docs/METRICS.md lists %q, which no code creates as a series or registers as an event kind", name)
 	}
 
 	if len(faultKinds) == 0 {

@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ftlhammer/internal/obs"
 	"ftlhammer/internal/sim"
@@ -37,14 +36,12 @@ type Config struct {
 	// instance-wide, so a receiver with its own placement would collide
 	// with transferred tenants).
 	Standby bool
-	// Transport tunes every member's server (window, drain grace, shards).
+	// Transport tunes every member's server (window, session limit,
+	// drain grace).
 	Transport transport.Config
 	// Obs, when non-nil, is the root registry that MergedRegistry folds
 	// every member's metrics into. Nil gets a fresh plain registry.
 	Obs *obs.Registry
-	// HandshakeTimeout bounds the frontend's wait for a client hello.
-	// Default 10s.
-	HandshakeTimeout time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -54,9 +51,6 @@ func (c *Config) fillDefaults() {
 	c.Spec.fillDefaults()
 	if c.Obs == nil {
 		c.Obs = obs.NewRegistry()
-	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 10 * time.Second
 	}
 }
 

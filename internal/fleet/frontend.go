@@ -63,7 +63,7 @@ func (f *Fleet) ServeFrontend(ctx context.Context, ln net.Listener) error {
 	}
 	close(stop)
 	// Cut every handshake still waiting for its hello short, so closing
-	// does not wait out HandshakeTimeout for a silent client.
+	// does not wait out transport.HandshakeTimeout for a silent client.
 	hs.Close()
 	f.feWG.Wait()
 	if acceptErr != nil {
@@ -85,7 +85,7 @@ func (f *Fleet) FrontendAddr() string {
 // in hs), resolve the tenant, then hand the session to the
 // owning member's server or refuse it.
 func (f *Fleet) route(conn net.Conn, hs *transport.Handshakes) {
-	h, err := hs.Read(conn, f.cfg.HandshakeTimeout)
+	h, err := hs.Read(conn, transport.HandshakeTimeout)
 	if err != nil {
 		f.refused.Add(1)
 		conn.Close()

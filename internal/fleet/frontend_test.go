@@ -38,9 +38,9 @@ func (l countingListener) Accept() (net.Conn, error) {
 
 // TestFrontendCloseCutsSilentHandshake: with a client connected that
 // never sends its hello, ServeFrontend returns within a second of its
-// context's cancellation instead of waiting out HandshakeTimeout.
+// context's cancellation instead of waiting out transport.HandshakeTimeout.
 func TestFrontendCloseCutsSilentHandshake(t *testing.T) {
-	f, err := New(Config{Spec: testSpec(1), Seed: 3, HandshakeTimeout: 5 * time.Second})
+	f, err := New(Config{Spec: testSpec(1), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func (f *Fleet) drainAndCheckpoint(ctx context.Context, src int) (*Member, []Rou
 	<-m.done
 
 	// The device is quiesced; this goroutine takes clock ownership for
-	// the checkpoint (the drained engines handed it off).
+	// the checkpoint (the drained sessions handed it off).
 	hash := m.BD.Device.StateHash()
 	var buf bytes.Buffer
 	if err := m.BD.Device.Checkpoint(&buf); err != nil {
@@ -115,7 +115,7 @@ func (f *Fleet) Migrate(ctx context.Context, src int) (*MigrationReport, error) 
 		f.restartSource(m)
 		return nil, fmt.Errorf("fleet: restored state hash %#x, want %#x", got, hash)
 	}
-	// Read the restored clock before the new member's engines take it over.
+	// Read the restored clock before the new member's sessions take it over.
 	clockNow := uint64(bd.Device.Clock().Now())
 
 	f.mu.Lock()

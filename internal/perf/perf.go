@@ -102,7 +102,7 @@ func BenchRobustRead(b *testing.B) {
 }
 
 // BenchDoBatch measures DoBatch with a recycled completions slice — the
-// engine-shard inner loop.
+// device call a server session makes per batch.
 func BenchDoBatch(b *testing.B) {
 	const batch = 16
 	dev, ns := NewDevice(4, false)
@@ -150,7 +150,7 @@ func BenchDRAMBatch(b *testing.B) {
 }
 
 // BenchServerBatch measures one full networked window over loopback TCP:
-// client-side batch encode, server decode, sharded engine execution,
+// client-side batch encode, server decode, device execution,
 // completion encode, and the client's parse — the end-to-end wire path
 // per command.
 func BenchServerBatch(b *testing.B) {
@@ -188,7 +188,7 @@ func BenchServerBatch(b *testing.B) {
 			b.Fatalf("Ring: n=%d err=%v", n, err)
 		}
 	}
-	ring() // warm the pooled batch working set
+	ring() // warm the session's working set
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += window {

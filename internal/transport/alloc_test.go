@@ -109,9 +109,9 @@ func TestFrameCodecAllocs(t *testing.T) {
 }
 
 // TestLoopbackRingAllocs pins the served hot path end to end, the path
-// perfgate's ServerBatch case times: once the pooled batch working set
-// has warmed, a 16-command read ring over loopback TCP (client encode,
-// server decode, engine execution, completion encode, client parse)
+// perfgate's ServerBatch case times: once the session's working set has
+// warmed, a 16-command read ring over loopback TCP (client encode, server
+// decode, device execution, completion encode, client parse)
 // allocates nothing on either side, whether or not the caller drains
 // Completions after it. A caller that never drains, as ServerBatch does,
 // keeps one window of completions, not every ring's.

@@ -7,11 +7,13 @@
 // The Server accepts TCP connections; each connection is one session,
 // bound at handshake time to one namespace and one access path — one
 // tenant. Sessions submit length-prefixed command batches (the doorbell),
-// bounded by a per-session inflight window; every batch is funneled into a
-// single engine goroutine that owns the device's virtual clock, so the
-// simulated device state stays strictly single-goroutine and a given
-// arrival order of commands produces bit-identical device state no matter
-// how many sessions or worker threads are involved.
+// bounded by a per-session inflight window. Each session runs on one
+// goroutine that reads a batch, executes it under the server's device
+// mutex, which carries the device's virtual clock from session to
+// session, and writes its completions before it reads the next. So the
+// simulated device state stays strictly single-owner, and a given arrival
+// order of commands produces bit-identical device state no matter how
+// many sessions or worker threads are involved.
 //
 // The Client offers the same command surface as a local nvme.QueuePair
 // (Submit / Ring / Completions) plus context-aware convenience calls, and

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -79,67 +80,66 @@ func handshake(t *testing.T, conn net.Conn, nsid, window int) welcome {
 	return w
 }
 
-// TestDrainWithStalledSessionPerShard is the multi-shard drain-deadlock
-// regression: one session per engine shard fills its inflight window and
-// then stops reading completions entirely. Without a drain write
-// deadline, each session's writer blocks forever in conn.Write, window
-// tokens are never released, the reader never reaches its closeSess item,
-// and Shutdown hangs. With DrainGrace the writers go dead after the
-// grace, tokens drain, and graceful shutdown completes well inside the
-// Shutdown context.
-func TestDrainWithStalledSessionPerShard(t *testing.T) {
+// sendFrame writes a frame on conn from its own goroutine and returns
+// the write's result channel. net.Pipe writes are synchronous, so the
+// result arrives only once the server has read the whole frame.
+func sendFrame(conn net.Conn, typ byte, payload []byte) chan error {
+	done := make(chan error, 1)
+	go func() { done <- writeFrame(conn, typ, payload) }()
+	return done
+}
+
+// awaitWrite waits for a sendFrame result, failing the test if the server
+// has not read the frame within 10 s.
+func awaitWrite(t *testing.T, what string, done chan error) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: server never read the frame", what)
+	}
+}
+
+// TestDrainWithStalledSession is the drain-deadlock regression: each
+// session sends one window-sized batch and never reads its completions.
+// The session serves the batch and then blocks writing its completions
+// frame; without a drain write deadline that write never returns, the
+// session never ends, and Shutdown hangs. With DrainGrace the write
+// fails after the grace, the session ends, and graceful shutdown
+// completes well inside the Shutdown context.
+func TestDrainWithStalledSession(t *testing.T) {
 	const (
-		shards = 2
-		window = 2
+		sessions = 2
+		window   = 2
 	)
-	dev, _ := newTestDevice(t, 21, shards, faults.Plan{})
+	dev, _ := newTestDevice(t, 21, sessions, faults.Plan{})
 	srv := NewServer(dev, Config{
-		Window:       window,
-		EngineShards: shards,
-		DrainGrace:   100 * time.Millisecond,
+		Window:     window,
+		DrainGrace: 100 * time.Millisecond,
 	})
 	ln := newPipeListener()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(context.Background(), ln) }()
 
-	// One stalled session per shard: namespaces 1..shards map to distinct
-	// shards. Each sends window trims (filling every token), then a
-	// second batch the reader will hold while blocked on tokens — and
-	// never reads a single completion frame back.
-	conns := make([]net.Conn, 0, shards)
-	for nsid := 1; nsid <= shards; nsid++ {
-		conn := ln.dial(t)
-		handshake(t, conn, nsid, window)
-		for batch := 0; batch < 2; batch++ {
-			cmds := make([]wireCmd, window)
-			for i := range cmds {
-				cmds[i] = wireCmd{Op: byte(nvme.OpTrim), Tag: uint64(batch*window + i), LBA: uint64(i)}
-			}
-			// net.Pipe writes are synchronous: each succeeds only once the
-			// server's reader consumes the frame, so after this loop both
-			// batches are inside the server and the session's window is
-			// exhausted.
-			werr := make(chan error, 1)
-			go func() { werr <- writeFrame(conn, frameBatch, appendBatch(nil, cmds)) }()
-			select {
-			case err := <-werr:
-				if err != nil {
-					t.Fatalf("ns %d batch %d: %v", nsid, batch, err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("ns %d batch %d: server never read the frame", nsid, batch)
-			}
-		}
-		conns = append(conns, conn)
-	}
+	conns := make([]net.Conn, 0, sessions)
 	defer func() {
 		for _, c := range conns {
 			c.Close()
 		}
 	}()
-
-	// Give the writers a moment to block on the first completions frame.
-	time.Sleep(50 * time.Millisecond)
+	for nsid := 1; nsid <= sessions; nsid++ {
+		conn := ln.dial(t)
+		conns = append(conns, conn)
+		handshake(t, conn, nsid, window)
+		cmds := make([]wireCmd, window)
+		for i := range cmds {
+			cmds[i] = wireCmd{Op: byte(nvme.OpTrim), Tag: uint64(i), LBA: uint64(i)}
+		}
+		awaitWrite(t, fmt.Sprintf("ns %d batch", nsid), sendFrame(conn, frameBatch, appendBatch(nil, cmds)))
+	}
 
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -151,15 +151,72 @@ func TestDrainWithStalledSessionPerShard(t *testing.T) {
 		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("graceful drain took %v — writers were not unwedged by DrainGrace", elapsed)
+		t.Fatalf("graceful drain took %v — stalled writes were not cut by DrainGrace", elapsed)
 	}
-	// Every submitted command was still served device-side: the drain
-	// discards undeliverable completions, never work.
+	// Every command the sessions read was still served device-side: the
+	// drain discards undeliverable completions, never work.
 	var trims uint64
 	for _, ns := range dev.Namespaces() {
 		trims += ns.Stats().Trims
 	}
-	if want := uint64(shards * 2 * window); trims != want {
+	if want := uint64(sessions * window); trims != want {
 		t.Errorf("device served %d trims, want %d", trims, want)
+	}
+}
+
+// TestSessionHoldsOneBatch: a session reads its next batch only after it
+// has written the previous batch's completions, so a peer that pipelines
+// is held back by its own connection, not by server memory. Over
+// net.Pipe, which buffers nothing, a peer that writes two batches without
+// reading sees the second write wait until it reads the first
+// completions frame, and the completions arrive in batch order.
+func TestSessionHoldsOneBatch(t *testing.T) {
+	const window = 4
+	dev, _ := newTestDevice(t, 22, 1, faults.Plan{})
+	srv := NewServer(dev, Config{Window: window})
+	ln := newPipeListener()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(context.Background(), ln) }()
+	conn := ln.dial(t)
+	defer conn.Close()
+	handshake(t, conn, 1, window)
+
+	// One-command batches, so the window would admit both at once.
+	batch := func(tag uint64) []byte {
+		return appendBatch(nil, []wireCmd{{Op: byte(nvme.OpTrim), Tag: tag, LBA: tag}})
+	}
+	awaitWrite(t, "first batch", sendFrame(conn, frameBatch, batch(1)))
+	second := sendFrame(conn, frameBatch, batch(2))
+	select {
+	case err := <-second:
+		t.Fatalf("the session read a second batch (write err %v) before its first completions were read", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	for _, tag := range []uint64{1, 2} {
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		typ, payload, err := readFrame(conn, 1<<20)
+		if err != nil || typ != frameCompletions {
+			t.Fatalf("completions for batch %d: type %d, %v", tag, typ, err)
+		}
+		wcs, err := parseCompletionsInto(nil, payload)
+		if err != nil || len(wcs) != 1 || wcs[0].Tag != tag || wcs[0].Status != StatusOK {
+			t.Fatalf("completions frame %d = %+v, %v; want tag %d OK", tag, wcs, err, tag)
+		}
+		if tag == 1 {
+			awaitWrite(t, "second batch", second)
+		}
+	}
+
+	conn.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-serveErr; !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	}
+	if st := dev.Namespaces()[0].Stats(); st.Trims != 2 {
+		t.Errorf("device served %d trims, want 2", st.Trims)
 	}
 }

@@ -72,15 +72,13 @@ func genWorkload(numLBAs uint64, n int) []step {
 // network session and once through a local queue pair, leave two devices
 // in byte-identical states — same per-namespace and FTL counters, same
 // virtual clock, same L2P table, same read payloads and completion errors.
-// It runs with both a single-shard and a multi-shard engine: one session's
-// commands always land on one shard in arrival order, so sharding must not
-// perturb the simulation at all.
+// The server runs each session's batches in arrival order on one goroutine
+// under one device lock, the single-shard engine, hence the subtest's name.
 func TestRemoteInProcessEquivalence(t *testing.T) {
-	t.Run("shards=1", func(t *testing.T) { testRemoteInProcessEquivalence(t, 1) })
-	t.Run("shards=4", func(t *testing.T) { testRemoteInProcessEquivalence(t, 4) })
+	t.Run("shards=1", testRemoteInProcessEquivalence)
 }
 
-func testRemoteInProcessEquivalence(t *testing.T, shards int) {
+func testRemoteInProcessEquivalence(t *testing.T) {
 	const (
 		seed      = 77
 		tenants   = 2
@@ -94,7 +92,7 @@ func testRemoteInProcessEquivalence(t *testing.T, shards int) {
 	numLBAs := remoteDev.Namespaces()[0].NumLBAs
 	steps := genWorkload(numLBAs, nOps)
 
-	srv := NewServer(remoteDev, Config{Window: batchSize, EngineShards: shards})
+	srv := NewServer(remoteDev, Config{Window: batchSize})
 	addr, stop := startServer(t, srv)
 	c, err := Dial(context.Background(), addr, ClientConfig{NSID: 1, Window: batchSize})
 	if err != nil {

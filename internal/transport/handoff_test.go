@@ -78,6 +78,53 @@ func TestHandoffBeforeServeIsAdmitted(t *testing.T) {
 	}
 }
 
+// TestHandoffBeforeServeWaitsForServe: a session handed off before Serve
+// does not touch the device until Serve has taken the device's clock
+// over. Its batch waits, with the namespace's counters and the virtual
+// clock unmoved, and completes once Serve starts.
+func TestHandoffBeforeServeWaitsForServe(t *testing.T) {
+	dev, _ := newTestDevice(t, 20, 1, faults.Plan{})
+	srv := NewServer(dev, Config{Window: 8})
+	ok, c, err := handoff(t, srv, Hello{NSID: 1})
+	if err != nil || !ok {
+		t.Fatalf("handoff before Serve: admitted=%v err=%v", ok, err)
+	}
+	ns := dev.Namespaces()[0]
+	stats, clock := ns.Stats(), dev.Clock().Now()
+	if err := c.Submit(nvme.Command{Op: nvme.OpTrim, LBA: 3, Tag: 7}); err != nil {
+		t.Fatal(err)
+	}
+	ringErr := make(chan error, 1)
+	go func() {
+		_, err := c.Ring(context.Background())
+		ringErr <- err
+	}()
+	select {
+	case err := <-ringErr:
+		t.Fatalf("Ring returned (err %v) before Serve started", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if got := ns.Stats(); got != stats {
+		t.Errorf("namespace counters moved before Serve: %+v, was %+v", got, stats)
+	}
+	if now := dev.Clock().Now(); now != clock {
+		t.Errorf("device clock moved before Serve: %d, was %d", now, clock)
+	}
+
+	_, stop := startServer(t, srv)
+	if err := <-ringErr; err != nil {
+		t.Fatalf("Ring once Serve started: %v", err)
+	}
+	if comps := c.Completions(); len(comps) != 1 || comps[0].Tag != 7 || comps[0].Err != nil {
+		t.Fatalf("completions %+v, want tag 7 without error", comps)
+	}
+	c.Close()
+	stop()
+	if st := ns.Stats(); st.Trims != 1 {
+		t.Errorf("namespace saw %d trims, want 1", st.Trims)
+	}
+}
+
 // TestServeAfterShutdownEndsHandedOffSession: Shutdown before Serve kicks
 // a session handed off before it, and the later Serve serves it out and
 // returns instead of waiting for it forever.
@@ -157,7 +204,8 @@ func TestHandoffAdmissionRules(t *testing.T) {
 // the server has read when Shutdown begins is executed, and its
 // completions reach the client before Serve returns. The test holds the
 // device mutex so the batch is still inside the server when the drain
-// starts. CI runs it under -race -count=20.
+// starts; a session opens under that mutex, so one round trip first
+// makes sure the session is open. CI runs it under -race -count=20.
 func TestShutdownFlushesHandedOffBatch(t *testing.T) {
 	const batch = 8
 	dev, _ := newTestDevice(t, 19, 1, faults.Plan{})
@@ -167,6 +215,10 @@ func TestShutdownFlushesHandedOffBatch(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("handoff: admitted=%v err=%v", ok, err)
 	}
+	if err := c.Trim(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	read := srv.bytesIn.Load()
 
 	srv.devMu.Lock()
 	locked := true
@@ -186,7 +238,7 @@ func TestShutdownFlushesHandedOffBatch(t *testing.T) {
 		_, err := c.Ring(context.Background())
 		ringErr <- err
 	}()
-	waitFor(t, "the server to read the batch", func() bool { return srv.bytesIn.Load() > 0 })
+	waitFor(t, "the server to read the batch", func() bool { return srv.bytesIn.Load() > read })
 	stopped := make(chan struct{})
 	go func() {
 		stop()

@@ -31,7 +31,7 @@ func (l signalListener) Accept() (net.Conn, error) {
 // connection is closed without an answer.
 func TestShutdownCutsSilentHandshake(t *testing.T) {
 	dev, _ := newTestDevice(t, 1, 1, faults.Plan{})
-	srv := NewServer(dev, Config{HandshakeTimeout: 5 * time.Second})
+	srv := NewServer(dev, Config{})
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -2,39 +2,31 @@ package transport
 
 import "ftlhammer/internal/obs"
 
-// Trace event kinds emitted by the serving layer. Both are emitted from
-// the engine goroutine (the registry hot path's single owner).
-const (
-	// EvSession is a session lifecycle edge: session ID, opened (1) or
-	// closed (0), namespace ID.
-	EvSession = "transport.session"
-	// EvOverload is a batch that had to wait for inflight-window space
-	// before the engine could accept it (backpressure applied to the
-	// session): session ID, the session's window, the batch size.
-	EvOverload = "transport.overload"
-)
+// EvSession is the serving layer's trace event kind, a session lifecycle
+// edge: session ID, opened (1) or closed (0), namespace ID. It is emitted
+// under the server's device mutex, which serializes the registry's hot
+// path across sessions.
+const EvSession = "transport.session"
 
 func init() {
 	obs.RegisterEventKind(EvSession, "session", "open", "ns")
-	obs.RegisterEventKind(EvOverload, "session", "window", "batch")
 }
 
-// serverStats is the engine-owned counter block, projected into the
-// registry at Flush (after Serve has returned and the engine quiesced).
+// serverStats is the device-mutex-owned counter block, projected into the
+// registry at Flush (after Serve has returned and every session ended).
 type serverStats struct {
 	sessions   uint64 // sessions accepted
 	active     int64  // currently open sessions
 	activeMax  int64  // high watermark of active
 	batches    uint64 // command batches served
 	commands   uint64 // commands served
-	overloads  uint64 // batches that waited on window space
 	connResets uint64 // fault-injected connection teardowns
 }
 
 // registerObs wires the server into its device's registry. All series are
 // projected once at Flush; the caller flushes after Serve returns, when
-// the engine shards are quiescent (byte counters are atomics because the
-// session reader/writer goroutines maintain them).
+// every session has ended (byte counters are atomics because sessions
+// maintain them outside the device mutex).
 func (s *Server) registerObs(r *obs.Registry) {
 	r.OnFlush(func() {
 		st := s.st
@@ -42,7 +34,6 @@ func (s *Server) registerObs(r *obs.Registry) {
 		r.Counter("transport_sessions_rejected_total").Add(s.rejected.Load())
 		r.Counter("transport_batches_total").Add(st.batches)
 		r.Counter("transport_commands_total").Add(st.commands)
-		r.Counter("transport_overload_total").Add(st.overloads)
 		r.Counter("transport_conn_resets_total").Add(st.connResets)
 		r.Counter("transport_bytes_read_total").Add(s.bytesIn.Load())
 		r.Counter("transport_bytes_written_total").Add(s.bytesOut.Load())
@@ -51,14 +42,6 @@ func (s *Server) registerObs(r *obs.Registry) {
 			// (a new session's open can race the previous one's close), so
 			// it stays out of deterministic snapshots.
 			r.VolatileGauge("transport_sessions_active_max", obs.AggMax).SetMax(float64(st.activeMax))
-		}
-		r.Gauge("transport_engine_shards", obs.AggMax).SetMax(float64(len(s.shards)))
-		for i := range s.shardSt {
-			if s.shardSt[i].batches == 0 {
-				continue
-			}
-			r.Counter(obs.L("transport_shard_batches_total", "shard", i)).Add(s.shardSt[i].batches)
-			r.Counter(obs.L("transport_shard_commands_total", "shard", i)).Add(s.shardSt[i].commands)
 		}
 	})
 }

@@ -71,10 +71,7 @@ func TestRecordedTransportSessionReplaysInProcess(t *testing.T) {
 	rec := replay.NewRecorder(&traceBuf)
 	rec.Attach(remoteDev)
 
-	// Two shards: the two sequential sessions land on distinct shards
-	// (ns 1 and ns 2), pinning that the sharded engine records the same
-	// trace a single funnel would for non-overlapping sessions.
-	srv := NewServer(remoteDev, Config{Window: batchSize, EngineShards: 2})
+	srv := NewServer(remoteDev, Config{Window: batchSize})
 	addr, stop := startServer(t, srv)
 
 	// Two sequential sessions on different namespaces: the recorded

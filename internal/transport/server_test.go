@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
+	"ftlhammer/internal/obs"
 	"ftlhammer/internal/sim"
 )
 
@@ -73,8 +76,9 @@ func startServer(t *testing.T, srv *Server) (addr string, stop func()) {
 }
 
 // TestConcurrentSessions drives many concurrent tenants through one server
-// (run under -race this also exercises the clock-ownership funneling) and
-// checks the device-side per-namespace totals against what clients sent.
+// (run under -race this also exercises the clock handoff between
+// sessions under the device mutex) and checks the device-side
+// per-namespace totals against what clients sent.
 func TestConcurrentSessions(t *testing.T) {
 	const (
 		tenants     = 4
@@ -84,10 +88,7 @@ func TestConcurrentSessions(t *testing.T) {
 		readsPerOps = 3 // of every 4 ops, 3 reads + 1 write
 	)
 	dev, _ := newTestDevice(t, 42, tenants, faults.Plan{})
-	// Force a multi-shard engine (the default would be 1 on a 1-CPU box)
-	// so cross-shard clock handoff and devMu serialization run under
-	// -race regardless of the host.
-	srv := NewServer(dev, Config{Window: batchSize, EngineShards: 4})
+	srv := NewServer(dev, Config{Window: batchSize})
 	addr, stop := startServer(t, srv)
 
 	var wg sync.WaitGroup
@@ -206,7 +207,7 @@ func TestWindowClamp(t *testing.T) {
 
 // TestOverWindowBatchClosesSession sends a raw batch larger than the
 // granted window: a protocol violation the server answers by dropping the
-// connection rather than deadlocking on window tokens.
+// connection.
 func TestOverWindowBatchClosesSession(t *testing.T) {
 	dev, _ := newTestDevice(t, 9, 1, faults.Plan{})
 	srv := NewServer(dev, Config{Window: 4})
@@ -353,10 +354,8 @@ func TestMaxSessions(t *testing.T) {
 
 // TestShutdownServerFreesDevice checks that a drained Server and its
 // device are garbage at the first GC after the last reference to them
-// goes. The runtime keeps every sync.Pool used since the previous GC
-// alive for one more cycle, so a pool stored inside the Server kept the
-// whole device with it, and a caller that built the next device right
-// after a teardown held both at once.
+// goes, so a caller that builds the next device right after a teardown
+// does not hold both at once.
 func TestShutdownServerFreesDevice(t *testing.T) {
 	liveHeap := func() int64 {
 		runtime.GC()
@@ -408,5 +407,69 @@ func TestShutdownServerFreesDevice(t *testing.T) {
 	}
 	if kept := liveHeap() - base; kept > footprint/2 {
 		t.Errorf("one GC after shutdown the heap still holds %d of the device's %d bytes", kept, footprint)
+	}
+}
+
+// TestServerMetrics pins what a drained server reports to its device's
+// registry: one session of three one-command batches counts one session,
+// three batches and commands and every frame byte both ways, and emits
+// the session's open and close events.
+func TestServerMetrics(t *testing.T) {
+	const batches = 3
+	dev, _ := newTestDevice(t, 23, 1, faults.Plan{})
+	reg := obs.NewTracing(64)
+	dev.World().Obs = reg
+	srv := NewServer(dev, Config{Window: 4})
+	addr, stop := startServer(t, srv)
+	c, err := Dial(context.Background(), addr, ClientConfig{NSID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < batches; i++ {
+		if err := c.Trim(context.Background(), ftl.LBA(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	stop()
+	reg.Flush()
+
+	batchFrame := frameHeaderLen + len(appendBatch(nil, []wireCmd{{Op: byte(nvme.OpTrim)}}))
+	compFrame := frameHeaderLen + len(appendCompletions(nil, []wireCompletion{{Status: StatusOK}}))
+	want := map[string]uint64{
+		"transport_sessions_total":          1,
+		"transport_sessions_rejected_total": 0,
+		"transport_batches_total":           batches,
+		"transport_commands_total":          batches,
+		"transport_conn_resets_total":       0,
+		"transport_bytes_read_total":        uint64(batches * batchFrame),
+		"transport_bytes_written_total":     uint64(batches * compFrame),
+	}
+	got := map[string]uint64{}
+	for _, cs := range reg.Snapshot(false).Counters {
+		if strings.HasPrefix(cs.Name, "transport_") {
+			got[cs.Name] = cs.Value
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("transport counters = %v, want %v", got, want)
+	}
+	var gauges []obs.GaugeSnap
+	for _, g := range reg.Snapshot(true).Gauges {
+		if strings.HasPrefix(g.Name, "transport_") {
+			gauges = append(gauges, g)
+		}
+	}
+	if len(gauges) != 1 || gauges[0].Name != "transport_sessions_active_max" || gauges[0].Value != 1 {
+		t.Errorf("transport gauges = %+v, want transport_sessions_active_max 1", gauges)
+	}
+	var edges [][3]int64
+	for _, ev := range reg.Events() {
+		if ev.Kind == EvSession {
+			edges = append(edges, [3]int64{ev.A, ev.B, ev.C})
+		}
+	}
+	if want := [][3]int64{{1, 1, 1}, {1, 0, 1}}; !reflect.DeepEqual(edges, want) {
+		t.Errorf("session events (session, open, ns) = %v, want %v", edges, want)
 	}
 }
