@@ -15,17 +15,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/dram"
 	"ftlhammer/internal/fleet"
-	"ftlhammer/internal/ftl"
-	"ftlhammer/internal/guard"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/obs"
-	"ftlhammer/internal/sim"
 	"ftlhammer/internal/stats"
 	"ftlhammer/internal/victims"
 )
@@ -38,7 +33,7 @@ func main() {
 		targets    = flag.Int("targets", 64, "pointer targets per malicious block")
 		triples    = flag.Int("triples", 8, "triples hammered per cycle")
 		amplify    = flag.Int("amplify", 1, "firmware hammers per I/O (paper testbed: 5)")
-		mitigation = flag.String("mitigation", "none", mitigationNames)
+		mitigation = flag.String("mitigation", "none", cloud.MitigationNames)
 		syncDecoys = flag.Bool("sync-decoys", false, "REF-synchronized decoy reads (TRR bypass)")
 		pattern    = flag.String("pattern", "", "hammer pattern: single | double | one-location | many:<n> | fuzzed:<seed> (empty: classic double-sided)")
 		victim     = flag.String("victim", "", "hammer a software victim instead of the leak campaign: fs | fs-hardened | kv | gc | gc-churn (docs/VICTIMS.md)")
@@ -52,16 +47,9 @@ func main() {
 		robust     = flag.Bool("robust", false, "enable the NVMe retry/timeout/degradation policy (implied by -fault-rate)")
 	)
 	flag.Parse()
-	if *metrics != "" && *metrics != "table" && *metrics != "json" {
-		fatal(fmt.Errorf("-metrics must be 'table' or 'json', got %q", *metrics))
-	}
-	var reg *obs.Registry
-	if *metrics != "" || *trace != "" {
-		if *trace != "" {
-			reg = obs.NewTracing(1 << 16)
-		} else {
-			reg = obs.NewRegistry()
-		}
+	reg, err := obs.FlagRegistry(*metrics, *trace)
+	if err != nil {
+		fatal(err)
 	}
 
 	cfg, err := testbedConfig(*profile, *amplify, *seed)
@@ -71,7 +59,7 @@ func main() {
 	cfg.Device.FaultRate = *faultRate
 	cfg.Device.Robust = *robust
 	cfg.Obs = reg
-	if err := applyMitigation(&cfg, *mitigation, *seed); err != nil {
+	if err := cfg.Mitigate(*mitigation); err != nil {
 		fatal(err)
 	}
 
@@ -143,38 +131,8 @@ func main() {
 		fmt.Printf("NAND: reads=%d programs=%d erases=%d wearMax=%d\n",
 			ns.Reads, ns.Programs, ns.Erases, ns.WearMax)
 	}
-	if reg != nil {
-		reg.Flush()
-		snap := reg.Snapshot(true)
-		switch *metrics {
-		case "table":
-			fmt.Println()
-			if err := snap.WriteTable(os.Stdout); err != nil {
-				fatal(err)
-			}
-		case "json":
-			if err := snap.WriteJSON(os.Stdout); err != nil {
-				fatal(err)
-			}
-		}
-		if *trace != "" {
-			f, err := os.Create(*trace)
-			if err != nil {
-				fatal(err)
-			}
-			if err := obs.WriteTraceHeader(f); err != nil {
-				fatal(err)
-			}
-			if err := obs.WriteEventsJSONL(f, reg.Events()); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			total, dropped := reg.TraceTotals()
-			fmt.Printf("trace: %d events written to %s (%d dropped from ring)\n",
-				total-dropped, *trace, dropped)
-		}
+	if err := obs.DumpExit(os.Stdout, reg, *metrics, *trace); err != nil {
+		fatal(err)
 	}
 }
 
@@ -274,8 +232,8 @@ func runVictim(tb *cloud.Testbed, kind string, pat attack.Pattern, reg *obs.Regi
 }
 
 // testbedConfig describes the testbed for one -profile: the profile's
-// preset DRAM config and flash geometry, held as overrides next to an
-// empty FTL config so that -mitigation can change them.
+// preset DRAM config and flash geometry, held as overrides so that
+// -mitigation can change them.
 func testbedConfig(profile string, amplify int, seed uint64) (cloud.Config, error) {
 	dcfg, geom, err := fleet.Preset(profile)
 	if err != nil {
@@ -287,58 +245,10 @@ func testbedConfig(profile string, amplify int, seed uint64) (cloud.Config, erro
 			Amplify: amplify,
 			DRAM:    &dcfg,
 			Flash:   &geom,
-			FTL:     &ftl.Config{},
 		},
 		VictimFillBlocks: 6144,
 		Seed:             seed,
 	}, nil
-}
-
-// mitigationNames is the -mitigation vocabulary.
-const mitigationNames = "none | ecc | trr[:sampler] | para[:p] | refresh[:scale] | refresh2x | cache | ratelimit | hashed | extent-only | guard"
-
-// applyMitigation configures the testbed for one -mitigation spec. The
-// parameterized in-DRAM forms (trr:<sampler>, para:<p>, refresh:<scale>,
-// docs/DEFENSES.md) go through dram.ParseMitigation, whose error is
-// returned as is.
-func applyMitigation(cfg *cloud.Config, spec string, seed uint64) error {
-	d := cfg.Device.DRAM
-	switch spec {
-	case "none":
-	case "ecc":
-		d.ECC = true
-	case "trr":
-		d.TRR = dram.DefaultTRR()
-	case "para":
-		d.PARA = 0.02
-	case "refresh2x":
-		d.RefreshWindow = 32 * sim.Millisecond
-	case "cache":
-		cfg.Device.FTL.Cache.Enabled = true
-		cfg.Device.FTL.Cache.Lines = 1024
-	case "ratelimit":
-		cfg.Device.MaxIOPS = 100_000
-	case "hashed":
-		cfg.Device.FTL.Hashed = true
-		cfg.Device.FTL.HashKey = seed ^ 0xD00D
-	case "extent-only":
-		cfg.ForbidIndirect = true
-	case "guard":
-		gcfg := guard.DefaultConfig()
-		cfg.Device.Guard = &gcfg
-	default:
-		switch name, _, _ := strings.Cut(spec, ":"); name {
-		case "trr", "para", "refresh", "refresh2x":
-		default:
-			return fmt.Errorf("unknown mitigation %q (want %s)", spec, mitigationNames)
-		}
-		mc, err := dram.ParseMitigation(spec)
-		if err != nil {
-			return err
-		}
-		d.Profile = d.Profile.WithMitigation(mc)
-	}
-	return nil
 }
 
 func fatal(err error) {

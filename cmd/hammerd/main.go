@@ -107,17 +107,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hammerd:", err)
 		return 1
 	}
-	if *metrics != "" && *metrics != "table" && *metrics != "json" {
-		return fail(fmt.Errorf("-metrics must be 'table' or 'json', got %q", *metrics))
-	}
-
-	var reg *obs.Registry
-	if *metrics != "" || *trace != "" {
-		if *trace != "" {
-			reg = obs.NewTracing(1 << 16)
-		} else {
-			reg = obs.NewRegistry()
-		}
+	reg, err := obs.FlagRegistry(*metrics, *trace)
+	if err != nil {
+		return fail(err)
 	}
 
 	spec := fleet.DeviceSpec{
@@ -220,10 +212,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(out, "record: %d commands written to %s\n", rec.Count(), *record)
 	}
-	if reg != nil {
-		if err := dumpObs(out, reg, *metrics, *trace); err != nil {
-			return fail(err)
-		}
+	if err := obs.DumpExit(out, reg, *metrics, *trace); err != nil {
+		return fail(err)
 	}
 	// A broken stdout must not look like a clean exit: the dump above is
 	// the run's product when metrics/trace/record are requested.
@@ -242,7 +232,6 @@ func runFleet(ctx context.Context, cfg fleet.Config, listen, admin, metrics, tra
 		fmt.Fprintln(stderr, "hammerd:", err)
 		return 1
 	}
-	reg := cfg.Obs
 	f, err := fleet.New(cfg)
 	if err != nil {
 		return fail(err)
@@ -317,8 +306,8 @@ func runFleet(ctx context.Context, cfg fleet.Config, listen, admin, metrics, tra
 	if faultTotal > 0 {
 		fmt.Fprintf(out, "faults: %d injected (%d conn resets)\n", faultTotal, connResets)
 	}
-	if reg != nil {
-		if err := dumpObs(out, f.MergedRegistry(), metrics, trace); err != nil {
+	if cfg.Obs != nil {
+		if err := obs.DumpExit(out, f.MergedRegistry(), metrics, trace); err != nil {
 			return fail(err)
 		}
 	}
@@ -326,47 +315,4 @@ func runFleet(ctx context.Context, cfg fleet.Config, listen, admin, metrics, tra
 		return fail(fmt.Errorf("writing exit report: %w", out.err))
 	}
 	return 0
-}
-
-// dumpObs writes the exit-time metrics snapshot and event trace. Every
-// error propagates: losing the dump is a failed run.
-func dumpObs(out io.Writer, reg *obs.Registry, metrics, trace string) error {
-	reg.Flush()
-	snap := reg.Snapshot(true)
-	switch metrics {
-	case "table":
-		if _, err := fmt.Fprintln(out); err != nil {
-			return err
-		}
-		if err := snap.WriteTable(out); err != nil {
-			return err
-		}
-	case "json":
-		if err := snap.WriteJSON(out); err != nil {
-			return err
-		}
-	}
-	if trace != "" {
-		tf, err := os.Create(trace)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteTraceHeader(tf); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := obs.WriteEventsJSONL(tf, reg.Events()); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-		total, dropped := reg.TraceTotals()
-		if _, err := fmt.Fprintf(out, "trace: %d events written to %s (%d dropped from ring)\n",
-			total-dropped, trace, dropped); err != nil {
-			return err
-		}
-	}
-	return nil
 }

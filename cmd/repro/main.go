@@ -4,7 +4,7 @@
 //
 //	repro -list                 # enumerate experiments
 //	repro -exp table1           # run one experiment
-//	repro -experiment faults    # alias for -exp; the fault-injection sweep
+//	repro -exp faults           # the fault-injection sweep
 //	repro -all                  # run everything (paper order)
 //	repro -all -full            # full-scale populations (slower)
 //	repro -all -parallel 1      # serial trial engine (output is identical)
@@ -39,9 +39,6 @@ import (
 	"ftlhammer/internal/obs"
 )
 
-// traceCap bounds each experiment's (and the cumulative) event ring.
-const traceCap = 1 << 16
-
 func main() {
 	var (
 		list     = flag.Bool("list", false, "list available experiments")
@@ -67,11 +64,14 @@ func main() {
 		memProf = flag.String("memprofile", "",
 			"write a heap profile to this file after the run (written on clean exit)")
 	)
-	flag.StringVar(expID, "experiment", "", "alias for -exp")
 	flag.Parse()
 
-	if *metrics != "" && *metrics != "table" && *metrics != "json" {
-		fatal(fmt.Errorf("-metrics must be 'table' or 'json', got %q", *metrics))
+	root, err := obs.FlagRegistry(*metrics, *trace)
+	if err != nil {
+		fatal(err)
+	}
+	if root == nil && *listen != "" {
+		root = obs.NewRegistry()
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -122,16 +122,9 @@ func main() {
 
 	r := &runner{
 		opt:     opt,
+		root:    root,
 		metrics: *metrics,
 		trace:   *trace,
-	}
-	observing := *metrics != "" || *trace != "" || *listen != ""
-	if observing {
-		if *trace != "" {
-			r.root = obs.NewTracing(traceCap)
-		} else {
-			r.root = obs.NewRegistry()
-		}
 	}
 	if *listen != "" {
 		// obs.Handler routes /metrics*, /trace.jsonl; the pprof import
@@ -202,7 +195,7 @@ func (r *runner) runOne(e experiments.Experiment) {
 	var reg *obs.Registry
 	if r.root != nil {
 		if r.root.Tracing() {
-			reg = obs.NewTracing(traceCap)
+			reg = obs.NewTracing(r.root.TraceCap())
 		} else {
 			reg = obs.NewRegistry()
 		}

@@ -12,7 +12,6 @@ import (
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/fleet"
-	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
 )
@@ -79,18 +78,8 @@ func main() {
 	pat := attack.DoublePattern()
 	pat.Iterations = int(attack.RequiredRate(dev)*0.064) * 2
 	for n, b := range bindings {
-		for _, g := range b.VictimGlobalLBAs {
-			for k := ftl.LBA(0); k < 16; k++ {
-				if g+k >= ns.StartLBA && uint64(g+k-ns.StartLBA) < ns.NumLBAs {
-					lba := g + k - ns.StartLBA
-					for j := range buf {
-						buf[j] = byte(lba) ^ 0xA5
-					}
-					if err := dev.Write(ns, lba, buf, nvme.PathDirect); err != nil {
-						log.Fatal(err)
-					}
-				}
-			}
+		if _, err := attack.PrepareVictimLines(dev, ns, b); err != nil {
+			log.Fatal(err)
 		}
 		before := attack.SnapshotVictimLines(tb.FTL, b)
 		fast, err := attack.PinAndTrim(dev, ns, nvme.PathDirect, b)

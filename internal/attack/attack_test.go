@@ -2,8 +2,10 @@ package attack
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
+	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/sim"
 )
@@ -289,4 +291,54 @@ func TestAllocators(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestVictimEntriesMatchesNestedLoop checks Binding.VictimEntries against
+// the nested walk it replaced, over random bindings, random maxLines,
+// caller slices that already hold entries, and namespaces whose boundary
+// splits a line.
+func TestVictimEntriesMatchesNestedLoop(t *testing.T) {
+	rng := sim.NewRNG(31)
+	splits := 0
+	for trial := 0; trial < 2000; trial++ {
+		ns := &nvme.Namespace{StartLBA: ftl.LBA(rng.Intn(300)), NumLBAs: uint64(1 + rng.Intn(300))}
+		var b Binding
+		for n := rng.Intn(6); n > 0; n-- {
+			b.VictimGlobalLBAs = append(b.VictimGlobalLBAs, ftl.LBA(rng.Intn(640)))
+		}
+		maxLines := rng.Intn(8) - 2
+		prefix := make([]ftl.LBA, rng.Intn(3))
+		for i := range prefix {
+			prefix[i] = ftl.LBA(rng.Intn(1000))
+		}
+
+		want := append([]ftl.LBA(nil), prefix...)
+		lines := b.VictimGlobalLBAs
+		if maxLines > 0 && len(lines) > maxLines {
+			lines = lines[:maxLines]
+		}
+		end := ns.StartLBA + ftl.LBA(ns.NumLBAs)
+		for _, g := range lines {
+			last := g + 64/ftl.EntryBytes - 1
+			if (g < ns.StartLBA && last >= ns.StartLBA) || (g < end && last >= end) {
+				splits++
+			}
+			for k := ftl.LBA(0); k < 64/ftl.EntryBytes; k++ {
+				rel := g + k - ns.StartLBA
+				if g+k < ns.StartLBA || uint64(rel) >= ns.NumLBAs {
+					continue
+				}
+				want = append(want, rel)
+			}
+		}
+
+		got := b.VictimEntries(prefix, ns, maxLines)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: ns [%d,+%d) lines %v maxLines %d: got %v, want %v",
+				trial, ns.StartLBA, ns.NumLBAs, b.VictimGlobalLBAs, maxLines, got, want)
+		}
+	}
+	if splits == 0 {
+		t.Fatal("no trial split a line at a namespace boundary")
+	}
 }

@@ -23,18 +23,65 @@ type Binding struct {
 	Sides [][]ftl.LBA
 	// VictimGlobalLBAs are the device-global blocks whose translations
 	// live in the victim row (owned by the other tenant in the
-	// cross-partition case). Each is a 64-byte line anchor: the 16
-	// consecutive entries after it share the victim DRAM row.
+	// cross-partition case). Each is a 64-byte line anchor: the
+	// LineEntries consecutive entries after it share the victim DRAM row.
 	VictimGlobalLBAs []ftl.LBA
 	// DecoyLBA activates a same-bank, distant row (valid when HasDecoy).
 	DecoyLBA ftl.LBA
 	HasDecoy bool
 }
 
+// LineEntries is how many L2P entries share one 64-byte DRAM line: a
+// victim line anchor and the entries after it.
+const LineEntries = 64 / ftl.EntryBytes
+
+// VictimEntries appends to dst the namespace-relative LBAs of the entries
+// on b's first maxLines victim lines (every line when maxLines <= 0) that
+// lie in ns, in line order, and returns the extended slice. A flip can
+// strike any entry of the victim row, so arming a victim means arming all
+// of them.
+func (b Binding) VictimEntries(dst []ftl.LBA, ns *nvme.Namespace, maxLines int) []ftl.LBA {
+	lines := b.VictimGlobalLBAs
+	if maxLines > 0 && len(lines) > maxLines {
+		lines = lines[:maxLines]
+	}
+	for _, g := range lines {
+		for k := ftl.LBA(0); k < LineEntries; k++ {
+			if rel, ok := ns.Local(g + k); ok {
+				dst = append(dst, rel)
+			}
+		}
+	}
+	return dst
+}
+
+// PrepareVictimLines is the §3.1 setup phase for one binding: it writes a
+// fill to every entry of b's victim lines that lies in ns, so each holds
+// a mapped translation a flip can redirect. It returns how many entries
+// it wrote. It walks one line at a time into a stack array, so a victim
+// row of many lines costs no more than the write buffer.
+func PrepareVictimLines(dev *nvme.Device, ns *nvme.Namespace, b Binding) (int, error) {
+	buf := make([]byte, dev.BlockBytes())
+	var line [LineEntries]ftl.LBA
+	n := 0
+	for ; len(b.VictimGlobalLBAs) > 0; b.VictimGlobalLBAs = b.VictimGlobalLBAs[1:] {
+		for _, rel := range b.VictimEntries(line[:0], ns, 1) {
+			for j := range buf {
+				buf[j] = byte(rel) ^ 0xA5
+			}
+			if err := dev.Write(ns, rel, buf, nvme.PathDirect); err != nil {
+				return n, err
+			}
+			n++
+		}
+	}
+	return n, nil
+}
+
 // VictimLines snapshots the translations of every entry on a binding's
-// victim lines: the 16 entries after each VictimGlobalLBAs anchor, in
-// anchor order. FTL.PPNOf peeks DRAM without access semantics, so taking
-// or diffing a snapshot changes no simulated state.
+// victim lines: the LineEntries entries after each VictimGlobalLBAs
+// anchor, in anchor order. FTL.PPNOf peeks DRAM without access
+// semantics, so taking or diffing a snapshot changes no simulated state.
 type VictimLines struct {
 	lbas []ftl.LBA // device-global
 	ppns []uint32
@@ -50,11 +97,11 @@ type Remap struct {
 // lines.
 func SnapshotVictimLines(f *ftl.FTL, b Binding) VictimLines {
 	v := VictimLines{
-		lbas: make([]ftl.LBA, 0, 16*len(b.VictimGlobalLBAs)),
-		ppns: make([]uint32, 0, 16*len(b.VictimGlobalLBAs)),
+		lbas: make([]ftl.LBA, 0, LineEntries*len(b.VictimGlobalLBAs)),
+		ppns: make([]uint32, 0, LineEntries*len(b.VictimGlobalLBAs)),
 	}
 	for _, g := range b.VictimGlobalLBAs {
-		for k := ftl.LBA(0); k < 16; k++ {
+		for k := ftl.LBA(0); k < LineEntries; k++ {
 			v.lbas = append(v.lbas, g+k)
 			v.ppns = append(v.ppns, uint32(f.PPNOf(g+k)))
 		}
@@ -86,9 +133,8 @@ func bindTriple(ns *nvme.Namespace, tr dram.Triple, region dram.Region) (Binding
 	b := Binding{Triple: tr, Sides: make([][]ftl.LBA, 2)}
 	for side := 0; side < 2; side++ {
 		for _, addr := range tr.AggAddrs[side] {
-			g := entryLBA(region, addr)
-			if g >= ns.StartLBA && uint64(g-ns.StartLBA) < ns.NumLBAs {
-				b.Sides[side] = append(b.Sides[side], g-ns.StartLBA)
+			if rel, ok := ns.Local(entryLBA(region, addr)); ok {
+				b.Sides[side] = append(b.Sides[side], rel)
 			}
 		}
 		if len(b.Sides[side]) == 0 {
@@ -160,9 +206,8 @@ func attachDecoys(bindings []Binding, ns *nvme.Namespace, region dram.Region, ba
 			if !farRow(b, row, nil) {
 				continue
 			}
-			g := entryLBA(region, br.addrs[row])
-			if g >= ns.StartLBA && uint64(g-ns.StartLBA) < ns.NumLBAs {
-				b.DecoyLBA = g - ns.StartLBA
+			if rel, ok := ns.Local(entryLBA(region, br.addrs[row])); ok {
+				b.DecoyLBA = rel
 				b.HasDecoy = true
 				break
 			}
@@ -190,8 +235,7 @@ func extendSides(bindings []Binding, ns *nvme.Namespace, region dram.Region, ban
 			// The decoy row stays reserved: an extra side hammering it
 			// would turn the sampler-claiming read into an aggressor.
 			for _, row := range br.rows {
-				g := entryLBA(region, br.addrs[row])
-				if g >= ns.StartLBA && g-ns.StartLBA == b.DecoyLBA {
+				if rel, ok := ns.Local(entryLBA(region, br.addrs[row])); ok && rel == b.DecoyLBA {
 					taken[row] = true
 					break
 				}
@@ -204,12 +248,12 @@ func extendSides(bindings []Binding, ns *nvme.Namespace, region dram.Region, ban
 			if !farRow(b, row, taken) {
 				continue
 			}
-			g := entryLBA(region, br.addrs[row])
-			if g < ns.StartLBA || uint64(g-ns.StartLBA) >= ns.NumLBAs {
+			rel, ok := ns.Local(entryLBA(region, br.addrs[row]))
+			if !ok {
 				continue
 			}
 			taken[row] = true
-			b.Sides = append(b.Sides, []ftl.LBA{g - ns.StartLBA})
+			b.Sides = append(b.Sides, []ftl.LBA{rel})
 		}
 	}
 }

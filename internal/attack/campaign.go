@@ -133,7 +133,7 @@ func (c *Campaign) targetedBindings() []Binding {
 	for _, b := range c.bindings {
 		n := 0
 		for _, lineLBA := range b.VictimGlobalLBAs {
-			for k := ftl.LBA(0); k < 16; k++ { // entries per 64-byte line
+			for k := ftl.LBA(0); k < LineEntries; k++ {
 				if spray[lineLBA+k] {
 					n++
 				}

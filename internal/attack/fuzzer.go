@@ -211,10 +211,11 @@ func (t TargetSpec) EvaluateOn(dev *nvme.Device, p Pattern) (Fitness, error) {
 		Path:     nvme.PathDirect,
 		Alloc:    &ContiguousAllocator{MaxBindings: t.MaxBindings},
 		Hammerer: &DeviceHammerer{Dev: dev, NS: ns, Path: nvme.PathDirect},
-		// Arming a victim line costs 16 flash writes whose L2P stores all
-		// activate the victim row; capping the armed lines keeps the
-		// setup phase from hammering (and guard-flagging) the target
-		// before the pattern under test runs.
+		// Arming a victim line costs LineEntries flash writes whose
+		// L2P stores all activate the victim row; capping the armed
+		// lines keeps the setup phase from hammering (and
+		// guard-flagging) the target before the pattern under test
+		// runs.
 		Victim: &CanaryVictim{Dev: dev, NS: ns, Path: nvme.PathDirect, MaxLines: 2},
 	}
 	if p.Iterations == 0 {

@@ -79,12 +79,12 @@ func (h *DeviceHammerer) Hammer(b Binding, p Pattern) error {
 		}
 		tREFI = uint64(window) / uint64(cpw)
 	}
-	// Cache eviction partners: an LBA exactly CacheEvictLines*16 entries
-	// away shares the direct-mapped set but differs in tag; reading it
-	// right before the target evicts the target's cached entry.
+	// Cache eviction partners: an LBA exactly CacheEvictLines lines of
+	// entries away shares the direct-mapped set but differs in tag;
+	// reading it right before the target evicts the target's cached entry.
 	evict := make([]ftl.LBA, len(slots))
 	if p.CacheEvictLines > 0 {
-		delta := ftl.LBA(p.CacheEvictLines) * 16 // entries per line
+		delta := ftl.LBA(p.CacheEvictLines) * LineEntries
 		for si, s := range slots {
 			if s.Aggressor == DecoyTarget {
 				evict[si] = h.aliasLBA(b.DecoyLBA, delta)

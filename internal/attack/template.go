@@ -103,19 +103,9 @@ func Template(h *DeviceHammerer, bindings []Binding, p Pattern) ([]TemplateResul
 func templateOne(h *DeviceHammerer, b Binding, p Pattern) (TemplateResult, error) {
 	res := TemplateResult{Binding: b}
 	ns := h.NS
-	// Only LBAs we own can be written and observed. A flip can strike
-	// any entry in the victim row, so the whole row is armed: each
-	// VictimGlobalLBAs element is the first of 16 entries sharing a
-	// 64-byte DRAM line.
-	var probes []ftl.LBA
-	for _, g := range b.VictimGlobalLBAs {
-		for k := ftl.LBA(0); k < 16; k++ {
-			lba := g + k
-			if lba >= ns.StartLBA && uint64(lba-ns.StartLBA) < ns.NumLBAs {
-				probes = append(probes, lba-ns.StartLBA)
-			}
-		}
-	}
+	// Only LBAs we own can be written and observed; the whole victim row
+	// is armed.
+	probes := b.VictimEntries(nil, ns, 0)
 	if len(probes) == 0 {
 		return res, nil // cross-partition candidate: not directly testable
 	}
@@ -134,7 +124,7 @@ func templateOne(h *DeviceHammerer, b Binding, p Pattern) (TemplateResult, error
 	// Probe: any change or error marks the row vulnerable. Behind an FTL
 	// cache the probe itself must evict first, or it would read the
 	// stale cached translation instead of the flipped DRAM entry.
-	evictDelta := ftl.LBA(p.CacheEvictLines) * 16
+	evictDelta := ftl.LBA(p.CacheEvictLines) * LineEntries
 	for _, lba := range probes {
 		if evictDelta > 0 {
 			// Eviction only; errors from flipped alias entries are noise.

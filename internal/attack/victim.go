@@ -48,10 +48,9 @@ type CanaryVictim struct {
 // canaryFill is the recognizable byte written to canary blocks.
 func canaryFill(lba ftl.LBA) byte { return byte(lba) ^ 0x3C }
 
-// Arm populates the victim lines of every binding and snapshots their
-// translations. Each VictimGlobalLBAs element is a 64-byte line anchor:
-// the 16 consecutive entries after it share the victim DRAM row, so all
-// of them are armed or most flips would land on unwatched entries.
+// Arm populates the victim lines of every binding (Binding.VictimEntries)
+// and snapshots their translations. An entry two bindings share is armed
+// once.
 func (v *CanaryVictim) Arm(bindings []Binding) error {
 	if v.buf == nil {
 		v.buf = make([]byte, v.Dev.BlockBytes())
@@ -60,26 +59,25 @@ func (v *CanaryVictim) Arm(bindings []Binding) error {
 	v.ppns = v.ppns[:0]
 	seen := make(map[ftl.LBA]bool)
 	for _, b := range bindings {
-		lines := b.VictimGlobalLBAs
-		if v.MaxLines > 0 && len(lines) > v.MaxLines {
-			lines = lines[:v.MaxLines]
-		}
-		for _, g := range lines {
-			for k := ftl.LBA(0); k < 16; k++ {
-				rel := g + k - v.NS.StartLBA
-				if g+k < v.NS.StartLBA || uint64(rel) >= v.NS.NumLBAs || seen[rel] {
-					continue
-				}
-				seen[rel] = true
-				for j := range v.buf {
-					v.buf[j] = canaryFill(rel)
-				}
-				if err := v.Dev.Write(v.NS, rel, v.buf, v.Path); err != nil {
-					return err
-				}
-				v.watched = append(v.watched, rel)
-				v.ppns = append(v.ppns, uint32(v.Dev.FTL().PPNOf(v.NS.StartLBA+rel)))
+		// Append b's entries, then filter them in place down to the
+		// first sighting of each.
+		n := len(v.watched)
+		v.watched = b.VictimEntries(v.watched, v.NS, v.MaxLines)
+		entries := v.watched[n:]
+		v.watched = v.watched[:n]
+		for _, rel := range entries {
+			if seen[rel] {
+				continue
 			}
+			seen[rel] = true
+			for j := range v.buf {
+				v.buf[j] = canaryFill(rel)
+			}
+			if err := v.Dev.Write(v.NS, rel, v.buf, v.Path); err != nil {
+				return err
+			}
+			v.watched = append(v.watched, rel)
+			v.ppns = append(v.ppns, uint32(v.Dev.FTL().PPNOf(v.NS.StartLBA+rel)))
 		}
 	}
 	return nil

@@ -3,11 +3,13 @@ package cloud
 import (
 	"bytes"
 	"fmt"
+	"strings"
 
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ext4"
 	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
+	"ftlhammer/internal/guard"
 	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/obs"
@@ -53,6 +55,71 @@ type Config struct {
 	Obs *obs.Registry
 	// Seed drives device randomness.
 	Seed uint64
+}
+
+// MitigationNames is the Mitigate vocabulary, ftlhammer's -mitigation
+// values.
+const MitigationNames = "none | ecc | trr[:sampler] | para[:p] | refresh[:scale] | refresh2x | cache | ratelimit | hashed | extent-only | guard"
+
+// Mitigate configures one §5 mitigation, named as in MitigationNames:
+// the catalogue ftlhammer's -mitigation flag and the mitig experiment's
+// table rows share. The FTL mitigations (cache, hashed) set Device.FTL,
+// allocating it when nil; the hashed layout's key derives from Seed. The
+// in-DRAM ones change Device.DRAM, which must be set. Their parameterized
+// forms (trr:<sampler>, para:<p>, refresh:<scale>, docs/DEFENSES.md) go
+// through dram.ParseMitigation, whose error is returned as is.
+func (c *Config) Mitigate(spec string) error {
+	sp := &c.Device
+	switch spec {
+	case "none":
+		return nil
+	case "cache", "hashed":
+		if sp.FTL == nil {
+			sp.FTL = &ftl.Config{}
+		}
+		if spec == "cache" {
+			sp.FTL.Cache.Enabled = true
+			sp.FTL.Cache.Lines = 1024
+		} else {
+			sp.FTL.Hashed = true
+			sp.FTL.HashKey = c.Seed ^ 0xD00D
+		}
+		return nil
+	case "ratelimit":
+		sp.MaxIOPS = 100_000
+		return nil
+	case "extent-only":
+		c.ForbidIndirect = true
+		return nil
+	case "guard":
+		gcfg := guard.DefaultConfig()
+		sp.Guard = &gcfg
+		return nil
+	}
+	switch name, _, _ := strings.Cut(spec, ":"); {
+	case spec != "ecc" && name != "trr" && name != "para" && name != "refresh" && name != "refresh2x":
+		return fmt.Errorf("unknown mitigation %q (want %s)", spec, MitigationNames)
+	case sp.DRAM == nil:
+		return fmt.Errorf("cloud: mitigation %q needs Device.DRAM", spec)
+	}
+	d := sp.DRAM
+	switch spec {
+	case "ecc":
+		d.ECC = true
+	case "trr":
+		d.TRR = dram.DefaultTRR()
+	case "para":
+		d.PARA = 0.02
+	case "refresh2x":
+		d.RefreshWindow = 32 * sim.Millisecond
+	default:
+		mc, err := dram.ParseMitigation(spec)
+		if err != nil {
+			return err
+		}
+		d.Profile = d.Profile.WithMitigation(mc)
+	}
+	return nil
 }
 
 // Testbed is the assembled environment. It lives in a single simulation

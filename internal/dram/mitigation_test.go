@@ -1,6 +1,9 @@
 package dram
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"ftlhammer/internal/sim"
@@ -137,4 +140,72 @@ func TestMitigationRNGSurvivesSnapshot(t *testing.T) {
 	if m.Stats() != m2.Stats() {
 		t.Fatalf("stats diverge after restore: %+v vs %+v", m.Stats(), m2.Stats())
 	}
+}
+
+// TestLoadRejectsPreZooSnapshots checks that LoadFrom refuses the two
+// shapes builds before the mitigation zoo wrote, naming the field: 10
+// stats counters, and no mit_rng. Accepting a stream without mit_rng
+// would keep the module's own PARA stream, so a restore would not
+// replace the whole state.
+func TestLoadRejectsPreZooSnapshots(t *testing.T) {
+	m := New(Config{Geometry: SmallGeometry(), Profile: TestbedProfile(), PARA: 0.3, Seed: 7}, sim.NewWorld(7))
+	wr := snapshot.NewWriter()
+	m.SaveTo(wr)
+	cur := wr.Bytes()
+	for _, tc := range []struct {
+		field  string
+		stream []byte
+	}{
+		{"", cur},
+		{"stats", shortenStats(t, cur, 10)},
+		{"mit_rng", dropField(t, cur, "mit_rng")},
+	} {
+		snap, err := snapshot.Decode(tc.stream)
+		if err != nil {
+			t.Fatalf("decode with %q rewritten: %v", tc.field, err)
+		}
+		err = New(m.cfg, sim.NewWorld(7)).LoadFrom(snap)
+		var fe *snapshot.FormatError
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("current shape: %v", err)
+		case tc.field != "" && (!errors.As(err, &fe) || fe.Field != tc.field):
+			t.Errorf("old %s shape: error %v, want one naming field %q", tc.field, err, tc.field)
+		}
+	}
+}
+
+// fieldAt returns the offset of the name header of field name in the
+// dram section of a SaveTo stream.
+func fieldAt(t *testing.T, stream []byte, name string) int {
+	t.Helper()
+	hdr := binary.LittleEndian.AppendUint16(nil, uint16(len(name)))
+	i := bytes.Index(stream, append(hdr, name...))
+	if i < 0 {
+		t.Fatalf("no field %q in the stream", name)
+	}
+	return i
+}
+
+// shortenStats rewrites the stats field of a SaveTo stream to its first n
+// counters.
+func shortenStats(t *testing.T, stream []byte, n int) []byte {
+	cnt := fieldAt(t, stream, "stats") + 2 + len("stats") + 1
+	vals := cnt + 4
+	old := int(binary.LittleEndian.Uint32(stream[cnt:]))
+	out := binary.LittleEndian.AppendUint32(append([]byte(nil), stream[:cnt]...), uint32(n))
+	out = append(out, stream[vals:vals+8*n]...)
+	return append(out, stream[vals+8*old:]...)
+}
+
+// dropField removes a uint64-array field from the dram section of a SaveTo
+// stream and decrements the section's field count.
+func dropField(t *testing.T, stream []byte, name string) []byte {
+	i := fieldAt(t, stream, name)
+	cnt := i + 2 + len(name) + 1
+	end := cnt + 4 + 8*int(binary.LittleEndian.Uint32(stream[cnt:]))
+	out := append(append([]byte(nil), stream[:i]...), stream[end:]...)
+	nFields := fieldAt(t, out, snapSection) + 2 + len(snapSection)
+	binary.LittleEndian.PutUint32(out[nFields:], binary.LittleEndian.Uint32(out[nFields:])-1)
+	return out
 }

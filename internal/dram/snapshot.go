@@ -165,21 +165,16 @@ func (m *Module) LoadFrom(snap *snapshot.Snapshot) error {
 	nBanks := m.cfg.Geometry.TotalBanks()
 
 	stats := s.U64s("stats")
-	// 10 counters = pre-mitigation-zoo snapshots (the two new counters
-	// restore as zero); 12 = current layout.
-	if len(stats) != 10 && len(stats) != 12 && s.Err() == nil {
-		s.Reject("stats", "want 10 or 12 counters, got %d", len(stats))
+	if len(stats) != 12 && s.Err() == nil {
+		s.Reject("stats", "want 12 counters, got %d", len(stats))
 	}
 	rngState := s.U64s("rng")
 	if len(rngState) != 4 && s.Err() == nil {
 		s.Reject("rng", "want 4 state words, got %d", len(rngState))
 	}
-	var mitState []uint64
-	if s.Has("mit_rng") {
-		mitState = s.U64s("mit_rng")
-		if len(mitState) != 4 && s.Err() == nil {
-			s.Reject("mit_rng", "want 4 state words, got %d", len(mitState))
-		}
+	mitState := s.U64s("mit_rng")
+	if len(mitState) != 4 && s.Err() == nil {
+		s.Reject("mit_rng", "want 4 state words, got %d", len(mitState))
 	}
 	bankActs := s.U64s("bank_acts")
 	busy := s.U64s("bank_busy")
@@ -300,15 +295,11 @@ func (m *Module) LoadFrom(snap *snapshot.Snapshot) error {
 		RowHits: stats[3], Flips: stats[4], FlipAttempts: stats[5],
 		TRRRefreshes: stats[6], PARARefreshes: stats[7],
 		ECCCorrected: stats[8], ECCUncorrected: stats[9],
-	}
-	if len(stats) == 12 {
-		m.stats.TRRDropped, m.stats.PARADraws = stats[10], stats[11]
+		TRRDropped: stats[10], PARADraws: stats[11],
 	}
 	m.pendingStall = sim.Duration(s.U64("pending_stall"))
 	m.rng.SetState([4]uint64{rngState[0], rngState[1], rngState[2], rngState[3]})
-	if mitState != nil {
-		m.mitRNG.SetState([4]uint64{mitState[0], mitState[1], mitState[2], mitState[3]})
-	}
+	m.mitRNG.SetState([4]uint64{mitState[0], mitState[1], mitState[2], mitState[3]})
 	copy(m.bankActs, bankActs)
 	for i, v := range busy {
 		m.bankBusyUntil[i] = sim.Time(v)

@@ -141,36 +141,24 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 		victim, len(bindings))
 
 	// Populate the victim's translations sitting in the candidate victim
-	// rows, so a flip has a live L2P entry to redirect.
-	qp, err := dev.NewQueuePair(vicNS, nvme.PathDirect, 32)
-	if err != nil {
-		return err
-	}
+	// rows, so a flip has a live L2P entry to redirect: writes in batches
+	// of queue depth 32.
 	data := make([]byte, dev.FTL().BlockBytes())
 	for i := range data {
 		data[i] = 0xA5
 	}
-	prepare := func(b attack.Binding) error {
-		n := 0
-		for _, g := range b.VictimGlobalLBAs {
-			for k := ftl.LBA(0); k < 16; k++ {
-				lba := g + k
-				if lba < vicNS.StartLBA || uint64(lba-vicNS.StartLBA) >= vicNS.NumLBAs {
-					continue
-				}
-				if err := qp.Submit(nvme.Command{Op: nvme.OpWrite, LBA: lba - vicNS.StartLBA, Buf: data}); err != nil {
-					return err
-				}
-				n++
-				if n%qp.Depth() == 0 {
-					qp.Ring()
-					qp.Completions()
-				}
+	var entries []ftl.LBA
+	cmds := make([]nvme.Command, 0, 32)
+	var comps []nvme.Completion
+	prepare := func(b attack.Binding) {
+		entries = b.VictimEntries(entries[:0], vicNS, 0)
+		for i, rel := range entries {
+			cmds = append(cmds, nvme.Command{Op: nvme.OpWrite, NS: vicNS, Path: nvme.PathDirect, LBA: rel, Buf: data})
+			if len(cmds) == cap(cmds) || i == len(entries)-1 {
+				comps = dev.DoBatch(nil, cmds, comps[:0])
+				cmds = cmds[:0]
 			}
 		}
-		qp.Ring()
-		qp.Completions()
-		return nil
 	}
 
 	h := &attack.DeviceHammerer{Dev: dev, NS: aggNS, Path: nvme.PathDirect}
@@ -185,9 +173,7 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 		if i >= maxPlans {
 			break
 		}
-		if err := prepare(b); err != nil {
-			return err
-		}
+		prepare(b)
 		before := attack.SnapshotVictimLines(dev.FTL(), b)
 		fast, err := attack.PinAndTrim(dev, aggNS, nvme.PathDirect, b)
 		if err != nil {

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/fleet"
-	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nand"
-	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/sim"
 )
 
@@ -55,31 +52,6 @@ func fillVictimRow(m *dram.Module, row int, scratch []uint64) ([]uint64, error) 
 		}
 	}
 	return scratch, nil
-}
-
-// prepareOwnVictimLines is the §3.1 setup phase for one binding: it
-// writes the setup fill to every entry of b's victim lines that lies in
-// ns, so each holds a mapped translation a flip can redirect. It returns
-// how many entries it wrote.
-func prepareOwnVictimLines(dev *nvme.Device, ns *nvme.Namespace, b attack.Binding) (int, error) {
-	buf := make([]byte, dev.BlockBytes())
-	n := 0
-	for _, g := range b.VictimGlobalLBAs {
-		for k := ftl.LBA(0); k < 16; k++ {
-			if g+k < ns.StartLBA || uint64(g+k-ns.StartLBA) >= ns.NumLBAs {
-				continue
-			}
-			rel := g + k - ns.StartLBA
-			for j := range buf {
-				buf[j] = byte(rel) ^ 0xA5
-			}
-			if err := dev.Write(ns, rel, buf, nvme.PathDirect); err != nil {
-				return n, err
-			}
-			n++
-		}
-	}
-	return n, nil
 }
 
 // paperTestbedConfig is the §4.1 cloud environment at full scale: the

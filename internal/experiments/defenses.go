@@ -213,10 +213,9 @@ func probeDefense(spec defenseSpec, quick bool, reg *obs.Registry) (defenseResul
 	pat := attack.DoublePattern()
 	remaps := 0
 	for _, b := range bindings {
-		// VictimGlobalLBAs are line anchors: the 16 consecutive entries
-		// after each share the victim DRAM row, so populate and snapshot
-		// all of them or most flips land on unwatched entries.
-		if _, err := prepareOwnVictimLines(dev, aggNS, b); err != nil {
+		// Populate and snapshot every entry of the victim lines, or
+		// most flips land on unwatched entries.
+		if _, err := attack.PrepareVictimLines(dev, aggNS, b); err != nil {
 			return defenseResult{}, err
 		}
 		before := attack.SnapshotVictimLines(dev.FTL(), b)

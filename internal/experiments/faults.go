@@ -7,7 +7,6 @@ import (
 
 	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/obs"
@@ -83,14 +82,12 @@ func FaultsRobustness(w io.Writer, opt Options) error {
 	return nil
 }
 
-// faultProbe runs one trial: build the testbed with the plan armed, drive
-// a victim goodput workload, then the standardized attack probe.
+// faultProbe runs one trial: build the standardized probe testbed with
+// the plan armed, drive a victim goodput workload, then the standardized
+// attack probe. Degradation stopping the attack (read-only mode,
+// exhausted retries) is a result, not an error: it reports Blocked.
 func faultProbe(rate float64, seed uint64, quick bool, reg *obs.Registry) (faultTrial, error) {
-	cfg := quickTestbedConfig(seed)
-	cfg.Device.Amplify = 1
-	// Single-tenant mapping so the probe can observe its own victim rows
-	// (same standardization as the §5 mitigation probes).
-	cfg.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+	cfg := probeTestbedConfig(seed)
 	cfg.Device.FaultRate = rate
 	cfg.Device.Robust = true
 	cfg.Obs = reg
@@ -100,14 +97,11 @@ func faultProbe(rate float64, seed uint64, quick bool, reg *obs.Registry) (fault
 	}
 
 	// Victim goodput: a mixed 2:1 read/write raw workload on the victim
-	// namespace through a queue pair, as the legitimate tenant's traffic.
+	// namespace in batches of queue depth 32, as the legitimate tenant's
+	// traffic.
 	nOps := 6000
 	if quick {
 		nOps = 2000
-	}
-	qp, err := tb.Device.NewQueuePair(tb.VictimNS, nvme.PathHostFS, 32)
-	if err != nil {
-		return faultTrial{}, err
 	}
 	rng := tb.World.Stream(0x600d9)
 	buf := make([]byte, tb.Device.BlockBytes())
@@ -115,37 +109,34 @@ func faultProbe(rate float64, seed uint64, quick bool, reg *obs.Registry) (fault
 	for i := range data {
 		data[i] = byte(i)
 	}
+	cmds := make([]nvme.Command, 0, 32)
+	var comps []nvme.Completion
 	start := tb.Clock.Now()
 	ok, bad := 0, 0
-	for done := 0; done < nOps; {
-		batch := qp.Depth()
-		if nOps-done < batch {
-			batch = nOps - done
-		}
-		for j := 0; j < batch; j++ {
+	for done := 0; done < nOps; done += len(cmds) {
+		cmds = cmds[:0]
+		for len(cmds) < cap(cmds) && done+len(cmds) < nOps {
 			lba := ftl.LBA(rng.Uint64n(tb.VictimNS.NumLBAs))
-			cmd := nvme.Command{Op: nvme.OpRead, LBA: lba, Buf: buf}
+			cmd := nvme.Command{Op: nvme.OpRead, NS: tb.VictimNS, Path: nvme.PathHostFS, LBA: lba, Buf: buf}
 			if rng.Float64() > 0.67 {
-				cmd = nvme.Command{Op: nvme.OpWrite, LBA: lba, Buf: data}
+				cmd.Op, cmd.Buf = nvme.OpWrite, data
 			}
-			if err := qp.Submit(cmd); err != nil {
-				return faultTrial{}, err
-			}
+			cmds = append(cmds, cmd)
 		}
-		qp.Ring()
-		for _, c := range qp.Completions() {
+		comps = tb.Device.DoBatch(nil, cmds, comps[:0])
+		for _, c := range comps {
 			if c.Err != nil {
 				bad++
 			} else {
 				ok++
 			}
 		}
-		done += batch
 	}
 	elapsed := tb.Clock.Now().Sub(start)
 
-	observed, blocked, err := faultAttackProbe(tb, quick)
-	if err != nil {
+	observed, err := templateProbe(tb, attack.DoublePattern(), quick)
+	blocked := err != nil && isDegradation(err)
+	if err != nil && !blocked {
 		return faultTrial{}, err
 	}
 
@@ -161,42 +152,6 @@ func faultProbe(rate float64, seed uint64, quick bool, reg *obs.Registry) (fault
 		Observed: observed,
 		Blocked:  blocked,
 	}, nil
-}
-
-// faultAttackProbe runs the standardized templating attack. Degradation
-// stopping the attack (read-only mode, exhausted retries) is a result,
-// not an error: it reports blocked=true.
-func faultAttackProbe(tb *cloud.Testbed, quick bool) (observed, blocked bool, err error) {
-	bindings, err := attack.Analyze(tb.Device, tb.AttackerNS, attack.AnalyzeOptions{})
-	if err != nil {
-		if isDegradation(err) {
-			return false, true, nil
-		}
-		return false, false, err
-	}
-	nPlans := 6
-	if quick {
-		nPlans = 4
-	}
-	if len(bindings) > nPlans {
-		bindings = bindings[:nPlans]
-	}
-	pat := attack.DoublePattern()
-	pat.Iterations = int(attack.RequiredRate(tb.Device)*tb.DRAM.Config().RefreshWindow.Seconds()) * 2
-	h := &attack.DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
-	results, err := attack.Template(h, bindings, pat)
-	if err != nil {
-		if isDegradation(err) {
-			return false, true, nil
-		}
-		return false, false, err
-	}
-	for _, r := range results {
-		if r.Vulnerable {
-			observed = true
-		}
-	}
-	return observed, false, nil
 }
 
 // isDegradation classifies command failures caused by the robustness

@@ -45,7 +45,7 @@ func Figure1(w io.Writer, opt Options) error {
 		if i >= 24 {
 			break
 		}
-		n, err := prepareOwnVictimLines(tb.Device, ns, b)
+		n, err := attack.PrepareVictimLines(tb.Device, ns, b)
 		if err != nil {
 			return err
 		}

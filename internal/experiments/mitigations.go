@@ -8,10 +8,8 @@ import (
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ftl"
-	"ftlhammer/internal/guard"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/obs"
-	"ftlhammer/internal/sim"
 )
 
 // mitigationResult is one row of the §5 table.
@@ -23,53 +21,34 @@ type mitigationResult struct {
 	Outcome   string // summary
 }
 
-// mitigationProbe is one §5 table row specification: a config mutation
-// plus the hammer pattern probing it. Each probe builds its own testbed
-// in its own world, so probes are independent trials for the parallel
-// engine.
+// mitigationProbe is one §5 table row: a row label, the mitigation as
+// cloud.Config.Mitigate (ftlhammer -mitigation) names it, and the hammer
+// pattern probing it. Each probe builds its own testbed in its own world,
+// so probes are independent trials for the parallel engine.
 type mitigationProbe struct {
 	name    string
-	mutate  func(*cloud.Config)
+	spec    string
 	pattern attack.Pattern
 }
 
 // mitigationProbes returns the §5 probe matrix in table order.
 func mitigationProbes() []mitigationProbe {
-	gcfg := guard.DefaultConfig()
 	double := attack.DoublePattern()
 	synced := double
 	synced.SyncDecoy = true
 	evicting := double
 	evicting.CacheEvictLines = 1024
 	return []mitigationProbe{
-		{"none (baseline)", nil, double},
-		{"ECC (SEC-DED per 64-bit word)", func(c *cloud.Config) {
-			c.Device.DRAM.ECC = true
-		}, double},
-		{"TRR (sampler=1)", func(c *cloud.Config) {
-			c.Device.DRAM.TRR = dram.DefaultTRR()
-		}, double},
-		{"TRR vs synchronized decoys", func(c *cloud.Config) {
-			c.Device.DRAM.TRR = dram.DefaultTRR()
-		}, synced},
-		{"PARA p=0.02", func(c *cloud.Config) {
-			c.Device.DRAM.PARA = 0.02
-		}, double},
-		{"2x refresh rate (32 ms window)", func(c *cloud.Config) {
-			c.Device.DRAM.RefreshWindow = 32 * sim.Millisecond
-		}, double},
-		{"FTL CPU cache for L2P", func(c *cloud.Config) {
-			c.Device.FTL = &ftl.Config{Cache: ftl.CacheConfig{Enabled: true, Lines: 1024}}
-		}, double},
-		{"FTL cache vs eviction-aware reads", func(c *cloud.Config) {
-			c.Device.FTL = &ftl.Config{Cache: ftl.CacheConfig{Enabled: true, Lines: 1024}}
-		}, evicting},
-		{"I/O rate limit (100K IOPS/ns)", func(c *cloud.Config) {
-			c.Device.MaxIOPS = 100_000
-		}, double},
-		{"hammer guard (ours: detect+throttle)", func(c *cloud.Config) {
-			c.Device.Guard = &gcfg
-		}, double},
+		{"none (baseline)", "none", double},
+		{"ECC (SEC-DED per 64-bit word)", "ecc", double},
+		{"TRR (sampler=1)", "trr", double},
+		{"TRR vs synchronized decoys", "trr", synced},
+		{"PARA p=0.02", "para", double},
+		{"2x refresh rate (32 ms window)", "refresh2x", double},
+		{"FTL CPU cache for L2P", "cache", double},
+		{"FTL cache vs eviction-aware reads", "cache", evicting},
+		{"I/O rate limit (100K IOPS/ns)", "ratelimit", double},
+		{"hammer guard (ours: detect+throttle)", "guard", double},
 	}
 }
 
@@ -83,7 +62,7 @@ func Mitigations5(w io.Writer, opt Options) error {
 	probes := mitigationProbes()
 	rows, err := runTrialsObs(opt, len(probes), func(i int, reg *obs.Registry) (mitigationResult, error) {
 		p := probes[i]
-		r, err := probeMitigation(p.name, p.mutate, p.pattern, opt.Quick, reg)
+		r, err := probeMitigation(p, opt.Quick, reg)
 		if err != nil {
 			return mitigationResult{}, fmt.Errorf("experiments: mitigation %q: %w", p.name, err)
 		}
@@ -131,59 +110,25 @@ func Mitigations5(w io.Writer, opt Options) error {
 	return nil
 }
 
-// probeMitigation runs the standardized probe under one configuration.
+// probeMitigation runs the standardized probe under one mitigation.
 // reg (may be nil) observes the probe's testbed.
-func probeMitigation(name string, mutate func(*cloud.Config), pat attack.Pattern, quick bool, reg *obs.Registry) (mitigationResult, error) {
-	cfg := quickTestbedConfig(0x50)
-	cfg.Device.Amplify = 1
-	// Single-tenant mapping so the probe can observe its own victim rows.
-	cfg.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
-	if mutate != nil {
-		mutate(&cfg)
+func probeMitigation(p mitigationProbe, quick bool, reg *obs.Registry) (mitigationResult, error) {
+	cfg := probeTestbedConfig(0x50)
+	if err := cfg.Mitigate(p.spec); err != nil {
+		return mitigationResult{}, err
 	}
 	cfg.Obs = reg
 	tb, err := cloud.NewTestbed(cfg)
 	if err != nil {
 		return mitigationResult{}, err
 	}
-	bindings, err := attack.Analyze(tb.Device, tb.AttackerNS, attack.AnalyzeOptions{})
+	observed, err := templateProbe(tb, p.pattern, quick)
 	if err != nil {
 		return mitigationResult{}, err
-	}
-	if pat.SyncDecoy {
-		withDecoys := bindings[:0]
-		for _, b := range bindings {
-			if b.HasDecoy {
-				withDecoys = append(withDecoys, b)
-			}
-		}
-		bindings = withDecoys
-		if len(bindings) == 0 {
-			return mitigationResult{}, fmt.Errorf("no plans with decoy rows")
-		}
-	}
-	nPlans := 6
-	if quick {
-		nPlans = 4
-	}
-	if len(bindings) > nPlans {
-		bindings = bindings[:nPlans]
-	}
-	pat.Iterations = int(attack.RequiredRate(tb.Device)*tb.DRAM.Config().RefreshWindow.Seconds()) * 2
-	h := &attack.DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
-	results, err := attack.Template(h, bindings, pat)
-	if err != nil {
-		return mitigationResult{}, err
-	}
-	observed := false
-	for _, r := range results {
-		if r.Vulnerable {
-			observed = true
-		}
 	}
 	st := tb.DRAM.Stats()
 	res := mitigationResult{
-		Name:      name,
+		Name:      p.name,
 		Flips:     st.Flips,
 		Corrected: st.ECCCorrected,
 		Observed:  observed,
@@ -199,4 +144,58 @@ func probeMitigation(name string, mutate func(*cloud.Config), pat attack.Pattern
 		res.Outcome = "ATTACK SUCCEEDS (silent corruption)"
 	}
 	return res, nil
+}
+
+// probeTestbedConfig is the standardized probe's testbed, shared by the
+// §5 and faults tables: the quick testbed at x1 amplification with the
+// single-tenant bank-XOR mapping, so the probe can observe its own victim
+// rows.
+func probeTestbedConfig(seed uint64) cloud.Config {
+	cfg := quickTestbedConfig(seed)
+	cfg.Device.Amplify = 1
+	cfg.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+	return cfg
+}
+
+// templateProbe is the standardized attack probe: offline analysis, then
+// attack.Template with pat over the first 6 own-partition plans (4 in
+// quick mode; a SyncDecoy pattern only takes plans with a decoy row), at
+// twice the refresh window's hammer count. It reports whether any plan
+// showed attacker-visible translation corruption.
+func templateProbe(tb *cloud.Testbed, pat attack.Pattern, quick bool) (bool, error) {
+	bindings, err := attack.Analyze(tb.Device, tb.AttackerNS, attack.AnalyzeOptions{})
+	if err != nil {
+		return false, err
+	}
+	if pat.SyncDecoy {
+		withDecoys := bindings[:0]
+		for _, b := range bindings {
+			if b.HasDecoy {
+				withDecoys = append(withDecoys, b)
+			}
+		}
+		bindings = withDecoys
+		if len(bindings) == 0 {
+			return false, fmt.Errorf("no plans with decoy rows")
+		}
+	}
+	nPlans := 6
+	if quick {
+		nPlans = 4
+	}
+	if len(bindings) > nPlans {
+		bindings = bindings[:nPlans]
+	}
+	pat.Iterations = int(attack.RequiredRate(tb.Device)*tb.DRAM.Config().RefreshWindow.Seconds()) * 2
+	h := &attack.DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
+	results, err := attack.Template(h, bindings, pat)
+	if err != nil {
+		return false, err
+	}
+	for _, r := range results {
+		if r.Vulnerable {
+			return true, nil
+		}
+	}
+	return false, nil
 }

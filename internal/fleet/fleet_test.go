@@ -256,8 +256,18 @@ func TestSingleDeviceFleetMatchesServerBehavior(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Depth() != 8 {
-		t.Errorf("granted window %d, want 8", c.Depth())
+	// The granted window is the 8 asked for: 8 submissions fit, a ninth
+	// does not.
+	for i := 0; i < 8; i++ {
+		if err := c.Submit(nvme.Command{Op: nvme.OpTrim, LBA: ftl.LBA(i)}); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	if err := c.Submit(nvme.Command{Op: nvme.OpTrim, LBA: 8}); !errors.Is(err, nvme.ErrQueueFull) {
+		t.Errorf("ninth submit: %v, want nvme.ErrQueueFull", err)
+	}
+	if _, err := c.Ring(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	buf := make([]byte, c.BlockBytes())
 	payloadFor(buf, 2, 0)

@@ -162,32 +162,31 @@ func TestDoBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestQueuePairRingAllocs pins that a queue pair reuses its completion
-// slice: once warm, a Ring drained by Completions allocates nothing.
-func TestQueuePairRingAllocs(t *testing.T) {
+// TestDoBatchRefilledBatchAllocs pins the batching pattern of the
+// experiments' queue-depth-32 loops: a caller-owned command slice
+// refilled in place and a recycled completions slice make a warm batch
+// allocate nothing.
+func TestDoBatchRefilledBatchAllocs(t *testing.T) {
 	dev, ns, _ := testDevice(t, nil)
-	qp, err := dev.NewQueuePair(ns, PathDirect, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	buf := make([]byte, dev.BlockBytes())
-	ring := func() {
-		for i := 0; i < qp.Depth(); i++ {
-			if err := qp.Submit(Command{Op: OpRead, LBA: ftl.LBA(i), Buf: buf}); err != nil {
-				t.Fatal(err)
-			}
+	cmds := make([]Command, 0, 8)
+	var comps []Completion
+	batch := func() {
+		cmds = cmds[:0]
+		for i := 0; i < cap(cmds); i++ {
+			cmds = append(cmds, Command{Op: OpRead, NS: ns, Path: PathDirect, LBA: ftl.LBA(i), Buf: buf})
 		}
-		qp.Ring()
-		for _, c := range qp.Completions() {
+		comps = dev.DoBatch(nil, cmds, comps[:0])
+		for _, c := range comps {
 			if c.Err != nil {
 				t.Fatal(c.Err)
 			}
 		}
 	}
 	for i := 0; i < 16; i++ {
-		ring()
+		batch()
 	}
-	if avg := testing.AllocsPerRun(100, ring); avg != 0 {
-		t.Errorf("QueuePair Ring+Completions: %v allocs/op, want 0", avg)
+	if avg := testing.AllocsPerRun(100, batch); avg != 0 {
+		t.Errorf("refilled DoBatch: %v allocs/op, want 0", avg)
 	}
 }

@@ -116,10 +116,10 @@ type Device struct {
 	guard      *guard.Guard
 	// obs is the world's registry (nil disables; all uses are nil-safe).
 	obs *obs.Registry
-	// maxBatch is the largest queue-pair doorbell batch serviced
+	// maxBatch is the largest DoBatch batch serviced
 	// (nvme_queue_batch_max).
 	maxBatch int
-	// rec, when set, observes every command entering DoContext (the
+	// rec, when set, observes every command entering doContext (the
 	// record half of record-replay; see SetRecorder).
 	rec func(CommandRecord)
 
@@ -240,6 +240,15 @@ func (ns *Namespace) Stats() NSStats { return ns.stats }
 // ErrOutOfRange reports an LBA beyond the namespace.
 var ErrOutOfRange = errors.New("nvme: LBA out of namespace range")
 
+// Local converts a device-global LBA to one relative to ns, reporting
+// whether ns holds it.
+func (ns *Namespace) Local(g ftl.LBA) (ftl.LBA, bool) {
+	if g < ns.StartLBA || uint64(g-ns.StartLBA) >= ns.NumLBAs {
+		return 0, false
+	}
+	return g - ns.StartLBA, true
+}
+
 // global translates a namespace-relative LBA.
 func (d *Device) global(ns *Namespace, lba ftl.LBA) (ftl.LBA, error) {
 	if uint64(lba) >= ns.NumLBAs {
@@ -359,8 +368,9 @@ func (d *Device) serveOnce(ns *Namespace, g ftl.LBA, op Opcode, buf []byte) (map
 var ErrNoNamespace = errors.New("nvme: command has no namespace")
 
 // Do executes one command synchronously and returns its completion. It is
-// the single typed entrypoint shared by queue pairs, the network transport
-// and direct callers; Read, Write and Trim are thin wrappers over it.
+// the single typed entrypoint shared by the network transport and
+// in-process callers; DoBatch, Read, Write and Trim are thin wrappers over
+// it.
 //
 // The returned error reports submission-level rejections only (nil
 // namespace, invalid opcode) — cases where the command never reached the
@@ -368,16 +378,16 @@ var ErrNoNamespace = errors.New("nvme: command has no namespace")
 // read-only rejection, media failure, timeout) lands in Completion.Err,
 // exactly as it would arrive in a completion queue entry.
 func (d *Device) Do(cmd Command) (Completion, error) {
-	return d.DoContext(context.Background(), cmd)
+	return d.doContext(context.Background(), cmd)
 }
 
-// DoContext is Do with first-class cancellation: ctx is consulted between
-// service attempts of the robustness retry loop, so a caller abandoning a
-// command (a disconnected transport session, a canceled experiment) stops
-// burning retries instead of waiting for the deadline budget to exhaust.
-// A nil ctx behaves like context.Background(). Without the robustness
-// path, commands are a single synchronous attempt and ctx is not checked.
-func (d *Device) DoContext(ctx context.Context, cmd Command) (Completion, error) {
+// doContext is Do with cancellation: ctx is consulted between service
+// attempts of the robustness retry loop, so a caller abandoning a command
+// (a disconnected transport session) stops burning retries instead of
+// waiting for the deadline budget to exhaust. A nil ctx never cancels.
+// Without the robustness path, commands are a single synchronous attempt
+// and ctx is not checked.
+func (d *Device) doContext(ctx context.Context, cmd Command) (Completion, error) {
 	c := Completion{Tag: cmd.Tag}
 	ns := cmd.NS
 	if ns == nil {
@@ -431,18 +441,39 @@ func (d *Device) DoContext(ctx context.Context, cmd Command) (Completion, error)
 }
 
 // DoBatch executes cmds in order, appending one completion per command to
-// comps and returning the extended slice. comps may be nil or a recycled
-// slice with spare capacity — when it has room for len(cmds) more entries
-// the call performs no allocations, which is what lets the transport
-// engine run a whole wire batch without garbage. Submission-level
-// rejections surface as the command's Completion.Err, exactly as
-// QueuePair.Ring reports them.
+// comps and returning the extended slice: the doorbell of the NVMe-style
+// submission/completion queues the paper's workload uses (§3.1). comps
+// may be nil or a recycled slice with spare capacity — when it has room
+// for len(cmds) more entries the call performs no allocations, which is
+// what lets the transport server run a whole wire batch without garbage.
+// Submission-level rejections surface as the command's Completion.Err.
+// ctx is consulted between retry attempts of the robustness path (see
+// robustly); nil never cancels.
+//
+// Completion-path invariants (audited for the fault-injection layer; the
+// historical model silently assumed every command eventually succeeds):
+//
+//  1. Every submitted command yields exactly one Completion, in
+//     submission order — even under injected faults. Lost completions
+//     are modeled *inside* the device's robustness layer (the host-side
+//     deadline detects the drop and aborts/requeues), so by the time
+//     DoBatch returns, no command is outstanding.
+//  2. A completion's Err is nil only if the command's data/mapping
+//     effect is real. Failure is never silent: commands that exhaust the
+//     retry budget complete with a typed error — ErrTimeout, ErrAborted,
+//     ErrMediaFailure, or ErrReadOnly — and non-transient device errors
+//     (ftl.CorruptMappingError, dram.ECCError, out-of-range) pass
+//     through verbatim, matchable with errors.Is/errors.As.
+//  3. Virtual time advances monotonically across the batch; retry
+//     backoff and deadline waits are charged to the clock before the
+//     next command is serviced, so completion timestamps (and all
+//     derived metrics) are deterministic at any -parallel worker count.
 func (d *Device) DoBatch(ctx context.Context, cmds []Command, comps []Completion) []Completion {
 	if n := len(cmds); n > d.maxBatch {
 		d.maxBatch = n
 	}
 	for i := range cmds {
-		c, err := d.DoContext(ctx, cmds[i])
+		c, err := d.doContext(ctx, cmds[i])
 		if err != nil {
 			c.Err = err
 		}
@@ -453,9 +484,6 @@ func (d *Device) DoBatch(ctx context.Context, cmds []Command, comps []Completion
 
 // Read services one block read. The returned mapped flag reports whether
 // flash was touched (false for trimmed/unwritten LBAs — the fast path).
-//
-// Deprecated: build a Command and call Do; Read survives as a convenience
-// wrapper for existing call sites.
 func (d *Device) Read(ns *Namespace, lba ftl.LBA, buf []byte, path Path) (mapped bool, err error) {
 	c, err := d.Do(Command{Op: OpRead, NS: ns, Path: path, LBA: lba, Buf: buf})
 	if err != nil {
@@ -465,9 +493,6 @@ func (d *Device) Read(ns *Namespace, lba ftl.LBA, buf []byte, path Path) (mapped
 }
 
 // Write services one block write.
-//
-// Deprecated: build a Command and call Do; Write survives as a convenience
-// wrapper for existing call sites.
 func (d *Device) Write(ns *Namespace, lba ftl.LBA, data []byte, path Path) error {
 	c, err := d.Do(Command{Op: OpWrite, NS: ns, Path: path, LBA: lba, Buf: data})
 	if err != nil {
@@ -477,9 +502,6 @@ func (d *Device) Write(ns *Namespace, lba ftl.LBA, data []byte, path Path) error
 }
 
 // Trim deallocates one block (NVMe Dataset Management / Deallocate).
-//
-// Deprecated: build a Command and call Do; Trim survives as a convenience
-// wrapper for existing call sites.
 func (d *Device) Trim(ns *Namespace, lba ftl.LBA, path Path) error {
 	c, err := d.Do(Command{Op: OpTrim, NS: ns, Path: path, LBA: lba})
 	if err != nil {

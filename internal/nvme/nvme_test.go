@@ -226,57 +226,26 @@ func TestL2POwnerUnavailableWhenHashed(t *testing.T) {
 	}
 }
 
-func TestQueuePairRoundTrip(t *testing.T) {
+// TestDoBatchRoundTrip checks that a batch completes in submission order
+// with each command's tag, and that a read in the batch sees the write
+// before it.
+func TestDoBatchRoundTrip(t *testing.T) {
 	dev, nsA, _ := testDevice(t, nil)
-	qp, err := dev.NewQueuePair(nsA, PathDirect, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := blockOf(dev, 7)
-	if err := qp.Submit(Command{Op: OpWrite, LBA: 3, Buf: w, Tag: 1}); err != nil {
-		t.Fatal(err)
-	}
 	r := make([]byte, dev.BlockBytes())
-	if err := qp.Submit(Command{Op: OpRead, LBA: 3, Buf: r, Tag: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if n := qp.Ring(); n != 2 {
-		t.Fatalf("Ring processed %d, want 2", n)
-	}
-	cs := qp.Completions()
+	cs := dev.DoBatch(nil, []Command{
+		{Op: OpWrite, NS: nsA, Path: PathDirect, LBA: 3, Buf: blockOf(dev, 7), Tag: 1},
+		{Op: OpRead, NS: nsA, Path: PathDirect, LBA: 3, Buf: r, Tag: 2},
+	}, nil)
 	if len(cs) != 2 {
 		t.Fatalf("%d completions, want 2", len(cs))
 	}
-	for _, c := range cs {
-		if c.Err != nil {
-			t.Fatalf("completion tag %d: %v", c.Tag, c.Err)
+	for i, c := range cs {
+		if c.Err != nil || c.Tag != uint64(i+1) {
+			t.Fatalf("completion %d: tag %d, err %v", i, c.Tag, c.Err)
 		}
 	}
 	if !cs[1].Mapped || r[0] != 7 {
-		t.Fatal("queued read returned wrong data")
-	}
-	if len(qp.Completions()) != 0 {
-		t.Fatal("completions not drained")
-	}
-}
-
-func TestQueuePairDepthEnforced(t *testing.T) {
-	dev, nsA, _ := testDevice(t, nil)
-	qp, err := dev.NewQueuePair(nsA, PathDirect, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := blockOf(dev, 0)
-	for i := 0; i < 2; i++ {
-		if err := qp.Submit(Command{Op: OpRead, LBA: 0, Buf: buf}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := qp.Submit(Command{Op: OpRead, LBA: 0, Buf: buf}); err != ErrQueueFull {
-		t.Fatalf("overflow submit returned %v, want ErrQueueFull", err)
-	}
-	if _, err := dev.NewQueuePair(nsA, PathDirect, 0); err == nil {
-		t.Fatal("zero-depth queue accepted")
+		t.Fatal("batched read returned wrong data")
 	}
 }
 

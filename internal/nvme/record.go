@@ -3,7 +3,7 @@ package nvme
 import "ftlhammer/internal/ftl"
 
 // CommandRecord is the replay-trace view of one command as it entered
-// DoContext: enough to re-execute it exactly, nothing more. Every
+// the device: enough to re-execute it exactly, nothing more. Every
 // admitted command is recorded — including ones that will fail with an
 // out-of-range or read-only error, since those completions are part of
 // the behavior a replay must reproduce.
@@ -24,7 +24,7 @@ type CommandRecord struct {
 
 // SetRecorder installs fn as the device's command observer; nil removes
 // it. The recorder runs synchronously on the device's goroutine at the
-// top of DoContext, before any state changes, so a recorded trace
+// top of doContext, before any state changes, so a recorded trace
 // replayed from the same starting state re-executes identically.
 // internal/replay.Recorder is the standard JSONL implementation.
 func (d *Device) SetRecorder(fn func(CommandRecord)) { d.rec = fn }

@@ -13,7 +13,7 @@ import (
 
 // Typed command-failure errors. Every submitted command completes with
 // exactly one of these (or a lower-layer error passed through verbatim);
-// see the completion-path invariants on QueuePair.Ring.
+// see the completion-path invariants on Device.DoBatch.
 var (
 	// ErrTimeout reports a command whose service attempt exceeded the
 	// per-attempt deadline even after all retries; the host gave up.

@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -181,6 +182,39 @@ func TestDroppedCompletionRequeueSucceeds(t *testing.T) {
 	rs := dev.RobustStats()
 	if rs.DroppedCompletions != 1 || rs.Retries != 1 || rs.AbortedCmds != 0 {
 		t.Fatalf("stats %+v, want 1 drop, 1 retry, 0 aborts", rs)
+	}
+}
+
+// TestCanceledBatchStopsRetrying checks the robust path's cancellation:
+// under DoBatch with a canceled ctx, a command whose first attempt loses
+// its completion completes with ctx.Err() after that one attempt instead
+// of requeueing, and the rest of the batch still completes.
+func TestCanceledBatchStopsRetrying(t *testing.T) {
+	plan := faults.Plan{}.With(faults.Rule{Kind: faults.KindDropCompletion, Every: 1, Count: 1})
+	dev, ns, inj := robustDevice(t, plan, DefaultRobust())
+	if err := dev.Write(ns, 5, blockOf(dev, 0x55), PathDirect); err != nil {
+		t.Fatal(err)
+	}
+	inj.Arm()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	buf := make([]byte, dev.BlockBytes())
+	cs := dev.DoBatch(ctx, []Command{
+		{Op: OpRead, NS: ns, Path: PathDirect, LBA: 5, Buf: buf},
+		{Op: OpRead, NS: ns, Path: PathDirect, LBA: 5, Buf: buf},
+	}, nil)
+	if len(cs) != 2 {
+		t.Fatalf("%d completions, want 2", len(cs))
+	}
+	if !errors.Is(cs[0].Err, ctx.Err()) {
+		t.Fatalf("first completion err = %v, want %v", cs[0].Err, ctx.Err())
+	}
+	if cs[1].Err != nil || buf[0] != 0x55 {
+		t.Fatalf("second completion err = %v, data %#x, want a clean read of 0x55", cs[1].Err, buf[0])
+	}
+	rs := dev.RobustStats()
+	if rs.DroppedCompletions != 1 || rs.Retries != 0 || rs.AbortedCmds != 0 {
+		t.Fatalf("stats %+v, want 1 drop, 0 retries, 0 aborts", rs)
 	}
 }
 

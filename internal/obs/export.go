@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -244,4 +245,70 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// FlagRegistry returns the registry a command's -metrics and -trace flags
+// ask for: nil when both are empty, a registry tracing into a 1<<16-event
+// ring when trace names a file, an untraced one otherwise. A metrics mode
+// other than "", "table" or "json" is an error.
+func FlagRegistry(metrics, trace string) (*Registry, error) {
+	if metrics != "" && metrics != "table" && metrics != "json" {
+		return nil, fmt.Errorf("-metrics must be 'table' or 'json', got %q", metrics)
+	}
+	switch {
+	case trace != "":
+		return NewTracing(1 << 16), nil
+	case metrics != "":
+		return NewRegistry(), nil
+	}
+	return nil, nil
+}
+
+// DumpExit writes a command's exit-time report of reg (nil: nothing).
+// It flushes reg, writes the snapshot, volatile series included, to out
+// as a table after a blank line or as JSON per the metrics mode, and when
+// trace names a file writes the event trace there after its header, then
+// a "trace: N events written" line to out. Every error is returned:
+// losing the dump is a failed run.
+func DumpExit(out io.Writer, reg *Registry, metrics, trace string) error {
+	if reg == nil {
+		return nil
+	}
+	reg.Flush()
+	snap := reg.Snapshot(true)
+	switch metrics {
+	case "table":
+		if _, err := fmt.Fprintln(out); err != nil {
+			return err
+		}
+		if err := snap.WriteTable(out); err != nil {
+			return err
+		}
+	case "json":
+		if err := snap.WriteJSON(out); err != nil {
+			return err
+		}
+	}
+	if trace == "" {
+		return nil
+	}
+	tf, err := os.Create(trace)
+	if err != nil {
+		return err
+	}
+	if err := WriteTraceHeader(tf); err != nil {
+		tf.Close()
+		return err
+	}
+	if err := WriteEventsJSONL(tf, reg.Events()); err != nil {
+		tf.Close()
+		return err
+	}
+	if err := tf.Close(); err != nil {
+		return err
+	}
+	total, dropped := reg.TraceTotals()
+	_, err = fmt.Fprintf(out, "trace: %d events written to %s (%d dropped from ring)\n",
+		total-dropped, trace, dropped)
+	return err
 }

@@ -98,7 +98,7 @@ func run(dev *nvme.Device, entries []Entry, timed bool) (*Result, error) {
 		comp, err := dev.Do(cmd)
 		if err != nil {
 			// Submission-level rejection surfaces as the completion
-			// status, exactly as QueuePair.Ring treats it.
+			// status, exactly as Device.DoBatch treats it.
 			comp.Err = err
 		}
 		res.Commands++

@@ -275,12 +275,6 @@ func (s *Section) Reject(fieldName, format string, args ...any) {
 	}
 }
 
-// Has reports whether the section contains the named field.
-func (s *Section) Has(name string) bool {
-	_, ok := s.idx[name]
-	return ok
-}
-
 func (s *Section) get(name string, tag byte) *field {
 	if s.idx == nil { // missing section: keep the original error
 		return nil

@@ -40,9 +40,9 @@ func (e *RemoteError) Error() string {
 	return "transport: remote error: " + e.Status.String()
 }
 
-// Client is one session against a remote Server, offering the same
-// command surface as a local nvme.QueuePair: Submit commands, Ring the
-// doorbell, drain Completions. Like a queue pair it is not safe for
+// Client is one session against a remote Server, offering an NVMe-style
+// queue pair over the wire: Submit commands, Ring the doorbell (one
+// Device.DoBatch on the server), drain Completions. It is not safe for
 // concurrent use — open one session per goroutine (sessions are cheap,
 // and per-tenant isolation is the point of the protocol).
 type Client struct {
@@ -134,9 +134,6 @@ func (c *Client) BlockBytes() int { return c.blockBytes }
 
 // NumLBAs returns the bound namespace's size.
 func (c *Client) NumLBAs() uint64 { return c.numLBAs }
-
-// Depth returns the granted inflight window (the queue depth).
-func (c *Client) Depth() int { return c.window }
 
 // Submit enqueues a command without sending it. Reads need a Buf of one
 // block to receive data; writes need a Buf of one block to supply it. The

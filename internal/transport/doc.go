@@ -15,11 +15,11 @@
 // order of commands produces bit-identical device state no matter how
 // many sessions or worker threads are involved.
 //
-// The Client offers the same command surface as a local nvme.QueuePair
-// (Submit / Ring / Completions) plus context-aware convenience calls, and
-// reconstructs the device's typed errors (nvme.ErrTimeout,
-// nvme.ErrReadOnly, ...) from wire status codes so errors.Is works across
-// the network boundary.
+// The Client offers an NVMe-style queue pair over the wire (Submit /
+// Ring / Completions; a Ring runs as one nvme.Device.DoBatch on the
+// server) plus context-aware convenience calls, and reconstructs the
+// device's typed errors (nvme.ErrTimeout, nvme.ErrReadOnly, ...) from
+// wire status codes so errors.Is works across the network boundary.
 //
 // cmd/hammerd serves a device; cmd/hammerload is the matching closed-loop
 // multi-tenant load generator. docs/SERVING.md specifies the framing, the

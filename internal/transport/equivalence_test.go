@@ -69,7 +69,7 @@ func genWorkload(numLBAs uint64, n int) []step {
 
 // TestRemoteInProcessEquivalence proves the transport adds nothing to the
 // simulation: the same seed and command sequence, driven once through a
-// network session and once through a local queue pair, leave two devices
+// network session and once through local Device.DoBatch calls, leave two devices
 // in byte-identical states — same per-namespace and FTL counters, same
 // virtual clock, same L2P table, same read payloads and completion errors.
 // The server runs each session's batches in arrival order on one goroutine
@@ -181,18 +181,16 @@ func runRemote(t *testing.T, c *Client, steps []step, blockBytes, batchSize int)
 	return reads, errs
 }
 
-// runLocal drives the same workload through a local queue pair with the
-// same batch discipline.
+// runLocal drives the same workload through Device.DoBatch with the same
+// batch discipline.
 func runLocal(t *testing.T, dev *nvme.Device, steps []step, blockBytes, batchSize int) (reads []byte, errs []string) {
 	t.Helper()
 	ns, ok := dev.NamespaceByID(1)
 	if !ok {
 		t.Fatal("no namespace 1")
 	}
-	qp, err := dev.NewQueuePair(ns, nvme.PathDirect, batchSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var cmds []nvme.Command
+	var comps []nvme.Completion
 	for start := 0; start < len(steps); start += batchSize {
 		end := start + batchSize
 		if end > len(steps) {
@@ -200,8 +198,9 @@ func runLocal(t *testing.T, dev *nvme.Device, steps []step, blockBytes, batchSiz
 		}
 		chunk := steps[start:end]
 		bufs := make([][]byte, len(chunk))
+		cmds = cmds[:0]
 		for i, s := range chunk {
-			cmd := nvme.Command{Op: s.op, LBA: s.lba, Tag: uint64(start + i)}
+			cmd := nvme.Command{Op: s.op, NS: ns, Path: nvme.PathDirect, LBA: s.lba, Tag: uint64(start + i)}
 			if s.op != nvme.OpTrim {
 				bufs[i] = make([]byte, blockBytes)
 				if s.op == nvme.OpWrite {
@@ -211,12 +210,10 @@ func runLocal(t *testing.T, dev *nvme.Device, steps []step, blockBytes, batchSiz
 				}
 				cmd.Buf = bufs[i]
 			}
-			if err := qp.Submit(cmd); err != nil {
-				t.Fatalf("submit step %d: %v", start+i, err)
-			}
+			cmds = append(cmds, cmd)
 		}
-		qp.Ring()
-		for i, comp := range qp.Completions() {
+		comps = dev.DoBatch(nil, cmds, comps[:0])
+		for i, comp := range comps {
 			if comp.Err != nil {
 				errs = append(errs, comp.Err.Error())
 			} else {

@@ -58,8 +58,8 @@ func TestHandoffBeforeServeIsAdmitted(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("handoff before Serve: admitted=%v err=%v", ok, err)
 	}
-	if c.Depth() != 4 || c.NumLBAs() == 0 || c.BlockBytes() != dev.BlockBytes() {
-		t.Errorf("welcome: depth %d, %d LBAs, %d-byte blocks", c.Depth(), c.NumLBAs(), c.BlockBytes())
+	if c.window != 4 || c.NumLBAs() == 0 || c.BlockBytes() != dev.BlockBytes() {
+		t.Errorf("welcome: window %d, %d LBAs, %d-byte blocks", c.window, c.NumLBAs(), c.BlockBytes())
 	}
 	_, stop := startServer(t, srv)
 	buf := make([]byte, c.BlockBytes())

@@ -189,8 +189,8 @@ func TestWindowClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Depth() != 8 {
-		t.Fatalf("granted window = %d, want clamp to 8", c.Depth())
+	if c.window != 8 {
+		t.Fatalf("granted window = %d, want clamp to 8", c.window)
 	}
 	for i := 0; i < 8; i++ {
 		if err := c.Submit(nvme.Command{Op: nvme.OpTrim, LBA: ftl.LBA(i)}); err != nil {

@@ -70,10 +70,10 @@ type GCVictim struct {
 	detail  GCDetail
 }
 
-// Arm populates the victim lines of every binding (16 entries per
-// 64-byte line anchor, as in attack.CanaryVictim), interleaving scratch
-// writes, then trims the scratch and snapshots translations and GC
-// stats.
+// Arm populates the victim lines of every binding
+// (attack.Binding.VictimEntries, as in attack.CanaryVictim), interleaving
+// scratch writes, then trims the scratch and snapshots translations and
+// GC stats.
 func (v *GCVictim) Arm(bindings []attack.Binding) error {
 	if v.buf == nil {
 		v.buf = make([]byte, v.Dev.BlockBytes())
@@ -84,41 +84,40 @@ func (v *GCVictim) Arm(bindings []attack.Binding) error {
 	scratch := ftl.LBA(v.NS.NumLBAs) // allocated downward from the top
 	var trims []ftl.LBA
 	for _, b := range bindings {
-		lines := b.VictimGlobalLBAs
-		if v.MaxLines > 0 && len(lines) > v.MaxLines {
-			lines = lines[:v.MaxLines]
-		}
-		for _, g := range lines {
-			for k := ftl.LBA(0); k < 16; k++ {
-				rel := g + k - v.NS.StartLBA
-				if g+k < v.NS.StartLBA || uint64(rel) >= v.NS.NumLBAs || seen[rel] {
-					continue
-				}
-				seen[rel] = true
-				for j := range v.buf {
-					v.buf[j] = gcCanaryFill(rel)
-				}
-				if err := v.Dev.Write(v.NS, rel, v.buf, v.Path); err != nil {
-					return err
-				}
-				if !v.NoInterleave {
-					per := v.ScratchPerCanary
-					if per <= 0 {
-						per = 3
-					}
-					for s := 0; s < per; s++ {
-						scratch--
-						if uint64(scratch) > uint64(v.NS.NumLBAs) || seen[scratch] {
-							return errors.New("victims: GCVictim scratch region collides with watched lines")
-						}
-						if err := v.Dev.Write(v.NS, scratch, v.buf, v.Path); err != nil {
-							return err
-						}
-						trims = append(trims, scratch)
-					}
-				}
-				v.watched = append(v.watched, rel)
+		// Append b's entries, then filter them in place down to the
+		// first sighting of each.
+		n := len(v.watched)
+		v.watched = b.VictimEntries(v.watched, v.NS, v.MaxLines)
+		entries := v.watched[n:]
+		v.watched = v.watched[:n]
+		for _, rel := range entries {
+			if seen[rel] {
+				continue
 			}
+			seen[rel] = true
+			for j := range v.buf {
+				v.buf[j] = gcCanaryFill(rel)
+			}
+			if err := v.Dev.Write(v.NS, rel, v.buf, v.Path); err != nil {
+				return err
+			}
+			if !v.NoInterleave {
+				per := v.ScratchPerCanary
+				if per <= 0 {
+					per = 3
+				}
+				for s := 0; s < per; s++ {
+					scratch--
+					if uint64(scratch) > uint64(v.NS.NumLBAs) || seen[scratch] {
+						return errors.New("victims: GCVictim scratch region collides with watched lines")
+					}
+					if err := v.Dev.Write(v.NS, scratch, v.buf, v.Path); err != nil {
+						return err
+					}
+					trims = append(trims, scratch)
+				}
+			}
+			v.watched = append(v.watched, rel)
 		}
 	}
 	for _, s := range trims {
