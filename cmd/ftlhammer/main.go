@@ -177,10 +177,9 @@ func runVictim(tb *cloud.Testbed, kind string, pat attack.Pattern, reg *obs.Regi
 	dev := tb.Device
 	pipe := &attack.Pipeline{
 		Dev: dev, NS: tb.AttackerNS, Path: nvme.PathDirect,
-		Alloc:       &attack.ContiguousAllocator{VictimNSID: tb.VictimNS.ID, MaxBindings: 4},
-		Hammerer:    &attack.DeviceHammerer{Dev: dev, NS: tb.AttackerNS, Path: nvme.PathDirect},
-		MaxBindings: 4,
-		Obs:         reg,
+		Alloc:    &attack.ContiguousAllocator{VictimNSID: tb.VictimNS.ID, MaxBindings: 4},
+		Hammerer: &attack.DeviceHammerer{Dev: dev, NS: tb.AttackerNS, Path: nvme.PathDirect},
+		Obs:      reg,
 	}
 	var detail func() string
 	switch kind {

@@ -344,10 +344,9 @@ func runSession(ctx context.Context, addr string, cfg transport.ClientConfig, p 
 	}
 	cmds := make([]nvme.Command, p.batch)
 	for done := 0; done < p.ops; {
-		n := p.batch
-		if rem := p.ops - done; rem < n {
-			n = rem
-		}
+		// A batch holds at most the window the server granted, which
+		// may be smaller than the one asked for.
+		n := min(p.batch, c.Window(), p.ops-done)
 		for i := 0; i < n; i++ {
 			cmd := nvme.Command{Tag: uint64(done + i), Buf: bufs[i]}
 			switch p.pattern {

@@ -76,7 +76,7 @@ func main() {
 	// then hammer with ordinary reads of two trimmed LBAs.
 	h := &attack.DeviceHammerer{Dev: dev, NS: ns, Path: nvme.PathDirect}
 	pat := attack.DoublePattern()
-	pat.Iterations = int(attack.RequiredRate(dev)*0.064) * 2
+	pat.Iterations = attack.HammerBudget(dev, 2)
 	for n, b := range bindings {
 		if _, err := attack.PrepareVictimLines(dev, ns, b); err != nil {
 			log.Fatal(err)

@@ -104,18 +104,6 @@ func NewCampaign(tb *cloud.Testbed, cfg CampaignConfig) (*Campaign, error) {
 	}, nil
 }
 
-// hammerBudget returns the per-binding iteration budget.
-func (c *Campaign) hammerBudget() int {
-	if c.Cfg.Pattern.Iterations > 0 {
-		return c.Cfg.Pattern.Iterations
-	}
-	window := c.TB.DRAM.Config().RefreshWindow.Seconds()
-	if window == 0 {
-		window = 0.064
-	}
-	return int(RequiredRate(c.TB.Device)*window) * 2
-}
-
 // targetedBindings ranks bindings by how many sprayed indirect-block
 // translations their victim row holds: the attacker knows its own files'
 // block numbers (FIEMAP on its own files) and the device layout, so it
@@ -228,7 +216,10 @@ func (c *Campaign) Run() (*CampaignReport, error) {
 
 	sweep := uint32(c.TB.VictimFS.DataStart())
 	span := uint32(c.Cfg.SprayFiles * c.Cfg.TargetsPerFile)
-	budget := c.hammerBudget()
+	budget := c.Cfg.Pattern.Iterations
+	if budget <= 0 {
+		budget = HammerBudget(c.TB.Device, 2)
+	}
 	for cycle := 0; cycle < c.Cfg.MaxCycles; cycle++ {
 		rep.Cycles = cycle + 1
 

@@ -54,9 +54,8 @@ type TargetSpec struct {
 	// syntax (default "trr:1" — blocks the plain double-sided baseline
 	// while leaving a synchronization bypass to discover).
 	Mitigation string
-	// Guard configures the firmware Bloom guard; nil attaches
-	// guard.DefaultConfig(). Set NoGuard to run without one.
-	Guard   *guard.Config
+	// NoGuard runs without the firmware Bloom guard, which is otherwise
+	// attached with guard.DefaultConfig().
 	NoGuard bool
 	// Amplify is the firmware hammers-per-IO knob (default 5).
 	Amplify int
@@ -112,13 +111,10 @@ func (t TargetSpec) Build(reg *obs.Registry) (*nvme.Device, error) {
 		PagesPerBlock: 256,
 		PageBytes:     4096,
 	}
-	gc := t.Guard
-	if gc == nil && !t.NoGuard {
+	var gc *guard.Config
+	if !t.NoGuard {
 		def := guard.DefaultConfig()
 		gc = &def
-	}
-	if t.NoGuard {
-		gc = nil
 	}
 	sp := fleet.DeviceSpec{
 		Tenants: 1,
@@ -255,8 +251,8 @@ type Fuzzer struct {
 	// Seed drives pattern generation and mutation.
 	Seed uint64
 	// Generations and Population size the search (defaults 4 and 8);
-	// Elite is how many top candidates survive and breed (default 2).
-	Generations, Population, Elite int
+	// the top fuzzElite candidates of each generation survive and breed.
+	Generations, Population int
 	// Log, when non-nil, receives one line per generation.
 	Log io.Writer
 	// RunBatch, when non-nil, evaluates a whole generation and returns
@@ -267,6 +263,9 @@ type Fuzzer struct {
 	// Obs, when non-nil, receives fuzz events and counters.
 	Obs *obs.Registry
 }
+
+// fuzzElite is how many top candidates of a generation survive and breed.
+const fuzzElite = 2
 
 // Report is the outcome of one fuzzer run.
 type Report struct {
@@ -332,19 +331,14 @@ func rank(cands []Candidate) {
 // randomness flows from Seed through one sim.RNG stream that is
 // consumed before evaluations, never interleaved with them.
 func (f *Fuzzer) Run() (*Report, error) {
-	gens, pop, elite := f.Generations, f.Population, f.Elite
+	gens, pop := f.Generations, f.Population
 	if gens <= 0 {
 		gens = 4
 	}
 	if pop <= 0 {
 		pop = 8
 	}
-	if elite <= 0 {
-		elite = 2
-	}
-	if elite > pop {
-		elite = pop
-	}
+	elite := min(fuzzElite, pop)
 	rng := sim.NewRNG(f.Seed ^ fuzzLoopSalt)
 
 	// Generation 0: the classic shapes plus random draws. Member 0 is

@@ -73,11 +73,7 @@ func (h *DeviceHammerer) Hammer(b Binding, p Pattern) error {
 		if cpw <= 0 {
 			cpw = 8192
 		}
-		window := dcfg.RefreshWindow
-		if window == 0 {
-			window = 64 * sim.Millisecond
-		}
-		tREFI = uint64(window) / uint64(cpw)
+		tREFI = uint64(dcfg.RefreshWindow) / uint64(cpw)
 	}
 	// Cache eviction partners: an LBA exactly CacheEvictLines lines of
 	// entries away shares the direct-mapped set but differs in tag;

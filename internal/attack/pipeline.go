@@ -35,11 +35,6 @@ type Pipeline struct {
 	Hammerer Hammerer
 	Victim   Victim
 
-	// MaxBindings bounds how many bindings are hammered (0: all).
-	MaxBindings int
-	// StopOnCorruption checks the victim after each binding and stops
-	// at the first observed corruption.
-	StopOnCorruption bool
 	// Obs, when non-nil, receives stage events and counters.
 	Obs *obs.Registry
 }
@@ -88,9 +83,6 @@ func (p *Pipeline) Run(pat Pattern) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if p.MaxBindings > 0 && len(bindings) > p.MaxBindings {
-		bindings = bindings[:p.MaxBindings]
-	}
 	res := Result{Bindings: len(bindings)}
 	p.emit(EvStage, 0, int64(len(bindings)), 0)
 	if p.Obs != nil {
@@ -123,15 +115,6 @@ func (p *Pipeline) Run(pat Pattern) (Result, error) {
 		res.Hammered++
 		if p.Obs != nil {
 			p.Obs.Counter("attack_iterations_total").Add(uint64(eff.Iterations))
-		}
-		if p.StopOnCorruption {
-			rep, err := p.Victim.Check()
-			if err != nil {
-				return res, err
-			}
-			if rep.Corrupted > 0 || rep.Remapped > 0 {
-				break
-			}
 		}
 	}
 

@@ -5,7 +5,6 @@ import (
 
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nvme"
-	"ftlhammer/internal/sim"
 )
 
 // RequiredRate returns the access rate needed against the device's DRAM
@@ -14,11 +13,14 @@ import (
 // and looks the rate up in published tables (threat model, §3).
 func RequiredRate(dev *nvme.Device) float64 {
 	cfg := dev.DRAM().Config()
-	window := cfg.RefreshWindow
-	if window == 0 {
-		window = 64 * sim.Millisecond
-	}
-	return float64(cfg.Profile.HCfirst) / window.Seconds()
+	return float64(cfg.Profile.HCfirst) / cfg.RefreshWindow.Seconds()
+}
+
+// HammerBudget returns k refresh windows' worth of iterations at
+// RequiredRate: the iteration budget that crosses the device's HCfirst k
+// times over at full rate.
+func HammerBudget(dev *nvme.Device, k int) int {
+	return int(RequiredRate(dev)*dev.DRAM().Config().RefreshWindow.Seconds()) * k
 }
 
 // MeasuredRate reports the achieved read rate (IOPS) of n reads
@@ -64,14 +66,7 @@ type TemplateResult struct {
 // times over at full rate.
 func Template(h *DeviceHammerer, bindings []Binding, p Pattern) ([]TemplateResult, error) {
 	if p.Iterations <= 0 {
-		window := h.Dev.DRAM().Config().RefreshWindow.Seconds()
-		if window == 0 {
-			window = 0.064
-		}
-		p.Iterations = int(RequiredRate(h.Dev)*window) * 4
-		if p.Iterations < 1024 {
-			p.Iterations = 1024
-		}
+		p.Iterations = max(HammerBudget(h.Dev, 4), 1024)
 	}
 	if h.Buf == nil {
 		h.Buf = make([]byte, h.Dev.BlockBytes())

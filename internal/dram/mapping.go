@@ -143,9 +143,6 @@ func NewMapper(geo Geometry, cfg MapperConfig) *Mapper {
 // Geometry returns the mapped geometry.
 func (m *Mapper) Geometry() Geometry { return m.geo }
 
-// Config returns the mapping configuration.
-func (m *Mapper) Config() MapperConfig { return m.cfg }
-
 // Map translates a physical address to its DRAM location.
 // The bit layout, low to high, is:
 //

@@ -163,7 +163,7 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 
 	h := &attack.DeviceHammerer{Dev: dev, NS: aggNS, Path: nvme.PathDirect}
 	pat := attack.DoublePattern()
-	pat.Iterations = int(attack.RequiredRate(dev)*0.064) * 2
+	pat.Iterations = attack.HammerBudget(dev, 2)
 	maxPlans := 24
 	if !opt.Quick {
 		maxPlans = 64

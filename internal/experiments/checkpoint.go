@@ -217,13 +217,6 @@ func (c *Checkpoint) Hits() int {
 	return c.hits
 }
 
-// Err returns the latched write error, if any.
-func (c *Checkpoint) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
 // Close flushes and closes the store, reporting the first error seen
 // over its lifetime.
 func (c *Checkpoint) Close() error {

@@ -203,7 +203,7 @@ func probeDefense(spec defenseSpec, quick bool, reg *obs.Registry) (defenseResul
 	if len(bindings) > maxPlans {
 		bindings = bindings[:maxPlans]
 	}
-	budget := int(attack.RequiredRate(dev)*dev.DRAM().Config().RefreshWindow.Seconds()) * 2
+	budget := attack.HammerBudget(dev, 2)
 
 	// Chunked hammering: 64 aggressor pairs, then one benign read per
 	// bystander tenant, repeated — the attack and the background load

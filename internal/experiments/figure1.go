@@ -55,7 +55,7 @@ func Figure1(w io.Writer, opt Options) error {
 
 	h := &attack.DeviceHammerer{Dev: tb.Device, NS: ns, Path: nvme.PathDirect}
 	pat := attack.DoublePattern()
-	pat.Iterations = int(attack.RequiredRate(tb.Device)*0.064) * 2
+	pat.Iterations = attack.HammerBudget(tb.Device, 2)
 	maxPlans := 24
 	if !opt.Quick {
 		maxPlans = 64

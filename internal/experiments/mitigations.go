@@ -186,7 +186,7 @@ func templateProbe(tb *cloud.Testbed, pat attack.Pattern, quick bool) (bool, err
 	if len(bindings) > nPlans {
 		bindings = bindings[:nPlans]
 	}
-	pat.Iterations = int(attack.RequiredRate(tb.Device)*tb.DRAM.Config().RefreshWindow.Seconds()) * 2
+	pat.Iterations = attack.HammerBudget(tb.Device, 2)
 	h := &attack.DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
 	results, err := attack.Template(h, bindings, pat)
 	if err != nil {

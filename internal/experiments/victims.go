@@ -152,43 +152,44 @@ func (a armThenInject) Arm(bs []attack.Binding) error {
 }
 
 // scoutTarget dry-runs a scenario's victim arm on a fault-free twin
-// device to learn which LBA the flip should aim at, and in which
-// namespace. Victim layouts are deterministic for equal spec and seed,
-// so the twin's answer holds on the real build.
-func scoutTarget(sc victimScenario) (ftl.LBA, int, error) {
+// device to learn which LBA the flip should aim at and the DRAM address
+// of that LBA's L2P entry. Victim layouts and entry addresses are
+// deterministic for equal spec and seed, so the twin's answer holds on
+// the real build.
+func scoutTarget(sc victimScenario) (ftl.LBA, uint64, error) {
 	bd, err := buildVictimsDevice(nil, nil)
 	if err != nil {
 		return 0, 0, err
 	}
 	dev := bd.Device
+	var ns *nvme.Namespace
+	var lba ftl.LBA
 	switch sc.kind {
 	case "fs":
-		ns, _ := dev.NamespaceByID(2)
+		ns, _ = dev.NamespaceByID(2)
 		v := &victims.FSVictim{Dev: dev, NS: ns, Path: nvme.PathDirect,
 			Journal: sc.journal, MetaChecksum: sc.metaCksum}
 		if err := v.Arm(nil); err != nil {
 			return 0, 0, err
 		}
 		if sc.flip == "itable" {
-			lba, err := v.MetadataLBA()
-			return lba, 2, err
+			lba, err = v.MetadataLBA()
+		} else {
+			lba, err = v.DataLBA()
 		}
-		lba, err := v.DataLBA()
-		return lba, 2, err
 	case "kv":
-		ns, _ := dev.NamespaceByID(2)
+		ns, _ = dev.NamespaceByID(2)
 		v := &victims.KVVictim{Dev: dev, NS: ns, Path: nvme.PathDirect}
 		if err := v.Arm(nil); err != nil {
 			return 0, 0, err
 		}
-		lba, err := v.TargetLBA()
-		return lba, 2, err
+		lba, err = v.TargetLBA()
 	case "gc":
 		// The GC victim shares the attacker's partition (same-partition
 		// canaries, as in the §3 own-partition demo); its watched set
 		// derives from the same layout analysis the pipeline's allocator
 		// performs, so the scout and the real run see identical lines.
-		ns, _ := dev.NamespaceByID(1)
+		ns, _ = dev.NamespaceByID(1)
 		bindings, err := attack.Analyze(dev, ns, attack.AnalyzeOptions{Sides: 2})
 		if err != nil {
 			return 0, 0, err
@@ -197,35 +198,27 @@ func scoutTarget(sc victimScenario) (ftl.LBA, int, error) {
 		if err := v.Arm(bindings[:1]); err != nil {
 			return 0, 0, err
 		}
-		return v.Watched()[3], 1, nil
+		lba = v.Watched()[3]
+	default:
+		return 0, 0, fmt.Errorf("unknown victim kind %q", sc.kind)
 	}
-	return 0, 0, fmt.Errorf("unknown victim kind %q", sc.kind)
+	if err != nil {
+		return 0, 0, err
+	}
+	addr, err := dev.EntryAddrOf(ns, lba)
+	return lba, addr, err
 }
 
-// victimFlipPlan aims exactly one DRAM bit flip at the L2P entry of
-// (nsID, lba): the first armed load of that entry flips translation
-// bit 4, redirecting it by 16 physical pages.
-func victimFlipPlan(lba ftl.LBA, nsID int) (*faults.Plan, error) {
-	// Entry addresses are pure layout arithmetic, so a fresh twin device
-	// answers for the real build.
-	twin, err := buildVictimsDevice(nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	tns, ok := twin.Device.NamespaceByID(nsID)
-	if !ok {
-		return nil, fmt.Errorf("scout device has no namespace %d", nsID)
-	}
-	addr, err := twin.Device.EntryAddrOf(tns, lba)
-	if err != nil {
-		return nil, err
-	}
+// victimFlipPlan aims exactly one DRAM bit flip at the L2P entry at
+// addr: the first armed load of that entry flips translation bit 4,
+// redirecting it by 16 physical pages.
+func victimFlipPlan(addr uint64) *faults.Plan {
 	return &faults.Plan{Rules: []faults.Rule{{
 		Kind:   faults.KindDRAMBitFlip,
 		Every:  1,
 		Count:  1,
 		Region: faults.Region{Start: addr, End: addr + ftl.EntryBytes},
-	}}}, nil
+	}}}
 }
 
 // probeVictimScenario runs one scenario end to end through the attack
@@ -234,15 +227,12 @@ func probeVictimScenario(sc victimScenario, reg *obs.Registry) (victimRow, error
 	var plan *faults.Plan
 	var target ftl.LBA
 	if sc.flip != "none" {
-		var nsID int
+		var addr uint64
 		var err error
-		target, nsID, err = scoutTarget(sc)
-		if err != nil {
+		if target, addr, err = scoutTarget(sc); err != nil {
 			return victimRow{}, err
 		}
-		if plan, err = victimFlipPlan(target, nsID); err != nil {
-			return victimRow{}, err
-		}
+		plan = victimFlipPlan(addr)
 	}
 
 	bd, err := buildVictimsDevice(reg, plan)
@@ -266,10 +256,9 @@ func probeVictimScenario(sc victimScenario, reg *obs.Registry) (victimRow, error
 	pat := attack.Pattern{Spec: "double", Sides: 2, Iterations: 64}
 	pipe := &attack.Pipeline{
 		Dev: dev, NS: attackNS, Path: nvme.PathDirect,
-		Alloc:       &attack.ContiguousAllocator{MaxBindings: 1},
-		Hammerer:    &attack.DeviceHammerer{Dev: dev, NS: attackNS, Path: nvme.PathDirect},
-		MaxBindings: 1,
-		Obs:         reg,
+		Alloc:    &attack.ContiguousAllocator{MaxBindings: 1},
+		Hammerer: &attack.DeviceHammerer{Dev: dev, NS: attackNS, Path: nvme.PathDirect},
+		Obs:      reg,
 	}
 
 	row := victimRow{Name: sc.name}

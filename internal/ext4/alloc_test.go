@@ -134,7 +134,7 @@ func TestScratchBlocksDoNotAlias(t *testing.T) {
 		if err != nil {
 			t.Fatalf("create %s: %v", name, err)
 		}
-		inos[name] = f.Ino()
+		inos[name] = f.ino
 	}
 	names := make([]string, entries)
 	for i := range names {
@@ -185,7 +185,7 @@ func TestScratchBlocksDoNotAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() {
+	if len(rep.Problems) != 0 {
 		t.Fatalf("fsck: %v", rep.Problems)
 	}
 	for name, ino := range inos {

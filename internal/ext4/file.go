@@ -345,18 +345,6 @@ type File struct {
 	writable bool
 }
 
-// Ino returns the file's inode number.
-func (f *File) Ino() uint32 { return f.ino }
-
-// Size returns the current file size.
-func (f *File) Size() (uint64, error) {
-	var in inode
-	if err := f.fs.readInode(f.ino, &in); err != nil {
-		return 0, err
-	}
-	return in.size, nil
-}
-
 // ReadAt reads len(p) bytes at offset off, zero-filling holes. Reads past
 // the end are truncated; n reports the bytes read.
 func (f *File) ReadAt(p []byte, off uint64) (int, error) {
@@ -423,27 +411,6 @@ func (f *File) WriteAt(p []byte, off uint64) (int, error) {
 		return n, err
 	}
 	return n, nil
-}
-
-// Truncate releases all blocks and resets the size to zero.
-func (f *File) Truncate() error {
-	if !f.writable {
-		return ErrPerm
-	}
-	var in inode
-	if err := f.fs.readInode(f.ino, &in); err != nil {
-		return err
-	}
-	f.fs.curIno = f.ino
-	usesExtents := in.usesExtents()
-	if err := f.fs.freeInodeBlocks(&in); err != nil {
-		return err
-	}
-	if usesExtents {
-		extentInit(&in)
-	}
-	in.size = 0
-	return f.fs.writeInode(f.ino, &in)
 }
 
 // MapBlock reports the physical block currently backing fileBlk (0 for a

@@ -164,9 +164,6 @@ func openFS(dev BlockDevice, sb superblock) *FS {
 	return fs
 }
 
-// Device returns the underlying block device.
-func (fs *FS) Device() BlockDevice { return fs.dev }
-
 // ForbidsIndirect reports whether the indirect-addressing mitigation is
 // active on this volume.
 func (fs *FS) ForbidsIndirect() bool { return fs.sb.forbidIndirect }

@@ -17,9 +17,6 @@ type FsckReport struct {
 	BlocksReferenced uint64
 }
 
-// Clean reports whether no problems were found.
-func (r *FsckReport) Clean() bool { return len(r.Problems) == 0 }
-
 func (r *FsckReport) problem(format string, args ...interface{}) {
 	r.Problems = append(r.Problems, fmt.Sprintf(format, args...))
 }

@@ -63,22 +63,6 @@ type JournalDevice struct {
 	// many more physical writes — the crash-at-journal-offset knob.
 	crashAfter int64
 	crashed    bool
-
-	stats JournalStats
-}
-
-// JournalStats counts journal activity.
-type JournalStats struct {
-	// Commits is how many transactions reached their commit record.
-	Commits uint64
-	// BlocksLogged is how many data blocks were written to the log.
-	BlocksLogged uint64
-	// Checkpoints is how many blocks were written home after commit.
-	Checkpoints uint64
-	// Replayed is how many committed transactions replay applied.
-	Replayed uint64
-	// Discarded is how many torn/corrupt transactions replay dropped.
-	Discarded uint64
 }
 
 var _ BlockDevice = (*JournalDevice)(nil)
@@ -115,9 +99,6 @@ func (d *JournalDevice) NumBlocks() uint64 { return d.logStart }
 
 // BlockBytes implements BlockDevice.
 func (d *JournalDevice) BlockBytes() int { return BlockSize }
-
-// Stats returns a copy of the journal counters.
-func (d *JournalDevice) Stats() JournalStats { return d.stats }
 
 // LogRange returns the underlying block range [start, start+length) of
 // the log region — the crash/corruption surface the fuzzer and the
@@ -231,7 +212,6 @@ func (d *JournalDevice) Commit() error {
 		if err := d.physWrite(d.logStart+1+uint64(i), d.txn[lba]); err != nil {
 			return err
 		}
-		d.stats.BlocksLogged++
 	}
 	// Commit record: the transaction is durable once this block lands.
 	for i := range buf {
@@ -243,14 +223,12 @@ func (d *JournalDevice) Commit() error {
 	if err := d.physWrite(d.logStart+1+n, buf); err != nil {
 		return err
 	}
-	d.stats.Commits++
 	// Checkpoint: write every block home. A crash in here is recovered
 	// by replay (re-applying a committed transaction is idempotent).
 	for _, lba := range d.txnOrder {
 		if err := d.physWrite(lba, d.txn[lba]); err != nil {
 			return err
 		}
-		d.stats.Checkpoints++
 	}
 	d.txn = make(map[uint64][]byte)
 	d.txnOrder = d.txnOrder[:0]
@@ -266,8 +244,6 @@ func (d *JournalDevice) replay() error {
 	if err != nil {
 		return err
 	}
-	d.stats.Replayed += applied
-	d.stats.Discarded += discarded
 	if applied > 0 || discarded > 0 {
 		// Leave the highest plausible sequence behind so fresh commits
 		// do not reuse a live sequence number.

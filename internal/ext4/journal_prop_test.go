@@ -63,7 +63,7 @@ func verifyState(fs *FS, state propModel) string {
 				return "no"
 			}
 		}
-		if sz, err := f.Size(); err != nil || sz != uint64(len(want)) {
+		if st, err := fs.Stat(p, Root); err != nil || st.Size != uint64(len(want)) {
 			return "no"
 		}
 		if !bytes.Equal(got, want) {
@@ -83,7 +83,7 @@ func fsckVerdict(fs *FS) string {
 		}
 		return "no"
 	}
-	if rep.Clean() {
+	if len(rep.Problems) == 0 {
 		return "clean"
 	}
 	for _, p := range rep.Problems {

@@ -244,9 +244,6 @@ func (f *FTL) initTable() error {
 // Config returns the FTL configuration (with defaults applied).
 func (f *FTL) Config() Config { return f.cfg }
 
-// World returns the simulation world (inherited from the DRAM module).
-func (f *FTL) World() *sim.World { return f.world }
-
 // Stats returns a copy of the counters.
 func (f *FTL) Stats() Stats { return f.stats }
 

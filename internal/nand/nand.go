@@ -98,11 +98,6 @@ func (g Geometry) TotalPages() uint64 {
 	return uint64(g.TotalBlocks()) * uint64(g.PagesPerBlock)
 }
 
-// Capacity returns the raw byte capacity.
-func (g Geometry) Capacity() uint64 {
-	return g.TotalPages() * uint64(g.PageBytes)
-}
-
 // BlockOf returns the erase block containing ppn.
 func (g Geometry) BlockOf(ppn PPN) int {
 	return int(uint64(ppn) / uint64(g.PagesPerBlock))

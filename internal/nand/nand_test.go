@@ -28,8 +28,8 @@ func TestGeometryCounts(t *testing.T) {
 	if g.TotalBlocks() != 4*2*2*64 {
 		t.Fatalf("TotalBlocks = %d", g.TotalBlocks())
 	}
-	if g.Capacity() != 1<<30 {
-		t.Fatalf("Capacity = %d, want 1 GiB", g.Capacity())
+	if c := g.TotalPages() * uint64(g.PageBytes); c != 1<<30 {
+		t.Fatalf("capacity = %d, want 1 GiB", c)
 	}
 	if err := TinyGeometry().Validate(); err != nil {
 		t.Fatal(err)

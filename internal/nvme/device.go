@@ -91,7 +91,6 @@ type NSStats struct {
 
 // Config assembles a device.
 type Config struct {
-	Costs Costs
 	// Robust enables the retry/timeout/degradation policy (see Robust);
 	// the zero value keeps the idealized always-succeeds front end.
 	Robust Robust
@@ -147,10 +146,7 @@ func New(cfg Config, f *ftl.FTL, mem *dram.Module, flash *nand.Array, w *sim.Wor
 	if w == nil || w.Clock == nil {
 		panic("nvme: nil world")
 	}
-	costs := cfg.Costs
-	if costs == (Costs{}) {
-		costs = DefaultCosts()
-	}
+	costs := DefaultCosts()
 	pip := costs.FlashPipelining
 	if pip <= 0 {
 		g := flash.Geometry()

@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -29,12 +30,15 @@ type repeatCase struct {
 	victim       bool
 	victimMapped bool // write the victim LBA first
 	stall        bool // leave tRC/tFAW back-pressure pending at the start
-	cycles       int
+	// short divides the refresh window and HCfirst by 4, so every event
+	// arrives in a quarter of the cycles (the fuzz target's device).
+	short  bool
+	cycles int
 }
 
 func (c repeatCase) String() string {
-	return fmt.Sprintf("seed=%d closed=%v x%d blast2=%d timing=%v side=%d mapped=%v victim=%v/%v stall=%v cycles=%d",
-		c.seed, c.closed, c.amplify, c.blast2, c.timing, c.perSide, c.mapped, c.victim, c.victimMapped, c.stall, c.cycles)
+	return fmt.Sprintf("seed=%d closed=%v x%d blast2=%d timing=%v side=%d mapped=%v victim=%v/%v stall=%v short=%v cycles=%d",
+		c.seed, c.closed, c.amplify, c.blast2, c.timing, c.perSide, c.mapped, c.victim, c.victimMapped, c.stall, c.short, c.cycles)
 }
 
 // repeatVictimRow is the victim row of every case; its aggressors are
@@ -47,10 +51,14 @@ const repeatVictimRow = 2
 func repeatDevice(t testing.TB, c repeatCase) (*Device, *Namespace) {
 	t.Helper()
 	world := sim.NewWorld(c.seed)
+	window, hcFirst := 2*sim.Millisecond, uint64(2000)
+	if c.short {
+		window, hcFirst = window/4, hcFirst/4
+	}
 	dcfg := dram.Config{
 		Geometry:      dram.SmallGeometry(),
-		Profile:       dram.Profile{Name: "fast-flipping", HCfirst: 2000, ThresholdSigma: 0.1, WeakCellsPerRow: 4},
-		RefreshWindow: 2 * sim.Millisecond,
+		Profile:       dram.Profile{Name: "fast-flipping", HCfirst: hcFirst, ThresholdSigma: 0.1, WeakCellsPerRow: 4},
+		RefreshWindow: window,
 		Blast2Weight:  c.blast2,
 		Seed:          c.seed,
 	}
@@ -186,8 +194,9 @@ func runTwins(t testing.TB, c repeatCase) (*Device, error) {
 	if !reflect.DeepEqual(fastBuf, refBuf) {
 		t.Errorf("%v: read buffer differs", c)
 	}
-	if got, want := fast.StateHash(), ref.StateHash(); got != want {
-		t.Errorf("%v: StateHash %#x, per-command loop %#x", c, got, want)
+	// Equal checkpoint bytes imply equal StateHashes, without hashing.
+	if !bytes.Equal(fast.checkpoint().Bytes(), ref.checkpoint().Bytes()) {
+		t.Errorf("%v: StateHash %#x, per-command loop %#x", c, fast.StateHash(), ref.StateHash())
 	}
 	return fast, fastErr
 }
@@ -271,10 +280,13 @@ func TestRepeatReadsIneligibleRunsPerCommand(t *testing.T) {
 }
 
 // FuzzRepeatReads drives the differential contract with fuzzed device
-// shapes, seeds, stream lengths and budgets.
+// shapes, seeds, stream lengths and budgets. Its device has the short
+// refresh window, so budgets of up to 1000 cycles cross refresh
+// boundaries and weak-cell thresholds as often as 4000 cycles do on the
+// matrix's device, in a quarter of the time.
 func FuzzRepeatReads(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(1), uint16(3000))
-	f.Add(uint64(2), uint8(0b10110), uint8(3), uint16(1201))
+	f.Add(uint64(1), uint8(0), uint8(1), uint16(750))
+	f.Add(uint64(2), uint8(0b10110), uint8(3), uint16(300))
 	f.Add(uint64(3), uint8(0b01001), uint8(2), uint16(4))
 	f.Fuzz(func(t *testing.T, seed uint64, shape, perSide uint8, cycles uint16) {
 		c := repeatCase{
@@ -286,7 +298,8 @@ func FuzzRepeatReads(f *testing.F) {
 			mapped:  shape&16 != 0,
 			stall:   shape&32 != 0,
 			perSide: 1 + int(perSide%8),
-			cycles:  int(cycles % 4000),
+			short:   true,
+			cycles:  int(cycles % 1000),
 		}
 		runTwins(t, c)
 	})

@@ -9,7 +9,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
 	r.Counter("x").Add(5)
-	r.Gauge("g", AggMax).Set(3)
 	r.Gauge("g", AggMax).SetMax(9)
 	r.Histogram("h", ExpBuckets(1, 2, 4)).Observe(3)
 	r.Emit(1, "k", 1, 2, 3)
@@ -17,9 +16,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Flush()
 	r.Merge(NewRegistry())
 	NewRegistry().Merge(r)
-	if v := r.Counter("x").Value(); v != 0 {
-		t.Fatalf("nil counter value = %d", v)
-	}
 	if s := r.Snapshot(true); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Fatalf("nil snapshot not empty: %+v", s)
 	}
@@ -30,8 +26,8 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	c := r.Counter("acts_total")
 	c.Inc()
 	c.Add(9)
-	if c.Value() != 10 {
-		t.Fatalf("counter = %d, want 10", c.Value())
+	if c.v != 10 {
+		t.Fatalf("counter = %d, want 10", c.v)
 	}
 	if r.Counter("acts_total") != c {
 		t.Fatal("re-registration returned a different counter handle")
@@ -40,7 +36,7 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	g := r.Gauge("peak", AggMax)
 	g.SetMax(5)
 	g.SetMax(3)
-	if v, ok := g.Value(); !ok || v != 5 {
+	if v, ok := g.v, g.set; !ok || v != 5 {
 		t.Fatalf("gauge = %v,%v, want 5,true", v, ok)
 	}
 
@@ -87,8 +83,8 @@ func TestMergeDeterministicAcrossShardings(t *testing.T) {
 		r.Counter("trials_total").Inc()
 		r.Counter(L("per_ns_total", "ns", trial%2)).Add(uint64(trial))
 		r.Gauge("max_seen", AggMax).SetMax(float64(trial * 7 % 13))
-		r.Gauge("min_seen", AggMin).Set(float64(trial * 3 % 11))
-		r.Gauge("sum_seen", AggSum).Set(float64(trial))
+		r.Gauge("min_seen", AggMin).SetMax(float64(trial * 3 % 11))
+		r.Gauge("sum_seen", AggSum).SetMax(float64(trial))
 		r.Histogram("dist", ExpBuckets(1, 4, 8)).Observe(float64(trial * trial))
 		return r
 	}
@@ -127,7 +123,7 @@ func TestVolatileMetricsExcludedFromDeterministicSnapshots(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("stable_total").Inc()
 	r.VolatileHistogram("wallclock_seconds", SecondsBuckets).Observe(0.5)
-	r.VolatileGauge("host_rate", AggMax).Set(123)
+	r.VolatileGauge("host_rate", AggMax).SetMax(123)
 
 	det := r.Snapshot(false)
 	if len(det.Histograms) != 0 || len(det.Gauges) != 0 {
@@ -219,7 +215,7 @@ func TestEventsJSONL(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(L("reads_total", "ns", 1)).Add(3)
-	r.Gauge("iops", AggMax).Set(1.5e6)
+	r.Gauge("iops", AggMax).SetMax(1.5e6)
 	r.Histogram("acts", []float64{10, 100}).Observe(42)
 	var b strings.Builder
 	if err := r.Snapshot(true).WritePrometheus(&b); err != nil {

@@ -27,14 +27,6 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Value returns the current count (0 for a nil counter).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // GaugeAgg selects how a gauge combines across registry merges. Merges
 // happen in a caller-fixed order (shard order in the trial engine), and
 // every aggregation below is order-independent per name, so merged gauges
@@ -58,26 +50,11 @@ type Gauge struct {
 	agg GaugeAgg
 }
 
-// Set records v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v, g.set = v, true
-	}
-}
-
 // SetMax records v if it exceeds the current value (or none is set).
 func (g *Gauge) SetMax(v float64) {
 	if g != nil && (!g.set || v > g.v) {
 		g.v, g.set = v, true
 	}
-}
-
-// Value returns the gauge value and whether it was ever set.
-func (g *Gauge) Value() (float64, bool) {
-	if g == nil {
-		return 0, false
-	}
-	return g.v, g.set
 }
 
 // Histogram counts observations into a fixed bucket layout (cumulative
@@ -118,22 +95,6 @@ func (h *Histogram) ObserveN(v float64, n uint64) {
 	h.counts[i] += n
 	h.count += n
 	h.sum += v * float64(n)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
 }
 
 // ExpBuckets returns n exponentially spaced upper bounds starting at start

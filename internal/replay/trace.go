@@ -258,9 +258,6 @@ func (r *Recorder) Attach(dev *nvme.Device) { dev.SetRecorder(r.Record) }
 // Count returns the number of commands recorded so far.
 func (r *Recorder) Count() int { return r.n }
 
-// Err returns the sticky error, if any.
-func (r *Recorder) Err() error { return r.err }
-
 // Flush drains buffered output and returns the first error seen over the
 // recorder's whole lifetime.
 func (r *Recorder) Flush() error {

@@ -9,11 +9,11 @@ import "ftlhammer/internal/obs"
 // parallelism safe: each worker instantiates its own World and never shares
 // it.
 //
-// Randomness is splittable, SplitMix-style: Stream and Split derive child
-// seeds purely from (seed, tag) with a splitmix64 mix, never from shared
-// generator state. Trial k therefore sees bit-identical randomness whether
-// the trials run on one worker or sixteen, and regardless of the order in
-// which streams are requested.
+// Randomness is splittable, SplitMix-style: Stream and SplitSeed derive
+// child seeds purely from (seed, tag) with a splitmix64 mix, never from
+// shared generator state. Trial k therefore sees bit-identical randomness
+// whether the trials run on one worker or sixteen, and regardless of the
+// order in which streams are requested.
 type World struct {
 	// Clock is the world's virtual clock. It is owned by the goroutine
 	// driving the world; see Clock's concurrency notes.
@@ -21,9 +21,9 @@ type World struct {
 	// Obs, when non-nil, is the world's metrics registry and event
 	// tracer: device models built inside this world register their
 	// instruments here. The registry shares the world's single-goroutine
-	// ownership contract. Split does not propagate it — each shard world
-	// gets its own registry (or none), and the trial engine merges shard
-	// registries deterministically in trial order.
+	// ownership contract: each shard world gets its own registry (or
+	// none), and the trial engine merges shard registries
+	// deterministically in trial order.
 	Obs  *obs.Registry
 	seed uint64
 }
@@ -36,14 +36,6 @@ func NewWorld(seed uint64) *World {
 // Seed returns the world's root seed.
 func (w *World) Seed() uint64 { return w.seed }
 
-// Split derives the child world for shard k: a fresh clock at time zero and
-// a child seed mixed from (seed, k). Splitting is position-based, not
-// state-based, so Split(k) is the same world no matter how many other
-// shards were split before it or on which worker it runs.
-func (w *World) Split(k uint64) *World {
-	return NewWorld(SplitSeed(w.seed, k))
-}
-
 // Stream returns an independent random stream labelled by tag, derived
 // purely from (seed, tag). Distinct tags yield decorrelated streams;
 // repeated calls with the same tag restart the same stream.
@@ -53,9 +45,6 @@ func (w *World) Stream(tag uint64) *RNG {
 
 // Now returns the current virtual time.
 func (w *World) Now() Time { return w.Clock.Now() }
-
-// Advance moves the world's clock forward by d and returns the new time.
-func (w *World) Advance(d Duration) Time { return w.Clock.Advance(d) }
 
 // SplitSeed mixes a root seed and a shard index into a well-distributed
 // child seed (splitmix64 finalizer over the golden-gamma sequence). It is

@@ -24,23 +24,6 @@ func TestSplitSeedDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-func TestWorldSplitIndependentOfOrder(t *testing.T) {
-	// Split(k) must be position-based: the same child regardless of which
-	// other shards were split before it.
-	a := NewWorld(7)
-	b := NewWorld(7)
-	_ = a.Split(0)
-	_ = a.Split(1)
-	wantLate := a.Split(9)
-	gotDirect := b.Split(9)
-	if wantLate.Seed() != gotDirect.Seed() {
-		t.Fatal("Split depends on split order")
-	}
-	if wantLate.Now() != 0 {
-		t.Fatal("child world does not start at time zero")
-	}
-}
-
 func TestWorldStreamsDecorrelatedAndRestartable(t *testing.T) {
 	w := NewWorld(3)
 	r1 := w.Stream(1)
@@ -66,8 +49,9 @@ func TestWorldAdvance(t *testing.T) {
 	if w.Now() != 0 {
 		t.Fatal("fresh world not at time zero")
 	}
-	if w.Advance(5*Microsecond) != Time(5*Microsecond) || w.Now() != Time(5*Microsecond) {
-		t.Fatal("Advance did not move the world clock")
+	w.Clock.Advance(5 * Microsecond)
+	if w.Now() != Time(5*Microsecond) {
+		t.Fatal("Now does not follow the world clock")
 	}
 }
 

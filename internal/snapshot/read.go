@@ -244,9 +244,6 @@ func (s *Snapshot) Has(name string) bool {
 	return ok
 }
 
-// Sections returns every section in stream order.
-func (s *Snapshot) Sections() []*Section { return s.secs }
-
 // Section returns the named section. A missing section is reported
 // through the returned section's sticky error, so loaders can chain
 // getters unconditionally and check Err once.
@@ -259,9 +256,6 @@ func (s *Snapshot) Section(name string) *Section {
 		err:  &FormatError{Section: name, Msg: "section missing"},
 	}
 }
-
-// Name returns the section's name.
-func (s *Section) Name() string { return s.name }
 
 // Err returns the first error any getter on this section encountered, or
 // the section-missing error, or nil.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"ftlhammer/internal/ftl"
@@ -47,7 +46,6 @@ func (e *RemoteError) Error() string {
 // and per-tenant isolation is the point of the protocol).
 type Client struct {
 	conn       net.Conn
-	sessionID  uint32
 	blockBytes int
 	numLBAs    uint64
 	window     int
@@ -119,21 +117,21 @@ func Dial(ctx context.Context, addr string, cfg ClientConfig) (*Client, error) {
 	conn.SetDeadline(time.Time{})
 	return &Client{
 		conn:       conn,
-		sessionID:  w.SessionID,
 		blockBytes: int(w.BlockBytes),
 		numLBAs:    w.NumLBAs,
 		window:     int(w.Window),
 	}, nil
 }
 
-// SessionID returns the server-assigned session identifier.
-func (c *Client) SessionID() uint32 { return c.sessionID }
-
 // BlockBytes returns the device's logical block size.
 func (c *Client) BlockBytes() int { return c.blockBytes }
 
 // NumLBAs returns the bound namespace's size.
 func (c *Client) NumLBAs() uint64 { return c.numLBAs }
+
+// Window returns the inflight window the server granted: the most
+// commands one Ring may carry.
+func (c *Client) Window() int { return c.window }
 
 // Submit enqueues a command without sending it. Reads need a Buf of one
 // block to receive data; writes need a Buf of one block to supply it. The
@@ -310,22 +308,11 @@ func (c *Client) withCtx(ctx context.Context, fn func() error) error {
 	if ctx.Done() == nil {
 		return fn()
 	}
-	stop := make(chan struct{})
-	var interrupted atomic.Bool
-	go func() {
-		select {
-		case <-ctx.Done():
-			interrupted.Store(true)
-			c.conn.SetDeadline(time.Now())
-		case <-stop:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() { c.conn.SetDeadline(time.Now()) })
 	err := fn()
-	close(stop)
-	if interrupted.Load() {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
+	if !stop() {
+		// The interrupt ran: ctx is done, and its error wins.
+		return ctx.Err()
 	}
 	return err
 }

@@ -40,7 +40,6 @@ func handoff(t *testing.T, srv *Server, h Hello) (bool, *Client, error) {
 	t.Cleanup(func() { client.Close() })
 	return ok, &Client{
 		conn:       client,
-		sessionID:  w.SessionID,
 		blockBytes: int(w.BlockBytes),
 		numLBAs:    w.NumLBAs,
 		window:     int(w.Window),

@@ -292,6 +292,39 @@ func TestClientContextCancellation(t *testing.T) {
 	}
 }
 
+// TestClientCancelInterruptsRing: canceling ctx while Ring waits for a
+// batch the server has not run yet unblocks it with the ctx error, not
+// the induced I/O timeout, and breaks the session.
+func TestClientCancelInterruptsRing(t *testing.T) {
+	dev, _ := newTestDevice(t, 11, 1, faults.Plan{})
+	srv := NewServer(dev, Config{Window: 4})
+	addr, _ := startServer(t, srv)
+
+	c, err := Dial(context.Background(), addr, ClientConfig{NSID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// One round trip first: the session only waits for devMu once Serve
+	// has started it.
+	if err := c.Trim(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	srv.devMu.Lock()
+	defer srv.devMu.Unlock()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer time.AfterFunc(50*time.Millisecond, cancel).Stop()
+	if err := c.Submit(nvme.Command{Op: nvme.OpTrim, LBA: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ring(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Ring interrupted by cancel: err = %v, want context.Canceled", err)
+	}
+	if err := c.Submit(nvme.Command{Op: nvme.OpTrim, LBA: 2}); !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("Submit after break: err = %v, want ErrClientClosed", err)
+	}
+}
+
 func TestGracefulShutdownRefusesNewSessions(t *testing.T) {
 	dev, _ := newTestDevice(t, 12, 1, faults.Plan{})
 	srv := NewServer(dev, Config{Window: 4})

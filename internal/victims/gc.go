@@ -15,6 +15,10 @@ import (
 // the two victim kinds cannot alias).
 func gcCanaryFill(lba ftl.LBA) byte { return byte(lba) ^ 0x5A }
 
+// scratchPerCanary is how many trimmed scratch writes follow each GC
+// canary write when Arm interleaves.
+const scratchPerCanary = 3
+
 // GCDetail is GCVictim's fine-grained Check classification plus the
 // FTL's GC activity between Arm and Check.
 type GCDetail struct {
@@ -54,12 +58,11 @@ type GCVictim struct {
 	// binding (0: all).
 	MaxLines int
 	// Interleave (default on unless NoInterleave) follows every canary
-	// write with ScratchPerCanary (default 3) scratch writes from the
-	// top of the namespace that are then trimmed, leaving canary NAND
-	// blocks mostly dead — the cold-data-in-a-stale-block placement
-	// that makes them GC's first reclaim candidates.
-	NoInterleave     bool
-	ScratchPerCanary int
+	// write with scratchPerCanary scratch writes from the top of the
+	// namespace that are then trimmed, leaving canary NAND blocks mostly
+	// dead — the cold-data-in-a-stale-block placement that makes them
+	// GC's first reclaim candidates.
+	NoInterleave bool
 	// Obs, when non-nil, receives the EvVerdict event per Check.
 	Obs *obs.Registry
 
@@ -102,11 +105,7 @@ func (v *GCVictim) Arm(bindings []attack.Binding) error {
 				return err
 			}
 			if !v.NoInterleave {
-				per := v.ScratchPerCanary
-				if per <= 0 {
-					per = 3
-				}
-				for s := 0; s < per; s++ {
+				for s := 0; s < scratchPerCanary; s++ {
 					scratch--
 					if uint64(scratch) > uint64(v.NS.NumLBAs) || seen[scratch] {
 						return errors.New("victims: GCVictim scratch region collides with watched lines")

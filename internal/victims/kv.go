@@ -42,11 +42,6 @@ var (
 	ErrCorruptRecord = errors.New("victims: record framing corrupt")
 )
 
-// KVStats counts store operations.
-type KVStats struct {
-	Puts, Gets, CacheHits, CacheMisses uint64
-}
-
 // KVStore is a minimal append-only key-value store over one namespace:
 // every Put appends a CRC-framed record block at the log head and
 // updates an in-memory index (key → LBA); Get goes through a
@@ -67,7 +62,6 @@ type KVStore struct {
 	frames []byte    // kvCacheWays preallocated block frames
 	tags   []ftl.LBA // frame tag, or ^0 when empty
 	block  int       // device block size
-	stats  KVStats
 }
 
 // NewKVStore initializes an empty store over the namespace.
@@ -86,9 +80,6 @@ func NewKVStore(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path) *KVStore {
 	}
 	return s
 }
-
-// Stats returns operation counters.
-func (s *KVStore) Stats() KVStats { return s.stats }
 
 // RecordLBA returns the namespace-relative LBA currently holding key's
 // record (white-box accessor for aiming flips and snapshotting PPNs).
@@ -131,7 +122,6 @@ func (s *KVStore) Put(key uint64, val []byte) error {
 	s.index[key] = lba
 	s.head++
 	s.seq++
-	s.stats.Puts++
 	return nil
 }
 
@@ -140,17 +130,13 @@ func (s *KVStore) Put(key uint64, val []byte) error {
 // allocates nothing: errors are sentinels and the read lands in a
 // preallocated frame.
 func (s *KVStore) Get(key uint64, dst []byte) (int, error) {
-	s.stats.Gets++
 	lba, ok := s.index[key]
 	if !ok {
 		return 0, ErrKeyLost
 	}
 	idx := int(uint64(lba) % kvCacheWays)
 	fr := s.frame(idx)
-	if s.tags[idx] == lba {
-		s.stats.CacheHits++
-	} else {
-		s.stats.CacheMisses++
+	if s.tags[idx] != lba {
 		s.tags[idx] = ^ftl.LBA(0)
 		mapped, err := s.dev.Read(s.ns, lba, fr, s.path)
 		if err != nil {
@@ -264,10 +250,6 @@ func (v *KVVictim) Arm([]attack.Binding) error {
 	}
 	return nil
 }
-
-// Store exposes the armed store (e.g. for alloc pinning and flip
-// aiming). Valid after Arm.
-func (v *KVVictim) Store() *KVStore { return v.store }
 
 // TargetLBA returns the namespace-relative LBA of the first armed key's
 // record — the place to aim a flip. Valid after Arm.
