@@ -29,6 +29,9 @@ type weakCell struct {
 type rowState struct {
 	// epoch is the refresh epoch at which disturb was last reset.
 	epoch uint64
+	// epochEnd is the time epoch ends, once ensureEpoch has seen the
+	// row (0 until then); Horizon reads it too.
+	epochEnd uint64
 	// disturb is the accumulated neighbour-activation pressure this
 	// epoch, scaled by disturbScale.
 	disturb uint64
@@ -50,10 +53,11 @@ type rowCacheEnt struct {
 	rs  *rowState
 }
 
-// rowCacheSlots is the size of the per-bank row-state cache. A hammer
-// pattern disturbs a handful of consecutive rows around each aggressor, so
-// indexing by row&(slots-1) keeps all of them resident without collisions.
-const rowCacheSlots = 8
+// rowCacheBits sizes the per-bank row-state cache (1<<rowCacheBits
+// slots). A hammer pattern disturbs a handful of rows around each
+// aggressor, and an FTL's aggressor rows sit in distant groups of one
+// bank; a multiplicative hash of the row keeps both resident.
+const rowCacheBits = 6
 
 // bankState tracks one bank's row buffer and its mitigation state.
 type bankState struct {
@@ -63,7 +67,7 @@ type bankState struct {
 	rows map[int]*rowState
 	// rowCache short-circuits the rows map for recently disturbed rows
 	// (the hot hammering set).
-	rowCache [rowCacheSlots]rowCacheEnt
+	rowCache [1 << rowCacheBits]rowCacheEnt
 	// trrSampler holds the rows sampled since the last refresh command,
 	// with activation counts (the in-DRAM TRR mitigation's view).
 	trrSampler map[int]uint64
@@ -77,7 +81,7 @@ func newBankState() *bankState {
 
 // row returns (creating if needed) the state for a physical row.
 func (b *bankState) row(r int) *rowState {
-	e := &b.rowCache[r&(rowCacheSlots-1)]
+	e := &b.rowCache[(uint32(r)*0x9e3779b9)>>(32-rowCacheBits)]
 	if e.rs != nil && int(e.row) == r {
 		return e.rs
 	}
@@ -88,14 +92,6 @@ func (b *bankState) row(r int) *rowState {
 	}
 	e.row, e.rs = int32(r), rs
 	return rs
-}
-
-// refreshEpoch computes the refresh epoch of a row at time now. Rows are
-// refreshed in a staggered sweep: each row has a fixed phase within the
-// refresh window.
-func refreshEpoch(now sim.Time, window sim.Duration, row, rowsPerBank int) uint64 {
-	phase := uint64(window) * uint64(row) / uint64(rowsPerBank)
-	return (uint64(now) + phase) / uint64(window)
 }
 
 // poisson draws a Poisson-distributed count with the given mean; the means

@@ -150,38 +150,52 @@ func (m *Mapper) Geometry() Geometry { return m.geo }
 //
 // with the configured XOR spreading and row twist applied on top.
 func (m *Mapper) Map(addr uint64) Location {
-	if addr >= m.capacity {
-		panic(fmt.Sprintf("dram: address %#x out of range (capacity %#x)", addr, m.capacity))
-	}
-	a := addr
-	lo := int(a & (lineBytes - 1))
-	a >>= m.lineBits
-	ch := int(a) & (m.geo.Channels - 1)
-	a >>= m.chBits
-	dimm := int(a) & (m.geo.DIMMs - 1)
-	a >>= m.dimmBits
-	rank := int(a) & (m.geo.Ranks - 1)
-	a >>= m.rankBits
-	bank := int(a) & (m.geo.Banks - 1)
-	a >>= m.bankBits
-	colHi := int(a) & ((1 << m.colHiBits) - 1)
-	a >>= m.colHiBits
-	row := int(a) & (m.geo.RowsPerBank - 1)
-
-	if m.cfg.XorBank {
-		bank ^= row & (m.geo.Banks - 1)
-	}
-	if m.cfg.XorChannel {
-		ch ^= (row >> 3) & (m.geo.Channels - 1)
-	}
+	ch, dimm, rank, bank, row := m.split(addr)
+	colHi := int(addr>>(m.lineBits+m.chBits+m.dimmBits+m.rankBits+m.bankBits)) & (1<<m.colHiBits - 1)
 	return Location{
 		Channel: ch,
 		DIMM:    dimm,
 		Rank:    rank,
 		Bank:    bank,
 		Row:     m.cfg.Twist.apply(row, m.cfg.TwistGroup),
-		Col:     colHi<<m.lineBits | lo,
+		Col:     colHi<<m.lineBits | int(addr&(lineBytes-1)),
 	}
+}
+
+// BankRow returns the flat bank index and physical row of addr's
+// location, (Geometry.FlatBank(Map(addr)), Map(addr).Row), without
+// building a Location: the per-access activation path needs only these.
+func (m *Mapper) BankRow(addr uint64) (flatBank, row int) {
+	ch, dimm, rank, bank, row := m.split(addr)
+	return ((ch<<m.dimmBits|dimm)<<m.rankBits|rank)<<m.bankBits | bank, m.cfg.Twist.apply(row, m.cfg.TwistGroup)
+}
+
+// flatRank returns the dense index over all ranks of the rank holding a
+// flat bank (BankRow, Geometry.FlatBank): the bits above the bank field.
+func (m *Mapper) flatRank(flatBank int) int { return flatBank >> m.bankBits }
+
+// split decodes addr's channel, DIMM, rank and bank fields, with the XOR
+// spreading applied, and its logical (untwisted) row.
+func (m *Mapper) split(addr uint64) (ch, dimm, rank, bank, row int) {
+	if addr >= m.capacity {
+		panic(fmt.Sprintf("dram: address %#x out of range (capacity %#x)", addr, m.capacity))
+	}
+	a := addr >> m.lineBits
+	ch = int(a) & (m.geo.Channels - 1)
+	a >>= m.chBits
+	dimm = int(a) & (m.geo.DIMMs - 1)
+	a >>= m.dimmBits
+	rank = int(a) & (m.geo.Ranks - 1)
+	a >>= m.rankBits
+	bank = int(a) & (m.geo.Banks - 1)
+	row = int(a>>(m.bankBits+m.colHiBits)) & (m.geo.RowsPerBank - 1)
+	if m.cfg.XorBank {
+		bank ^= row & (m.geo.Banks - 1)
+	}
+	if m.cfg.XorChannel {
+		ch ^= (row >> 3) & (m.geo.Channels - 1)
+	}
+	return ch, dimm, rank, bank, row
 }
 
 // Unmap translates a DRAM location back to its physical address. It is the

@@ -56,32 +56,89 @@ func TestMapUnmapRoundtrip(t *testing.T) {
 	}
 }
 
-// TestMapLineMatchesMapper pins the module's memoized per-line mapping to
-// the mapper's pure function across a churn of addresses that exceeds the
-// cache size, so hits, misses and evictions are all exercised.
-func TestMapLineMatchesMapper(t *testing.T) {
-	world := sim.NewWorld(11)
-	m := New(Config{
-		Geometry: SmallGeometry(),
-		Profile:  TestbedProfile(),
-		Mapping:  MapperConfig{Twist: TwistInterleave, TwistGroup: 8, XorBank: true},
-		Seed:     11,
-	}, world)
-	rng := sim.NewRNG(0xBEEF)
-	capacity := m.Mapper().Geometry().Capacity()
-	for i := 0; i < 1<<14; i++ {
-		addr := rng.Uint64n(capacity)
-		want := m.Mapper().Map(addr &^ (lineBytes - 1))
-		if got := m.mapLine(addr); got != want {
-			t.Fatalf("mapLine(%#x) = %+v, want %+v", addr, got, want)
-		}
-		// Revisit recent addresses so cache hits are exercised too.
-		if i%3 == 0 {
-			if got := m.mapLine(addr); got != want {
-				t.Fatalf("cached mapLine(%#x) = %+v, want %+v", addr, got, want)
-			}
+// TestBankRowMatchesMap pins the activation path's mapping, BankRow, to
+// the flat bank and row of the full Map, and flatRank to the location's
+// rank over all channels and DIMMs, on every shipped geometry with
+// no twist, with the interleave twist and bank XOR, and with the xor3
+// twist and both XORs.
+func TestBankRowMatchesMap(t *testing.T) {
+	geos := []struct {
+		name string
+		geo  Geometry
+	}{{"small", SmallGeometry()}, {"ssd", SSDGeometry()}, {"testbed", TestbedGeometry()}}
+	cfgs := []struct {
+		name string
+		cfg  MapperConfig
+	}{
+		{"none", MapperConfig{}},
+		{"interleave-xorbank", MapperConfig{Twist: TwistInterleave, XorBank: true}},
+		{"xor3-xorbank-xorchannel", MapperConfig{Twist: TwistXor3, XorBank: true, XorChannel: true}},
+	}
+	for _, g := range geos {
+		for _, c := range cfgs {
+			t.Run(g.name+"/"+c.name, func(t *testing.T) {
+				m := NewMapper(g.geo, c.cfg)
+				capacity := g.geo.Capacity()
+				rng := sim.NewRNG(0xBEEF)
+				addrs := []uint64{0, lineBytes, capacity - 1}
+				for i := 0; i < 1<<14; i++ {
+					addrs = append(addrs, rng.Uint64n(capacity))
+				}
+				for _, addr := range addrs {
+					loc := m.Map(addr)
+					bank, row := m.BankRow(addr)
+					if bank != g.geo.FlatBank(loc) || row != loc.Row {
+						t.Fatalf("BankRow(%#x) = (%d, %d), want (%d, %d) from %+v",
+							addr, bank, row, g.geo.FlatBank(loc), loc.Row, loc)
+					}
+					if rank := (loc.Channel*g.geo.DIMMs+loc.DIMM)*g.geo.Ranks + loc.Rank; m.flatRank(bank) != rank {
+						t.Fatalf("flatRank(%d) = %d, want %d from %+v", bank, m.flatRank(bank), rank, loc)
+					}
+				}
+			})
 		}
 	}
+}
+
+// FuzzMapper checks the mapping on arbitrary geometries and mapper
+// configurations: Unmap inverts Map, and BankRow and flatRank agree
+// with Map.
+// geoBits picks each power-of-two dimension; cfgBits the twist, its
+// group and the two XORs.
+func FuzzMapper(f *testing.F) {
+	f.Add(uint64(0), uint32(0), uint8(0))
+	f.Add(uint64(0x1234_5678_9abc), uint32(0x3fff), uint8(0xff))
+	f.Add(uint64(1)<<33, uint32(0x2b5d), uint8(0x5a))
+	f.Fuzz(func(t *testing.T, addr uint64, geoBits uint32, cfgBits uint8) {
+		geo := Geometry{
+			Channels:    1 << (geoBits & 3),
+			DIMMs:       1 << (geoBits >> 2 & 1),
+			Ranks:       1 << (geoBits >> 3 & 1),
+			Banks:       1 << (geoBits >> 4 & 3),
+			RowsPerBank: 1 << (1 + geoBits>>6&15),
+			RowBytes:    lineBytes << (geoBits >> 10 & 7),
+		}
+		cfg := MapperConfig{
+			Twist:      RowTwist(cfgBits & 3 % 3),
+			TwistGroup: min(2<<(cfgBits>>2&7), geo.RowsPerBank),
+			XorBank:    cfgBits&0x20 != 0,
+			XorChannel: cfgBits&0x40 != 0,
+		}
+		m := NewMapper(geo, cfg)
+		addr %= geo.Capacity()
+		loc := m.Map(addr)
+		if got := m.Unmap(loc); got != addr {
+			t.Fatalf("%v %+v: Unmap(Map(%#x)) = %#x (loc %+v)", geo, cfg, addr, got, loc)
+		}
+		bank, row := m.BankRow(addr)
+		if bank != geo.FlatBank(loc) || row != loc.Row {
+			t.Fatalf("%v %+v: BankRow(%#x) = (%d, %d), want (%d, %d)",
+				geo, cfg, addr, bank, row, geo.FlatBank(loc), loc.Row)
+		}
+		if rank := (loc.Channel*geo.DIMMs+loc.DIMM)*geo.Ranks + loc.Rank; m.flatRank(bank) != rank {
+			t.Fatalf("%v %+v: flatRank(%d) = %d, want %d", geo, cfg, bank, m.flatRank(bank), rank)
+		}
+	})
 }
 
 // TestAppendRowAddrsReuse verifies the allocation-free enumeration path

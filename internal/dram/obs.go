@@ -62,10 +62,10 @@ func (m *Module) registerObs(r *obs.Registry) {
 		// exact aggregate rate is derivable from the counters.
 		if now := m.clk.Now(); now > 0 {
 			elapsed := float64(now) / 1e9
-			r.Gauge("dram_activation_rate", obs.AggMax).SetMax(float64(s.Activations) / elapsed)
+			r.Gauge("dram_activation_rate").SetMax(float64(s.Activations) / elapsed)
 		}
 		if total := s.Activations + s.RowHits; total > 0 {
-			r.Gauge("dram_row_hit_ratio", obs.AggMax).SetMax(float64(s.RowHits) / float64(total))
+			r.Gauge("dram_row_hit_ratio").SetMax(float64(s.RowHits) / float64(total))
 		}
 	})
 }

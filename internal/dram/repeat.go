@@ -191,7 +191,7 @@ func (m *Module) EndCycle() {
 		if t.TFAW == 0 {
 			continue
 		}
-		rank := int64(int(b.bank) / m.cfg.Geometry.Banks)
+		rank := int64(m.mapper.flatRank(int(b.bank)))
 		j := 0
 		for j < r.nRanks && r.ranks[j].rank != rank {
 			j++
@@ -287,18 +287,16 @@ func (m *Module) Horizon(p int, limit uint64) uint64 {
 	l := m.cycles
 	per := l.period(p)
 	now := uint64(m.clk.Now())
-	window := uint64(m.cfg.RefreshWindow)
 	k := limit
 	l.periodRows(p, func(bankIdx, row int, weight uint64, last sim.Duration) {
 		rs := m.banks[bankIdx].row(row)
 		// Touches of period q (1-based) fall at now + (q-1)*per + offset;
-		// the row's epoch ends at its next staggered boundary.
-		phase := window * uint64(row) / uint64(m.cfg.Geometry.RowsPerBank)
-		boundary := (rs.epoch+1)*window - phase
-		if lastAt := now + uint64(last); lastAt >= boundary {
+		// the row's epoch ends at its next staggered boundary, which
+		// ensureEpoch memoized when the period disturbed it.
+		if lastAt := now + uint64(last); lastAt >= rs.epochEnd {
 			k = 0
 		} else if per > 0 {
-			k = min(k, (boundary-1-lastAt)/uint64(per)+1)
+			k = min(k, (rs.epochEnd-1-lastAt)/uint64(per)+1)
 		}
 		next := m.thrFloor
 		if rs.sampled {

@@ -12,8 +12,9 @@ const snapSection = "dram"
 
 // SaveTo appends the module's full mutable state — charge/weak-cell rows,
 // row buffers, mitigation samplers, ECC frames, stats, applied flips, the
-// online RNG — to a snapshot under construction. Pure derivations
-// (mapping cache, threshold floor) are recomputed on load, not stored.
+// online RNG — to a snapshot under construction. Derived memos (the frame
+// and row-state caches, each row's epoch end, the threshold floor) are
+// rebuilt after a load, not stored.
 // Maps are flattened in sorted key order so identical state always
 // serializes to identical bytes.
 func (m *Module) SaveTo(w *snapshot.Writer) {
@@ -323,6 +324,7 @@ func (m *Module) LoadFrom(snap *snapshot.Snapshot) error {
 	}
 
 	m.frames = make(map[uint64]*frame, len(keys))
+	clear(m.frameCache[:])
 	for i, k := range keys {
 		f := &frame{data: append([]byte(nil), frameData[i*frameBytes:(i+1)*frameBytes]...)}
 		if checkPer > 0 {
@@ -332,7 +334,8 @@ func (m *Module) LoadFrom(snap *snapshot.Snapshot) error {
 	}
 
 	// Rebuild every bank from scratch: this drops the rowCache (which
-	// would otherwise hold pointers into discarded rowState values).
+	// would otherwise hold pointers into discarded rowState values), and
+	// each restored row recomputes its epochEnd on its next disturbance.
 	wi := 0
 	for bi := range m.banks {
 		b := newBankState()
@@ -367,7 +370,5 @@ func (m *Module) LoadFrom(snap *snapshot.Snapshot) error {
 		}
 		m.banks[rowBank[i]].rows[int(rowIdx[i])] = rst
 	}
-	// mapCache entries are pure functions of the address; they stay valid
-	// across a restore and need no invalidation.
 	return nil
 }

@@ -26,6 +26,6 @@ func registerFleetObs(f *Fleet, r *obs.Registry) {
 		f.mu.Lock()
 		devices := len(f.members)
 		f.mu.Unlock()
-		r.Gauge("fleet_devices", obs.AggMax).SetMax(float64(devices))
+		r.Gauge("fleet_devices").SetMax(float64(devices))
 	})
 }

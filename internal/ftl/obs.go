@@ -34,7 +34,7 @@ func (f *FTL) registerObs(r *obs.Registry) {
 		add("ftl_uncorrected_ecc_total", s.UncorrectedECC)
 		add("ftl_stale_invalidates_total", s.StaleInvalidates)
 		if looked := s.CacheHits + s.CacheMisses; looked > 0 {
-			r.Gauge("ftl_cache_hit_ratio", obs.AggMax).SetMax(float64(s.CacheHits) / float64(looked))
+			r.Gauge("ftl_cache_hit_ratio").SetMax(float64(s.CacheHits) / float64(looked))
 		}
 	})
 }

@@ -283,8 +283,8 @@ func (d *Device) observeGuard(ns *Namespace, global ftl.LBA, acts uint64) {
 	}
 	var key uint64
 	if addr, err := d.ftl.EntryAddr(global); err == nil {
-		loc := d.mem.Mapper().Map(addr)
-		key = uint64(d.mem.Config().Geometry.FlatBank(loc))<<32 | uint64(loc.Row)
+		bank, row := d.mem.Mapper().BankRow(addr)
+		key = uint64(bank)<<32 | uint64(row)
 	} else {
 		// Hashed layout: fall back to line granularity.
 		key = uint64(global) / 16

@@ -64,7 +64,7 @@ func (d *Device) registerObs(r *obs.Registry) {
 			r.Counter(obs.L("nvme_ns_trims_total", "ns", ns.ID)).Add(s.Trims)
 			r.Counter(obs.L("nvme_ns_throttled_total", "ns", ns.ID)).Add(s.Throttled)
 			if elapsed > 0 && ops > 0 {
-				r.Gauge(obs.L("nvme_ns_iops", "ns", ns.ID), obs.AggMax).
+				r.Gauge(obs.L("nvme_ns_iops", "ns", ns.ID)).
 					SetMax(float64(ops) / elapsed)
 			}
 			if d.guard != nil {
@@ -81,18 +81,18 @@ func (d *Device) registerObs(r *obs.Registry) {
 			r.Counter("guard_inserts_total").Add(gs.Inserts)
 			r.Counter("guard_blacklists_total").Add(gs.Blacklists)
 			r.Counter("guard_rotations_total").Add(gs.Rotations)
-			r.Gauge("guard_filter_occupancy", obs.AggMax).SetMax(d.guard.Occupancy())
-			r.Gauge("guard_fp_bound", obs.AggMax).SetMax(d.guard.FPBound())
-			r.Gauge("guard_footprint_bytes", obs.AggMax).SetMax(float64(d.guard.FootprintBytes()))
+			r.Gauge("guard_filter_occupancy").SetMax(d.guard.Occupancy())
+			r.Gauge("guard_fp_bound").SetMax(d.guard.FPBound())
+			r.Gauge("guard_footprint_bytes").SetMax(float64(d.guard.FootprintBytes()))
 		}
 		if elapsed > 0 {
-			r.Gauge("nvme_elapsed_virtual_seconds", obs.AggMax).SetMax(elapsed)
+			r.Gauge("nvme_elapsed_virtual_seconds").SetMax(elapsed)
 			if total > 0 {
-				r.Gauge("nvme_iops", obs.AggMax).SetMax(float64(total) / elapsed)
+				r.Gauge("nvme_iops").SetMax(float64(total) / elapsed)
 			}
 		}
 		if d.maxBatch > 0 {
-			r.Gauge("nvme_queue_batch_max", obs.AggMax).SetMax(float64(d.maxBatch))
+			r.Gauge("nvme_queue_batch_max").SetMax(float64(d.maxBatch))
 		}
 	})
 }

@@ -16,9 +16,9 @@
 //   - Sharded like the simulation. A Registry belongs to one sim.World
 //     and inherits its single-goroutine ownership; the parallel trial
 //     engine gives each trial world its own registry and merges them in
-//     trial order. Counter addition, per-aggregation gauge combination
-//     and bucket-wise histogram addition are order-independent per name,
-//     so merged metrics are byte-identical at any worker count.
+//     trial order. Counter addition, gauge maximum and bucket-wise
+//     histogram addition are order-independent per name, so merged
+//     metrics are byte-identical at any worker count.
 //     Nondeterministic measurements (wall-clock) are registered as
 //     volatile and excluded from deterministic snapshots.
 //

@@ -9,7 +9,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
 	r.Counter("x").Add(5)
-	r.Gauge("g", AggMax).SetMax(9)
+	r.Gauge("g").SetMax(9)
 	r.Histogram("h", ExpBuckets(1, 2, 4)).Observe(3)
 	r.Emit(1, "k", 1, 2, 3)
 	r.OnFlush(func() { t.Fatal("flush hook ran on nil registry") })
@@ -33,7 +33,7 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 		t.Fatal("re-registration returned a different counter handle")
 	}
 
-	g := r.Gauge("peak", AggMax)
+	g := r.Gauge("peak")
 	g.SetMax(5)
 	g.SetMax(3)
 	if v, ok := g.v, g.set; !ok || v != 5 {
@@ -78,17 +78,17 @@ func TestHistogramLayoutMismatchPanics(t *testing.T) {
 // intermediate registries) — i.e. Merge is associative over an ordered
 // sequence of shards.
 func TestMergeDeterministicAcrossShardings(t *testing.T) {
+	const trials = 32
 	trialRegistry := func(trial int) *Registry {
 		r := NewRegistry()
 		r.Counter("trials_total").Inc()
 		r.Counter(L("per_ns_total", "ns", trial%2)).Add(uint64(trial))
-		r.Gauge("max_seen", AggMax).SetMax(float64(trial * 7 % 13))
-		r.Gauge("min_seen", AggMin).SetMax(float64(trial * 3 % 11))
-		r.Gauge("sum_seen", AggSum).SetMax(float64(trial))
+		r.Gauge("max_seen").SetMax(float64(trial * 7 % 13))
+		r.Gauge("peak_first").SetMax(float64(trials - trial))
+		r.Gauge("peak_last").SetMax(float64(trial))
 		r.Histogram("dist", ExpBuckets(1, 4, 8)).Observe(float64(trial * trial))
 		return r
 	}
-	const trials = 32
 
 	flat := NewRegistry()
 	for i := 0; i < trials; i++ {
@@ -117,13 +117,19 @@ func TestMergeDeterministicAcrossShardings(t *testing.T) {
 	if !strings.Contains(a.String(), "trials_total") {
 		t.Fatalf("snapshot missing counter:\n%s", a.String())
 	}
+	// Merged gauges are high watermarks, wherever the peak trial sits.
+	for name, want := range map[string]float64{"max_seen": 12, "peak_first": trials, "peak_last": trials - 1} {
+		if g := grouped.gauges[name]; g.v != want {
+			t.Errorf("merged %s = %v, want %v", name, g.v, want)
+		}
+	}
 }
 
 func TestVolatileMetricsExcludedFromDeterministicSnapshots(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("stable_total").Inc()
 	r.VolatileHistogram("wallclock_seconds", SecondsBuckets).Observe(0.5)
-	r.VolatileGauge("host_rate", AggMax).SetMax(123)
+	r.VolatileGauge("host_rate").SetMax(123)
 
 	det := r.Snapshot(false)
 	if len(det.Histograms) != 0 || len(det.Gauges) != 0 {
@@ -215,7 +221,7 @@ func TestEventsJSONL(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(L("reads_total", "ns", 1)).Add(3)
-	r.Gauge("iops", AggMax).SetMax(1.5e6)
+	r.Gauge("iops").SetMax(1.5e6)
 	r.Histogram("acts", []float64{10, 100}).Observe(42)
 	var b strings.Builder
 	if err := r.Snapshot(true).WritePrometheus(&b); err != nil {

@@ -27,27 +27,13 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// GaugeAgg selects how a gauge combines across registry merges. Merges
-// happen in a caller-fixed order (shard order in the trial engine), and
-// every aggregation below is order-independent per name, so merged gauges
-// are deterministic at any worker count.
-type GaugeAgg uint8
-
-const (
-	// AggMax keeps the maximum merged value (high watermarks).
-	AggMax GaugeAgg = iota
-	// AggMin keeps the minimum merged value (low watermarks).
-	AggMin
-	// AggSum adds merged values.
-	AggSum
-)
-
-// Gauge is a last-set floating-point value with merge semantics chosen at
-// registration. Nil-receiver-safe, like Counter.
+// Gauge is a high watermark: SetMax keeps the largest value set, and
+// registry merges keep the largest value merged, which is independent of
+// merge order, so merged gauges are deterministic at any worker count.
+// Nil-receiver-safe, like Counter.
 type Gauge struct {
 	v   float64
 	set bool
-	agg GaugeAgg
 }
 
 // SetMax records v if it exceeds the current value (or none is set).
@@ -196,9 +182,8 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge with the given merge aggregation,
-// registering it on first use.
-func (r *Registry) Gauge(name string, agg GaugeAgg) *Gauge {
+// Gauge returns the named gauge, registering it on first use.
+func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
@@ -206,7 +191,7 @@ func (r *Registry) Gauge(name string, agg GaugeAgg) *Gauge {
 	defer r.mu.Unlock()
 	g := r.gauges[name]
 	if g == nil {
-		g = &Gauge{agg: agg}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
@@ -254,8 +239,8 @@ func (r *Registry) VolatileHistogram(name string, bounds []float64) *Histogram {
 }
 
 // VolatileGauge registers a gauge excluded from deterministic snapshots.
-func (r *Registry) VolatileGauge(name string, agg GaugeAgg) *Gauge {
-	g := r.Gauge(name, agg)
+func (r *Registry) VolatileGauge(name string) *Gauge {
+	g := r.Gauge(name)
 	if r != nil {
 		r.mu.Lock()
 		r.volatile[name] = true
@@ -341,8 +326,8 @@ func (r *Registry) Flush() {
 	}
 }
 
-// Merge folds src into r: counters add, gauges combine per their
-// aggregation, histograms add bucket-wise (layouts must match), trace
+// Merge folds src into r: counters add, gauges keep the maximum,
+// histograms add bucket-wise (layouts must match), trace
 // events append in src order (ring-bounded). src must be quiescent (its
 // owning goroutine done, with a happens-before edge to the caller — the
 // trial engine's WaitGroup provides one). Callers merge shards in a fixed
@@ -368,19 +353,10 @@ func (r *Registry) Merge(src *Registry) {
 		}
 		dst := r.gauges[name]
 		if dst == nil {
-			dst = &Gauge{agg: g.agg}
+			dst = &Gauge{}
 			r.gauges[name] = dst
 		}
-		switch {
-		case !dst.set:
-			dst.v, dst.set = g.v, true
-		case dst.agg == AggMax && g.v > dst.v:
-			dst.v = g.v
-		case dst.agg == AggMin && g.v < dst.v:
-			dst.v = g.v
-		case dst.agg == AggSum:
-			dst.v += g.v
-		}
+		dst.SetMax(g.v)
 	}
 	for name, h := range src.hists {
 		dst := r.histogramLocked(name, h.bounds)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"slices"
 )
 
 // Writer builds a snapshot stream section by section. Sections and fields
@@ -123,17 +124,26 @@ func (s *SectionWriter) String(name string, v string) {
 // U64s appends a uint64-array field.
 func (s *SectionWriter) U64s(name string, v []uint64) {
 	s.field(name, tagU64s)
-	s.buf = binary.LittleEndian.AppendUint32(s.buf, checkLen(len(v)))
-	for _, x := range v {
-		s.buf = binary.LittleEndian.AppendUint64(s.buf, x)
+	p := s.payload(len(v), 8)
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(p[8*i:], x)
 	}
 }
 
 // U32s appends a uint32-array field.
 func (s *SectionWriter) U32s(name string, v []uint32) {
 	s.field(name, tagU32s)
-	s.buf = binary.LittleEndian.AppendUint32(s.buf, checkLen(len(v)))
-	for _, x := range v {
-		s.buf = binary.LittleEndian.AppendUint32(s.buf, x)
+	p := s.payload(len(v), 4)
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(p[4*i:], x)
 	}
+}
+
+// payload appends an array's length prefix, reserves its n elements of
+// size bytes in one step, and returns them for the caller to fill.
+func (s *SectionWriter) payload(n, size int) []byte {
+	s.buf = binary.LittleEndian.AppendUint32(s.buf, checkLen(n))
+	at := len(s.buf)
+	s.buf = slices.Grow(s.buf, n*size)[:at+n*size]
+	return s.buf[at:]
 }

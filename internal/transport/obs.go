@@ -41,7 +41,7 @@ func (s *Server) registerObs(r *obs.Registry) {
 			// Volatile: the watermark depends on wall-clock session overlap
 			// (a new session's open can race the previous one's close), so
 			// it stays out of deterministic snapshots.
-			r.VolatileGauge("transport_sessions_active_max", obs.AggMax).SetMax(float64(st.activeMax))
+			r.VolatileGauge("transport_sessions_active_max").SetMax(float64(st.activeMax))
 		}
 	})
 }
