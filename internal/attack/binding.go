@@ -121,6 +121,34 @@ func (v VictimLines) Remaps(f *ftl.FTL) []Remap {
 	return out
 }
 
+// FirstRedirect hunts for the first L2P redirect: for each of the first
+// maxPlans bindings, in order, it runs prepare (when not nil), snapshots
+// the binding's victim lines, pins and trims its aggressors
+// (PinAndTrim), hammers pat through h and stops at the first binding
+// whose victim lines remapped. It returns that binding's index and
+// remaps, or -1 and nil when none remapped.
+func FirstRedirect(h *DeviceHammerer, bindings []Binding, maxPlans int, pat Pattern, prepare func(Binding) error) (int, []Remap, error) {
+	for i, b := range bindings[:min(maxPlans, len(bindings))] {
+		if prepare != nil {
+			if err := prepare(b); err != nil {
+				return -1, nil, err
+			}
+		}
+		before := SnapshotVictimLines(h.Dev.FTL(), b)
+		fast, err := PinAndTrim(h.Dev, h.NS, h.Path, b)
+		if err != nil {
+			return -1, nil, err
+		}
+		if err := h.Hammer(fast, pat); err != nil {
+			return -1, nil, err
+		}
+		if r := before.Remaps(h.Dev.FTL()); len(r) > 0 {
+			return i, r, nil
+		}
+	}
+	return -1, nil, nil
+}
+
 // entryLBA converts an L2P DRAM address back to the device-global LBA
 // whose entry starts there (linear layout).
 func entryLBA(region dram.Region, addr uint64) ftl.LBA {

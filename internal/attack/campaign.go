@@ -171,11 +171,11 @@ func (c *Campaign) trimBinding(b Binding) error {
 // the flips induced and the virtual time spent up to the failure.
 func (c *Campaign) Run() (*CampaignReport, error) {
 	rep := &CampaignReport{}
-	start := c.TB.Clock.Now()
-	flipsBefore := c.TB.DRAM.Stats().Flips
+	start := c.TB.Device.Clock().Now()
+	flipsBefore := c.TB.Device.DRAM().Stats().Flips
 	defer func() {
-		rep.FlipsInduced = c.TB.DRAM.Stats().Flips - flipsBefore
-		rep.Elapsed = c.TB.Clock.Now().Sub(start)
+		rep.FlipsInduced = c.TB.Device.DRAM().Stats().Flips - flipsBefore
+		rep.Elapsed = c.TB.Device.Clock().Now().Sub(start)
 	}()
 
 	// Offline stage: device layout analysis (§4.2 "hammering stage"

@@ -57,19 +57,14 @@ type TargetSpec struct {
 	// NoGuard runs without the firmware Bloom guard, which is otherwise
 	// attached with guard.DefaultConfig().
 	NoGuard bool
-	// Amplify is the firmware hammers-per-IO knob (default 5).
-	Amplify int
 	// Budget is the pattern iteration count per evaluation. The default
-	// (400) is chosen against the defaults above: enough combined
-	// activations to cross FuzzProfile's HCfirst within one refresh
-	// window when the mitigation is bypassed, while each aggressor row
-	// stays below the guard's default per-window threshold — so the
-	// plain double-sided baseline is blocked silently and stealthy
-	// winning patterns exist.
+	// (400) is chosen against the defaults above and fuzzAmplify: enough
+	// combined activations to cross FuzzProfile's HCfirst within one
+	// refresh window when the mitigation is bypassed, while each
+	// aggressor row stays below the guard's default per-window threshold
+	// — so the plain double-sided baseline is blocked silently and
+	// stealthy winning patterns exist.
 	Budget int
-	// MaxBindings bounds how many bindings each evaluation hammers
-	// (default 2).
-	MaxBindings int
 }
 
 // withDefaults normalizes the zero value to the standard fuzz target.
@@ -77,14 +72,8 @@ func (t TargetSpec) withDefaults() TargetSpec {
 	if t.Mitigation == "" {
 		t.Mitigation = "trr:1"
 	}
-	if t.Amplify == 0 {
-		t.Amplify = 5
-	}
 	if t.Budget == 0 {
 		t.Budget = 400
-	}
-	if t.MaxBindings == 0 {
-		t.MaxBindings = 2
 	}
 	return t
 }
@@ -118,7 +107,7 @@ func (t TargetSpec) Build(reg *obs.Registry) (*nvme.Device, error) {
 	}
 	sp := fleet.DeviceSpec{
 		Tenants: 1,
-		Amplify: t.Amplify,
+		Amplify: fuzzAmplify,
 		DRAM:    &dcfg,
 		Flash:   &geom,
 		Guard:   gc,
@@ -205,7 +194,7 @@ func (t TargetSpec) EvaluateOn(dev *nvme.Device, p Pattern) (Fitness, error) {
 		Dev:      dev,
 		NS:       ns,
 		Path:     nvme.PathDirect,
-		Alloc:    &ContiguousAllocator{MaxBindings: t.MaxBindings},
+		Alloc:    &ContiguousAllocator{MaxBindings: fuzzBindings},
 		Hammerer: &DeviceHammerer{Dev: dev, NS: ns, Path: nvme.PathDirect},
 		// Arming a victim line costs LineEntries flash writes whose
 		// L2P stores all activate the victim row; capping the armed
@@ -264,8 +253,16 @@ type Fuzzer struct {
 	Obs *obs.Registry
 }
 
-// fuzzElite is how many top candidates of a generation survive and breed.
-const fuzzElite = 2
+const (
+	// fuzzElite is how many top candidates of a generation survive and
+	// breed.
+	fuzzElite = 2
+	// fuzzAmplify is the fuzz target's firmware hammers per I/O, the
+	// paper's §4.1 testbed amplification.
+	fuzzAmplify = 5
+	// fuzzBindings is how many bindings each evaluation hammers.
+	fuzzBindings = 2
+)
 
 // Report is the outcome of one fuzzer run.
 type Report struct {

@@ -24,8 +24,8 @@ type DeviceHammerer struct {
 	Dev  *nvme.Device
 	NS   *nvme.Namespace
 	Path nvme.Path
-	// Buf is the read scratch buffer; allocated on first use when nil.
-	Buf []byte
+	// buf is the read scratch buffer, allocated on first use.
+	buf []byte
 	// cycle is the reused read sequence of one pattern cycle (see
 	// repeatCycles).
 	cycle []ftl.LBA
@@ -42,8 +42,8 @@ func (h *DeviceHammerer) Hammer(b Binding, p Pattern) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if h.Buf == nil {
-		h.Buf = make([]byte, h.Dev.BlockBytes())
+	if h.buf == nil {
+		h.buf = make([]byte, h.Dev.BlockBytes())
 	}
 	slots := p.effectiveSlots()
 	// Resolve each slot's LBA group up front.
@@ -106,7 +106,7 @@ func (h *DeviceHammerer) Hammer(b Binding, p Pattern) error {
 				// Sleep to the boundary, then fire the decoy so its
 				// row activation lands right after the REF command.
 				clk.AdvanceTo(sim.Time(next))
-				if _, err := h.Dev.Read(h.NS, b.DecoyLBA, h.Buf, h.Path); err != nil {
+				if _, err := h.Dev.Read(h.NS, b.DecoyLBA, h.buf, h.Path); err != nil {
 					return err
 				}
 			}
@@ -121,14 +121,14 @@ func (h *DeviceHammerer) Hammer(b Binding, p Pattern) error {
 				// a corrupt-translation error (from an earlier flip)
 				// does not matter — the lookup that errored already
 				// displaced the cached line.
-				_, _ = h.Dev.Read(h.NS, evict[si], h.Buf, h.Path)
+				_, _ = h.Dev.Read(h.NS, evict[si], h.buf, h.Path)
 			}
 			lba := b.DecoyLBA
 			if s.Aggressor != DecoyTarget {
 				group := sides[s.Aggressor]
 				lba = group[i%len(group)]
 			}
-			if _, err := h.Dev.Read(h.NS, lba, h.Buf, h.Path); err != nil {
+			if _, err := h.Dev.Read(h.NS, lba, h.buf, h.Path); err != nil {
 				return err
 			}
 		}
@@ -170,11 +170,11 @@ func (h *DeviceHammerer) repeatCycles(b Binding, p Pattern, slots []Slot) (done 
 		}
 	}
 	h.cycle = lbas
-	if err := h.Dev.RepeatReads(h.NS, lbas, h.Path, p.Iterations/cycle, h.Buf); err != nil {
+	if err := h.Dev.RepeatReads(h.NS, lbas, h.Path, p.Iterations/cycle, h.buf); err != nil {
 		return true, err
 	}
 	for _, lba := range lbas[:p.Iterations%cycle*len(slots)] {
-		if _, err := h.Dev.Read(h.NS, lba, h.Buf, h.Path); err != nil {
+		if _, err := h.Dev.Read(h.NS, lba, h.buf, h.Path); err != nil {
 			return true, err
 		}
 	}

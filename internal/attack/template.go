@@ -68,8 +68,8 @@ func Template(h *DeviceHammerer, bindings []Binding, p Pattern) ([]TemplateResul
 	if p.Iterations <= 0 {
 		p.Iterations = max(HammerBudget(h.Dev, 4), 1024)
 	}
-	if h.Buf == nil {
-		h.Buf = make([]byte, h.Dev.BlockBytes())
+	if h.buf == nil {
+		h.buf = make([]byte, h.Dev.BlockBytes())
 	}
 	var out []TemplateResult
 	for _, b := range bindings {
@@ -106,10 +106,10 @@ func templateOne(h *DeviceHammerer, b Binding, p Pattern) (TemplateResult, error
 	}
 	// Arm the victim row: mapped entries with recognizable data.
 	for _, lba := range probes {
-		for j := range h.Buf {
-			h.Buf[j] = canaryFill(lba)
+		for j := range h.buf {
+			h.buf[j] = canaryFill(lba)
 		}
-		if err := h.Dev.Write(ns, lba, h.Buf, h.Path); err != nil {
+		if err := h.Dev.Write(ns, lba, h.buf, h.Path); err != nil {
 			return res, err
 		}
 	}
@@ -123,9 +123,9 @@ func templateOne(h *DeviceHammerer, b Binding, p Pattern) (TemplateResult, error
 	for _, lba := range probes {
 		if evictDelta > 0 {
 			// Eviction only; errors from flipped alias entries are noise.
-			_, _ = h.Dev.Read(ns, h.aliasLBA(lba, evictDelta), h.Buf, h.Path)
+			_, _ = h.Dev.Read(ns, h.aliasLBA(lba, evictDelta), h.buf, h.Path)
 		}
-		mapped, err := h.Dev.Read(ns, lba, h.Buf, h.Path)
+		mapped, err := h.Dev.Read(ns, lba, h.buf, h.Path)
 		if err != nil {
 			res.Vulnerable = true
 			res.Observation = "read error: " + err.Error()
@@ -137,7 +137,7 @@ func templateOne(h *DeviceHammerer, b Binding, p Pattern) (TemplateResult, error
 			return res, nil
 		}
 		want := canaryFill(lba)
-		for _, c := range h.Buf {
+		for _, c := range h.buf {
 			if c != want {
 				res.Vulnerable = true
 				res.Observation = "data changed"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestAnalyzeCrossPartitionFindsPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	region := tb.FTL.L2PRegion()
+	region := tb.Device.FTL().L2PRegion()
 	decoys := 0
 	for _, b := range bindings {
 		if len(b.Sides) != 2 {
@@ -286,7 +287,7 @@ func TestHammerFlipsVictimRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := attackerHammerer(tb)
-	before := tb.DRAM.Stats().Flips
+	before := tb.Device.DRAM().Stats().Flips
 	// Hammer several bindings: weak cells are sparse, some rows are clean.
 	for i, b := range bindings {
 		if i >= 8 {
@@ -296,13 +297,58 @@ func TestHammerFlipsVictimRow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tb.DRAM.Stats().Flips == before {
+	if tb.Device.DRAM().Stats().Flips == before {
 		t.Fatal("hammering induced no flips")
 	}
-	for _, ev := range tb.DRAM.Flips() {
+	for _, ev := range tb.Device.DRAM().Flips() {
 		if ev.Row < 0 {
 			t.Fatal("nonsense flip row")
 		}
+	}
+}
+
+// TestFirstRedirectStopsAtFirstRemap: the hunt prepares and hammers
+// bindings in order, stops at the first whose victim lines remapped and
+// names that binding and its remaps; a plan limit short of it hunts
+// exactly that many bindings and finds nothing.
+func TestFirstRedirectStopsAtFirstRemap(t *testing.T) {
+	hunt := func(maxPlans int) (int, []Remap, []int) {
+		tb := fastTestbed(t, nil)
+		bindings, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{VictimNSID: tb.VictimNS.ID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prepared []int
+		prepare := func(b Binding) error {
+			prepared = append(prepared, b.Triple.VictimRow)
+			_, err := PrepareVictimLines(tb.Device, tb.VictimNS, b)
+			return err
+		}
+		pat := double(HammerBudget(tb.Device, 2))
+		i, r, err := FirstRedirect(attackerHammerer(tb), bindings, maxPlans, pat, prepare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, row := range prepared {
+			if row != bindings[k].Triple.VictimRow {
+				t.Fatalf("prepared victim rows %v, not the bindings in order", prepared)
+			}
+		}
+		if i >= 0 {
+			for _, rm := range r {
+				if !slices.ContainsFunc(bindings[i].VictimGlobalLBAs, func(g ftl.LBA) bool { return rm.LBA >= g && rm.LBA < g+LineEntries }) {
+					t.Errorf("remap of LBA %d lies outside binding %d's victim lines", rm.LBA, i)
+				}
+			}
+		}
+		return i, r, prepared
+	}
+	i, r, prepared := hunt(24)
+	if i < 0 || len(r) == 0 || len(prepared) != i+1 {
+		t.Fatalf("hunt over 24 plans: binding %d, %d remaps, %d prepared", i, len(r), len(prepared))
+	}
+	if j, r, prepared := hunt(i); j != -1 || r != nil || len(prepared) != i {
+		t.Errorf("hunt over %d plans: binding %d, %d remaps, %d prepared; want -1, 0, %d", i, j, len(r), len(prepared), i)
 	}
 }
 
@@ -384,7 +430,7 @@ func TestOneLocationHammerNeedsClosedRowPolicy(t *testing.T) {
 		h := attackerHammerer(tb)
 		pat := OneLocationPattern()
 		pat.Iterations = 60000
-		before := tb.DRAM.Stats().Flips
+		before := tb.Device.DRAM().Stats().Flips
 		for i, b := range bindings {
 			if i >= 6 {
 				break
@@ -393,7 +439,7 @@ func TestOneLocationHammerNeedsClosedRowPolicy(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return tb.DRAM.Stats().Flips - before
+		return tb.Device.DRAM().Stats().Flips - before
 	}
 	if flips := run(dram.OpenRow); flips != 0 {
 		t.Fatalf("one-location flipped %d bits under open-row policy", flips)
@@ -472,7 +518,7 @@ func TestCacheEvictionBypass(t *testing.T) {
 				observed = true
 			}
 		}
-		return tb.DRAM.Stats().Flips, observed
+		return tb.Device.DRAM().Stats().Flips, observed
 	}
 	if flips, _ := run(0); flips != 0 {
 		t.Fatalf("cache absorbed nothing: %d flips without eviction", flips)
@@ -562,13 +608,13 @@ func TestScanDetectsRedirectAndDumpLeaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maliciousPPN := tb.FTL.PPNOf(tb.VictimNS.StartLBA + ftl.LBA(dataBlk0))
-	entryAddr, err := tb.FTL.EntryAddr(tb.VictimNS.StartLBA + ftl.LBA(sf0.IndirectFSBlock))
+	maliciousPPN := tb.Device.FTL().PPNOf(tb.VictimNS.StartLBA + ftl.LBA(dataBlk0))
+	entryAddr, err := tb.Device.FTL().EntryAddr(tb.VictimNS.StartLBA + ftl.LBA(sf0.IndirectFSBlock))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := []byte{byte(maliciousPPN), byte(maliciousPPN >> 8), byte(maliciousPPN >> 16), byte(maliciousPPN >> 24)}
-	if err := tb.DRAM.Write(entryAddr, raw); err != nil {
+	if err := tb.Device.DRAM().Write(entryAddr, raw); err != nil {
 		t.Fatal(err)
 	}
 
@@ -794,9 +840,9 @@ func TestCampaignFlipLocalityAndCollateralDamage(t *testing.T) {
 	if rep.FlipsInduced == 0 {
 		t.Fatal("no flips induced")
 	}
-	region := tb.FTL.L2PRegion()
+	region := tb.Device.FTL().L2PRegion()
 	victimData := 0
-	for _, ev := range tb.DRAM.Flips() {
+	for _, ev := range tb.Device.DRAM().Flips() {
 		if !region.Contains(ev.PhysAddr) {
 			continue
 		}
@@ -805,8 +851,8 @@ func TestCampaignFlipLocalityAndCollateralDamage(t *testing.T) {
 			victimData++
 		}
 	}
-	if victimData*2 < len(tb.DRAM.Flips()) {
-		t.Fatalf("only %d/%d flips in victim translations", victimData, len(tb.DRAM.Flips()))
+	if victimData*2 < len(tb.Device.DRAM().Flips()) {
+		t.Fatalf("only %d/%d flips in victim translations", victimData, len(tb.Device.DRAM().Flips()))
 	}
 	if fsck, err := tb.VictimFS.Fsck(); err == nil && len(fsck.Problems) != 0 {
 		t.Logf("§3.2 collateral damage: %d filesystem inconsistencies (expected under attack)", len(fsck.Problems))

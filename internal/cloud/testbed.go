@@ -10,7 +10,6 @@ import (
 	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/guard"
-	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/obs"
 	"ftlhammer/internal/sim"
@@ -126,13 +125,8 @@ func (c *Config) Mitigate(spec string) error {
 // World and must be driven from one goroutine; parallel harnesses build
 // one testbed per trial.
 type Testbed struct {
-	// World is the testbed's simulation world (clock + seed-derived
-	// random streams); Clock aliases World.Clock.
-	World  *sim.World
-	Clock  *sim.Clock
-	DRAM   *dram.Module
-	Flash  *nand.Array
-	FTL    *ftl.FTL
+	// Device is the shared SSD; its accessors reach the simulation world
+	// and clock, the DRAM, the flash and the FTL.
 	Device *nvme.Device
 
 	// VictimNS is the victim VM's namespace; the ext4 volume lives here.
@@ -161,11 +155,6 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	ans, _ := dev.NamespaceByID(1)
 	vns, _ := dev.NamespaceByID(2)
 	tb := &Testbed{
-		World:      bd.World,
-		Clock:      bd.World.Clock,
-		DRAM:       dev.DRAM(),
-		Flash:      dev.Flash(),
-		FTL:        dev.FTL(),
 		Device:     dev,
 		VictimNS:   vns,
 		AttackerNS: ans,

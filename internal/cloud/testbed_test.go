@@ -28,7 +28,7 @@ func TestTestbedConstruction(t *testing.T) {
 	if tb.VictimNS.ID == tb.AttackerNS.ID {
 		t.Fatal("namespaces share an ID")
 	}
-	if tb.VictimNS.NumLBAs+tb.AttackerNS.NumLBAs != tb.FTL.NumLBAs() {
+	if tb.VictimNS.NumLBAs+tb.AttackerNS.NumLBAs != tb.Device.FTL().NumLBAs() {
 		t.Fatal("partitions do not cover the device")
 	}
 	id := tb.Device.Identify()
@@ -127,13 +127,13 @@ func TestGroundTruthHelpers(t *testing.T) {
 	if blk == 0 || uint64(blk) >= tb.VictimNS.NumLBAs {
 		t.Fatalf("secret fs block %d out of range", blk)
 	}
-	ppn := tb.FTL.PPNOf(tb.VictimNS.StartLBA + ftl.LBA(blk))
-	if uint64(ppn) >= tb.Flash.Geometry().TotalPages() {
+	ppn := tb.Device.FTL().PPNOf(tb.VictimNS.StartLBA + ftl.LBA(blk))
+	if uint64(ppn) >= tb.Device.Flash().Geometry().TotalPages() {
 		t.Fatalf("secret PBA %d out of range", ppn)
 	}
 	// Cross-check: reading the flash page directly shows the marker.
 	buf := make([]byte, tb.Device.BlockBytes())
-	if err := tb.Flash.Read(ppn, buf); err != nil {
+	if err := tb.Device.Flash().Read(ppn, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(buf, []byte(SecretMarker)) {
@@ -187,14 +187,14 @@ func TestRateLimitedNamespaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, tb.Device.BlockBytes())
-	start := tb.Clock.Now()
+	start := tb.Device.Clock().Now()
 	const n = 20000
 	for i := 0; i < n; i++ {
 		if _, err := tb.Device.Read(tb.AttackerNS, 1, buf, nvme.PathDirect); err != nil {
 			t.Fatal(err)
 		}
 	}
-	iops := float64(n) / tb.Clock.Now().Sub(start).Seconds()
+	iops := float64(n) / tb.Device.Clock().Now().Sub(start).Seconds()
 	if iops > 55_000 {
 		t.Fatalf("rate limit leaked: %.0f IOPS", iops)
 	}

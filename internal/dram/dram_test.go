@@ -138,7 +138,7 @@ func TestRowAddrsShareRow(t *testing.T) {
 	g := SmallGeometry()
 	m := NewMapper(g, MapperConfig{Twist: TwistXor3, XorBank: true})
 	loc := Location{Bank: 3, Row: 77}
-	addrs := m.RowAddrs(loc, 64)
+	addrs := m.AppendRowAddrs(nil, loc, 64)
 	if len(addrs) != g.RowBytes/64 {
 		t.Fatalf("got %d addrs, want %d", len(addrs), g.RowBytes/64)
 	}
@@ -201,7 +201,7 @@ func fillRow(t *testing.T, m *Module, row int, pattern byte) {
 	for i := range buf {
 		buf[i] = pattern
 	}
-	for _, a := range m.Mapper().RowAddrs(Location{Bank: 0, Row: row}, 64) {
+	for _, a := range m.Mapper().AppendRowAddrs(nil, Location{Bank: 0, Row: row}, 64) {
 		if err := m.Write(a, buf); err != nil {
 			t.Fatalf("fillRow write: %v", err)
 		}
@@ -292,7 +292,7 @@ func TestDoubleSidedHammerFlipsBits(t *testing.T) {
 	// Corruption must be visible through the data path.
 	saw := false
 	buf := make([]byte, 64)
-	for _, a := range m.Mapper().RowAddrs(Location{Bank: 0, Row: victim}, 64) {
+	for _, a := range m.Mapper().AppendRowAddrs(nil, Location{Bank: 0, Row: victim}, 64) {
 		if err := m.Read(a, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -466,7 +466,7 @@ func TestECCCorrectsSingleFlip(t *testing.T) {
 	buf := make([]byte, 64)
 	corrupt := 0
 	var readErr error
-	for _, a := range m.Mapper().RowAddrs(Location{Bank: 0, Row: victim}, 64) {
+	for _, a := range m.Mapper().AppendRowAddrs(nil, Location{Bank: 0, Row: victim}, 64) {
 		err := m.Read(a, buf)
 		if err != nil {
 			readErr = err
@@ -590,7 +590,7 @@ func TestBoostIncreasesWeakDensity(t *testing.T) {
 		m := New(cfg, world)
 		flips := 0
 		for victim := 1; victim < 200; victim += 4 {
-			for _, a := range m.Mapper().RowAddrs(Location{Bank: 0, Row: victim}, 64) {
+			for _, a := range m.Mapper().AppendRowAddrs(nil, Location{Bank: 0, Row: victim}, 64) {
 				buf := [64]byte{}
 				for i := range buf {
 					buf[i] = 0xFF
@@ -805,7 +805,7 @@ func TestTRRLargerSamplerCatchesMoreSides(t *testing.T) {
 		for i := range buf {
 			buf[i] = 0xFF
 		}
-		for _, a := range m.Mapper().RowAddrs(Location{Bank: 0, Row: victim}, 64) {
+		for _, a := range m.Mapper().AppendRowAddrs(nil, Location{Bank: 0, Row: victim}, 64) {
 			if err := m.Write(a, buf); err != nil {
 				t.Fatal(err)
 			}
@@ -841,7 +841,7 @@ func TestMapperRowAddrsStride(t *testing.T) {
 	g := SmallGeometry()
 	m := NewMapper(g, MapperConfig{})
 	loc := Location{Bank: 1, Row: 5}
-	fine := m.RowAddrs(loc, 4)
+	fine := m.AppendRowAddrs(nil, loc, 4)
 	if len(fine) != g.RowBytes/4 {
 		t.Fatalf("stride-4 count %d", len(fine))
 	}
@@ -850,7 +850,7 @@ func TestMapperRowAddrsStride(t *testing.T) {
 			t.Fatal("non-positive stride accepted")
 		}
 	}()
-	m.RowAddrs(loc, 0)
+	m.AppendRowAddrs(nil, loc, 0)
 }
 
 func TestActivateOutOfRangePanics(t *testing.T) {

@@ -223,20 +223,11 @@ func (m *Mapper) Unmap(loc Location) uint64 {
 	return a
 }
 
-// RowAddrs returns every physical address held by the given bank/physical
-// row, at `stride` byte granularity (stride must divide the line size or be
-// a multiple of it). This is the offline enumeration primitive the attacker
-// uses to find which L2P entries share aggressor rows. Hot callers that
-// enumerate rows in a loop should reuse a scratch slice via AppendRowAddrs
-// instead; RowAddrs allocates a fresh slice per call.
-func (m *Mapper) RowAddrs(loc Location, stride int) []uint64 {
-	return m.AppendRowAddrs(nil, loc, stride)
-}
-
-// AppendRowAddrs appends the row's addresses to dst and returns the
-// extended slice, allocating only when dst lacks capacity. Passing
-// dst[:0] of a reused scratch buffer makes repeated enumeration
-// allocation-free.
+// AppendRowAddrs appends every physical address held by the given
+// bank/physical row, at `stride` byte granularity (stride must divide the
+// line size or be a multiple of it), to dst and returns the extended
+// slice, allocating only when dst lacks capacity. Passing dst[:0] of a
+// reused scratch buffer makes repeated enumeration allocation-free.
 func (m *Mapper) AppendRowAddrs(dst []uint64, loc Location, stride int) []uint64 {
 	if stride <= 0 {
 		panic("dram: non-positive stride")

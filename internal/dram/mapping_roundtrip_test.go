@@ -146,7 +146,7 @@ func FuzzMapper(f *testing.F) {
 func TestAppendRowAddrsReuse(t *testing.T) {
 	m := NewMapper(SmallGeometry(), MapperConfig{XorBank: true})
 	loc := Location{Bank: 3, Row: 200}
-	fresh := m.RowAddrs(loc, 64)
+	fresh := m.AppendRowAddrs(nil, loc, 64)
 	scratch := make([]uint64, 0, len(fresh))
 	got := m.AppendRowAddrs(scratch[:0], loc, 64)
 	if len(got) != len(fresh) {

@@ -124,7 +124,7 @@ func TestMitigationRNGSurvivesSnapshot(t *testing.T) {
 	}
 	wr := snapshot.NewWriter()
 	m.SaveTo(wr)
-	snap, err := snapshot.Decode(wr.Bytes())
+	snap, err := snapshot.Decode(snapBytes(wr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestLoadRejectsPreZooSnapshots(t *testing.T) {
 	m := New(Config{Geometry: SmallGeometry(), Profile: TestbedProfile(), PARA: 0.3, Seed: 7}, sim.NewWorld(7))
 	wr := snapshot.NewWriter()
 	m.SaveTo(wr)
-	cur := wr.Bytes()
+	cur := snapBytes(wr)
 	for _, tc := range []struct {
 		field  string
 		stream []byte

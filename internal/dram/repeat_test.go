@@ -58,7 +58,7 @@ func moduleState(t *testing.T, m *Module) ([]byte, sim.Time) {
 	t.Helper()
 	w := snapshot.NewWriter()
 	m.SaveTo(w)
-	return w.Bytes(), m.clk.Now()
+	return snapBytes(w), m.clk.Now()
 }
 
 // TestCycleLogMatchesExactStream checks the module's half of next-event

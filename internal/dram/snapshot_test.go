@@ -69,13 +69,13 @@ func TestRestoreRebuildsMemos(t *testing.T) {
 	save := func() []byte {
 		w := snapshot.NewWriter()
 		m.SaveTo(w)
-		return w.Bytes()
+		return snapBytes(w)
 	}
 	peek := func() []byte {
 		var b []byte
 		for _, v := range victims {
 			for _, row := range []int{v.Row - 1, v.Row, v.Row + 1} {
-				for _, a := range mp.RowAddrs(Location{Bank: v.Bank, Row: row}, 1) {
+				for _, a := range mp.AppendRowAddrs(nil, Location{Bank: v.Bank, Row: row}, 1) {
 					b = append(b, m.Peek(a))
 				}
 			}
@@ -119,4 +119,11 @@ func TestRestoreRebuildsMemos(t *testing.T) {
 	if !bytes.Equal(save(), wantSnap) {
 		t.Error("snapshot after replay differs from the first pass's")
 	}
+}
+
+// snapBytes assembles a snapshot stream in memory.
+func snapBytes(w *snapshot.Writer) []byte {
+	var b bytes.Buffer
+	w.WriteTo(&b)
+	return b.Bytes()
 }

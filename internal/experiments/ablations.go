@@ -76,20 +76,14 @@ func runPattern(m *dram.Module, clk *sim.Clock, rows []int, rate float64, access
 	return m.Stats().Flips - before
 }
 
-// prepRows fills a span of rows with 0xAA so flips in either direction
-// are visible.
+// prepRows fills rows lo..hi of bank 0 with 0xAA so flips in either
+// direction are visible.
 func prepRows(m *dram.Module, lo, hi int) error {
-	buf := make([]byte, 64)
-	for i := range buf {
-		buf[i] = 0xAA
-	}
 	var scratch []uint64
 	for r := lo; r <= hi; r++ {
-		scratch = m.Mapper().AppendRowAddrs(scratch[:0], dram.Location{Bank: 0, Row: r}, 64)
-		for _, a := range scratch {
-			if err := m.Write(a, buf); err != nil {
-				return err
-			}
+		var err error
+		if scratch, err = fillRow(m, dram.Location{Row: r}, 0xAA, scratch); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -217,7 +211,7 @@ func ablateAmplification(w io.Writer, opt Options) error {
 		buf := make([]byte, f.BlockBytes())
 		a := ftl.LBA(0)
 		b := ftl.LBA(f.NumLBAs() - 1)
-		st0 := mem.Stats()
+		acc0, flips0 := mem.Accesses(), mem.Stats().Flips
 		for i := 0; i < ios/2; i++ {
 			if _, err := f.ReadLBA(a, buf); err != nil {
 				return ampRow{}, err
@@ -227,9 +221,8 @@ func ablateAmplification(w io.Writer, opt Options) error {
 			}
 			clk.Advance(300 * sim.Nanosecond)
 		}
-		st1 := mem.Stats()
-		perIO := float64((st1.Activations+st1.RowHits)-(st0.Activations+st0.RowHits)) / float64(ios)
-		return ampRow{PerIO: perIO, Flips: st1.Flips - st0.Flips}, nil
+		perIO := float64(mem.Accesses()-acc0) / float64(ios)
+		return ampRow{PerIO: perIO, Flips: mem.Stats().Flips - flips0}, nil
 	})
 	if err != nil {
 		return err
@@ -266,14 +259,13 @@ func ablateL2PLayout(w io.Writer, quick bool, reg *obs.Registry) error {
 		}
 		buf := make([]byte, f.BlockBytes())
 		rng := sim.NewRNG(3)
-		st0 := mem.Stats()
+		acc0 := mem.Accesses()
 		for i := 0; i < ios; i++ {
 			if _, err := f.ReadLBA(ftl.LBA(rng.Uint64n(f.NumLBAs())), buf); err != nil {
 				return err
 			}
 		}
-		st1 := mem.Stats()
-		perIO := float64((st1.Activations+st1.RowHits)-(st0.Activations+st0.RowHits)) / float64(ios)
+		perIO := float64(mem.Accesses()-acc0) / float64(ios)
 		name := "linear"
 		if hashed {
 			name = "hashed (keyed)"

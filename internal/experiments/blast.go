@@ -150,7 +150,7 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 	var entries []ftl.LBA
 	cmds := make([]nvme.Command, 0, 32)
 	var comps []nvme.Completion
-	prepare := func(b attack.Binding) {
+	prepare := func(b attack.Binding) error {
 		entries = b.VictimEntries(entries[:0], vicNS, 0)
 		for i, rel := range entries {
 			cmds = append(cmds, nvme.Command{Op: nvme.OpWrite, NS: vicNS, Path: nvme.PathDirect, LBA: rel, Buf: data})
@@ -159,6 +159,7 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 				cmds = cmds[:0]
 			}
 		}
+		return nil
 	}
 
 	h := &attack.DeviceHammerer{Dev: dev, NS: aggNS, Path: nvme.PathDirect}
@@ -168,30 +169,15 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 	if !opt.Quick {
 		maxPlans = 64
 	}
-	hit := false
-	for i, b := range bindings {
-		if i >= maxPlans {
-			break
-		}
-		prepare(b)
-		before := attack.SnapshotVictimLines(dev.FTL(), b)
-		fast, err := attack.PinAndTrim(dev, aggNS, nvme.PathDirect, b)
-		if err != nil {
-			return err
-		}
-		if err := h.Hammer(fast, pat); err != nil {
-			return err
-		}
-		if r := before.Remaps(dev.FTL()); len(r) > 0 {
-			fmt.Fprintf(w, "  BLAST: co-located tenant %d hit — LBA %d remapped PBA %#x -> PBA %#x (plan %d, victim row %d)\n",
-				victim, r[0].LBA, r[0].Old, r[0].New, i, b.Triple.VictimRow)
-			hit = true
-			break
-		}
+	i, r, err := attack.FirstRedirect(h, bindings, maxPlans, pat, prepare)
+	if err != nil {
+		return err
 	}
-	if !hit {
+	if i < 0 {
 		return fmt.Errorf("no co-located redirection within %d plans (try another seed)", maxPlans)
 	}
+	fmt.Fprintf(w, "  BLAST: co-located tenant %d hit — LBA %d remapped PBA %#x -> PBA %#x (plan %d, victim row %d)\n",
+		victim, r[0].LBA, r[0].Old, r[0].New, i, bindings[i].Triple.VictimRow)
 
 	// The campaign is over; every remote device must be bit-for-bit where
 	// it started.

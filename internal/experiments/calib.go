@@ -65,16 +65,15 @@ func Calibration41(w io.Writer, opt Options) error {
 		return err
 	}
 	h := &attack.DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
-	st0 := tb.DRAM.Stats()
+	acc0 := tb.Device.DRAM().Accesses()
 	iops, err := attack.MeasuredRate(h, bindings[0], 20000)
 	if err != nil {
 		return err
 	}
-	st1 := tb.DRAM.Stats()
-	accessesPerIO := float64((st1.Activations+st1.RowHits)-(st0.Activations+st0.RowHits)) / 20000
+	accessesPerIO := float64(tb.Device.DRAM().Accesses()-acc0) / 20000
 	fmt.Fprintf(w, "amplification: x%d -> %.1f DRAM accesses per I/O\n",
-		tb.FTL.Config().HammersPerIO, accessesPerIO)
-	amp := float64(tb.FTL.Config().HammersPerIO)
+		tb.Device.FTL().Config().HammersPerIO, accessesPerIO)
+	amp := float64(tb.Device.FTL().Config().HammersPerIO)
 	fmt.Fprintf(w, "achievable direct IOPS: %.2f M/s -> aggressor activation rate %.2f M/s (paper: ~7 M/s at ~1.4 M IOPS)\n",
 		iops/1e6, iops*amp/1e6)
 
@@ -85,7 +84,7 @@ func Calibration41(w io.Writer, opt Options) error {
 	// is an independent trial, so the census fans across the engine.
 	candidates := bindings
 	fmt.Fprintf(w, "cross-partition triple candidates: %d\n", len(candidates))
-	probe := tb.DRAM.Config()
+	probe := tb.Device.DRAM().Config()
 	limit := len(candidates)
 	if opt.Quick && limit > 24 {
 		limit = 24
@@ -118,15 +117,9 @@ func rowFlips(cfg dram.Config, tr dram.Triple, reg *obs.Registry) bool {
 	world.Obs = reg
 	clk := world.Clock
 	m := dram.New(cfg, world)
-	buf := make([]byte, 64)
-	for i := range buf {
-		buf[i] = 0xAA // both bit polarities present
-	}
 	loc := dram.Location{Channel: tr.Channel, DIMM: tr.DIMM, Rank: tr.Rank, Bank: tr.Bank, Row: tr.VictimRow}
-	for _, addr := range m.Mapper().RowAddrs(loc, 64) {
-		if err := m.Write(addr, buf); err != nil {
-			return false
-		}
+	if _, err := fillRow(m, loc, 0xAA, nil); err != nil {
+		return false
 	}
 	a := m.Mapper().Unmap(dram.Location{Channel: tr.Channel, DIMM: tr.DIMM, Rank: tr.Rank, Bank: tr.Bank, Row: tr.AggRows[0]})
 	b := m.Mapper().Unmap(dram.Location{Channel: tr.Channel, DIMM: tr.DIMM, Rank: tr.Rank, Bank: tr.Bank, Row: tr.AggRows[1]})

@@ -37,17 +37,19 @@ func hammerModule(m *dram.Module, clk *sim.Clock, victimRow int, rate float64, d
 	return m.Stats().Flips > before
 }
 
-// fillVictimRow writes 0xFF over a row so true-cells have charge to lose.
-// The row-address scratch slice is reused across calls: pass the previous
-// return value (or nil) to keep the enumeration allocation-free in loops.
-func fillVictimRow(m *dram.Module, row int, scratch []uint64) ([]uint64, error) {
-	buf := make([]byte, 64)
-	for i := range buf {
-		buf[i] = 0xFF
+// fillRow writes fill over every 64-byte line of the row at loc: 0xFF
+// gives true-cells charge to lose, 0xAA keeps flips in either direction
+// visible. The row-address scratch slice is reused across calls: pass the
+// previous return value (or nil) to keep the enumeration allocation-free
+// in loops.
+func fillRow(m *dram.Module, loc dram.Location, fill byte, scratch []uint64) ([]uint64, error) {
+	var line [64]byte
+	for i := range line {
+		line[i] = fill
 	}
-	scratch = m.Mapper().AppendRowAddrs(scratch[:0], dram.Location{Bank: 0, Row: row}, 64)
+	scratch = m.Mapper().AppendRowAddrs(scratch[:0], loc, len(line))
 	for _, addr := range scratch {
-		if err := m.Write(addr, buf); err != nil {
+		if err := m.Write(addr, line[:]); err != nil {
 			return scratch, err
 		}
 	}

@@ -76,7 +76,7 @@ func TestHammerModuleRespectsRate(t *testing.T) {
 		},
 		Seed: 9,
 	}, world)
-	if _, err := fillVictimRow(m, 101, nil); err != nil {
+	if _, err := fillRow(m, dram.Location{Row: 101}, 0xFF, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Below threshold rate: no flips even over many windows.

@@ -103,7 +103,7 @@ func faultProbe(rate float64, seed uint64, quick bool, reg *obs.Registry) (fault
 	if quick {
 		nOps = 2000
 	}
-	rng := tb.World.Stream(0x600d9)
+	rng := tb.Device.World().Stream(0x600d9)
 	buf := make([]byte, tb.Device.BlockBytes())
 	data := make([]byte, tb.Device.BlockBytes())
 	for i := range data {
@@ -111,7 +111,7 @@ func faultProbe(rate float64, seed uint64, quick bool, reg *obs.Registry) (fault
 	}
 	cmds := make([]nvme.Command, 0, 32)
 	var comps []nvme.Completion
-	start := tb.Clock.Now()
+	start := tb.Device.Clock().Now()
 	ok, bad := 0, 0
 	for done := 0; done < nOps; done += len(cmds) {
 		cmds = cmds[:0]
@@ -132,7 +132,7 @@ func faultProbe(rate float64, seed uint64, quick bool, reg *obs.Registry) (fault
 			}
 		}
 	}
-	elapsed := tb.Clock.Now().Sub(start)
+	elapsed := tb.Device.Clock().Now().Sub(start)
 
 	observed, err := templateProbe(tb, attack.DoublePattern(), quick)
 	blocked := err != nil && isDegradation(err)

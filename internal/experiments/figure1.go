@@ -60,28 +60,20 @@ func Figure1(w io.Writer, opt Options) error {
 	if !opt.Quick {
 		maxPlans = 64
 	}
-	for i, b := range bindings {
-		if i >= maxPlans {
-			break
-		}
-		before := attack.SnapshotVictimLines(tb.FTL, b)
-		// Trim the two hammer LBAs so their reads skip flash and run at
-		// interface speed (§3: trimmed-block acceleration).
-		fast, err := attack.PinAndTrim(tb.Device, ns, nvme.PathDirect, b)
-		if err != nil {
-			return err
-		}
-		if err := h.Hammer(fast, pat); err != nil {
-			return err
-		}
-		if r := before.Remaps(tb.FTL); len(r) > 0 {
-			fmt.Fprintf(w, "aggressor rows %d/%d (bank %d): victim row %d\n",
-				b.Triple.AggRows[0], b.Triple.AggRows[1], b.Triple.Bank, b.Triple.VictimRow)
-			fmt.Fprintf(w, "BITFLIP: LBA %d remapped PBA %#x -> PBA %#x (xor %#x)\n",
-				r[0].LBA, r[0].Old, r[0].New, r[0].Old^r[0].New)
-			fmt.Fprintf(w, "reads of LBA %d now return a different physical block's data\n", r[0].LBA)
-			return nil
-		}
+	// The hunt trims the two hammer LBAs so their reads skip flash and
+	// run at interface speed (§3: trimmed-block acceleration).
+	i, r, err := attack.FirstRedirect(h, bindings, maxPlans, pat, nil)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("experiments: figure 1 produced no redirection (try another seed)")
+	if i < 0 {
+		return fmt.Errorf("experiments: figure 1 produced no redirection (try another seed)")
+	}
+	b := bindings[i]
+	fmt.Fprintf(w, "aggressor rows %d/%d (bank %d): victim row %d\n",
+		b.Triple.AggRows[0], b.Triple.AggRows[1], b.Triple.Bank, b.Triple.VictimRow)
+	fmt.Fprintf(w, "BITFLIP: LBA %d remapped PBA %#x -> PBA %#x (xor %#x)\n",
+		r[0].LBA, r[0].Old, r[0].New, r[0].Old^r[0].New)
+	fmt.Fprintf(w, "reads of LBA %d now return a different physical block's data\n", r[0].LBA)
+	return nil
 }

@@ -33,9 +33,9 @@ func Figure2(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	amp := float64(tb.FTL.Config().HammersPerIO)
+	amp := float64(tb.Device.FTL().Config().HammersPerIO)
 	required := attack.RequiredRate(tb.Device)
-	fmt.Fprintf(w, "DRAM profile: %s\n", tb.DRAM.Config().Profile.Name)
+	fmt.Fprintf(w, "DRAM profile: %s\n", tb.Device.DRAM().Config().Profile.Name)
 	fmt.Fprintf(w, "required aggressor-row activation rate: %.2f M/s\n", required/1e6)
 	fmt.Fprintf(w, "firmware amplification: x%.0f activations per I/O\n\n", amp)
 	fmt.Fprintf(w, "%-44s %12s %16s %10s\n", "path", "IOPS", "activations/s", "feasible")
@@ -108,7 +108,7 @@ func hostFSReadRate(tb *cloud.Testbed, n int) (float64, error) {
 		return 0, err
 	}
 	buf := make([]byte, ext4.BlockSize)
-	start := tb.Clock.Now()
+	start := tb.Device.Clock().Now()
 	for i := 0; i < n/2; i++ {
 		if _, err := f1.ReadAt(buf, 0); err != nil {
 			return 0, err
@@ -117,14 +117,14 @@ func hostFSReadRate(tb *cloud.Testbed, n int) (float64, error) {
 			return 0, err
 		}
 	}
-	elapsed := tb.Clock.Now().Sub(start)
+	elapsed := tb.Device.Clock().Now().Sub(start)
 	return float64(n) / elapsed.Seconds(), nil
 }
 
 // pathReadRate measures raw alternating block reads on a path.
 func pathReadRate(tb *cloud.Testbed, path nvme.Path, n int) (float64, error) {
 	buf := make([]byte, tb.Device.BlockBytes())
-	start := tb.Clock.Now()
+	start := tb.Device.Clock().Now()
 	for i := 0; i < n/2; i++ {
 		if _, err := tb.Device.Read(tb.VictimNS, 1, buf, path); err != nil {
 			return 0, err
@@ -133,6 +133,6 @@ func pathReadRate(tb *cloud.Testbed, path nvme.Path, n int) (float64, error) {
 			return 0, err
 		}
 	}
-	elapsed := tb.Clock.Now().Sub(start)
+	elapsed := tb.Device.Clock().Now().Sub(start)
 	return float64(n) / elapsed.Seconds(), nil
 }

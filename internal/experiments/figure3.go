@@ -114,7 +114,7 @@ func demonstrateEscalation(tb *cloud.Testbed) (cloud.ExecResult, error) {
 		return cloud.ExecResult{}, err
 	}
 	global := tb.VictimNS.StartLBA + ftl.LBA(fsBlk)
-	cur := tb.FTL.PPNOf(global)
+	cur := tb.Device.FTL().PPNOf(global)
 
 	// Spray polyglots across the attacker partition in chunks until some
 	// one-bit neighbour of `cur` holds payload (the paper fills 100% of
@@ -123,7 +123,7 @@ func demonstrateEscalation(tb *cloud.Testbed) (cloud.ExecResult, error) {
 	if err != nil {
 		return cloud.ExecResult{}, err
 	}
-	total := tb.Flash.Geometry().TotalPages()
+	total := tb.Device.Flash().Geometry().TotalPages()
 	buf := make([]byte, tb.Device.BlockBytes())
 	findBit := func() int {
 		for bit := 0; bit < 32; bit++ {
@@ -131,7 +131,7 @@ func demonstrateEscalation(tb *cloud.Testbed) (cloud.ExecResult, error) {
 			if cand >= total {
 				continue
 			}
-			if err := tb.Flash.Read(nand.PPN(cand), buf); err != nil {
+			if err := tb.Device.Flash().Read(nand.PPN(cand), buf); err != nil {
 				continue
 			}
 			if bytes.Contains(buf, []byte(cloud.PolyglotMarker)) {
@@ -161,16 +161,16 @@ func demonstrateEscalation(tb *cloud.Testbed) (cloud.ExecResult, error) {
 	}
 	// Apply the single-bit corruption to the stored translation — the
 	// exact effect of one lucky rowhammer flip.
-	addr, err := tb.FTL.EntryAddr(global)
+	addr, err := tb.Device.FTL().EntryAddr(global)
 	if err != nil {
 		return cloud.ExecResult{}, err
 	}
 	raw := make([]byte, 4)
-	if err := tb.DRAM.Read(addr, raw); err != nil {
+	if err := tb.Device.DRAM().Read(addr, raw); err != nil {
 		return cloud.ExecResult{}, err
 	}
 	raw[bit/8] ^= 1 << (bit % 8)
-	if err := tb.DRAM.Write(addr, raw); err != nil {
+	if err := tb.Device.DRAM().Write(addr, raw); err != nil {
 		return cloud.ExecResult{}, err
 	}
 	// Victim runs sudo; the read path follows the corrupted translation.

@@ -126,7 +126,7 @@ func probeMitigation(p mitigationProbe, quick bool, reg *obs.Registry) (mitigati
 	if err != nil {
 		return mitigationResult{}, err
 	}
-	st := tb.DRAM.Stats()
+	st := tb.Device.DRAM().Stats()
 	res := mitigationResult{
 		Name:      p.name,
 		Flips:     st.Flips,

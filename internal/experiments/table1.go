@@ -68,7 +68,7 @@ func minimalFlipRate(p dram.Profile, reg *obs.Registry) (float64, error) {
 		world := sim.NewWorld(cfg.Seed)
 		world.Obs = reg
 		m := dram.New(cfg, world)
-		if scratch, err = fillVictimRow(m, row, scratch); err != nil {
+		if scratch, err = fillRow(m, dram.Location{Row: row}, 0xFF, scratch); err != nil {
 			return 0, err
 		}
 		if hammerModule(m, world.Clock, row, 32e6, 128*sim.Millisecond) {
@@ -86,7 +86,7 @@ func minimalFlipRate(p dram.Profile, reg *obs.Registry) (float64, error) {
 		world := sim.NewWorld(cfg.Seed)
 		world.Obs = reg
 		m := dram.New(cfg, world)
-		if scratch, err = fillVictimRow(m, victim, scratch); err != nil {
+		if scratch, err = fillRow(m, dram.Location{Row: victim}, 0xFF, scratch); err != nil {
 			return 0, err
 		}
 		if hammerModule(m, world.Clock, victim, mid, 128*sim.Millisecond) {

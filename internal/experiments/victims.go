@@ -19,10 +19,6 @@ import (
 // differ only in the victim stack and where the flip is aimed.
 const victimsSeed = 0x51C715
 
-// gcMaxLines bounds the GC victim's armed canary lines (2 lines = 32
-// canaries), matching the scale the package tests validate.
-const gcMaxLines = 2
-
 // victimScenario is one row of the §5 scorecard: a victim stack, an
 // aimed L2P flip (or none), and whether GC-forcing churn runs during
 // the attack.
@@ -167,8 +163,7 @@ func scoutTarget(sc victimScenario) (ftl.LBA, uint64, error) {
 	switch sc.kind {
 	case "fs":
 		ns, _ = dev.NamespaceByID(2)
-		v := &victims.FSVictim{Dev: dev, NS: ns, Path: nvme.PathDirect,
-			Journal: sc.journal, MetaChecksum: sc.metaCksum}
+		v := &victims.FSVictim{Dev: dev, NS: ns, Journal: sc.journal, MetaChecksum: sc.metaCksum}
 		if err := v.Arm(nil); err != nil {
 			return 0, 0, err
 		}
@@ -179,7 +174,7 @@ func scoutTarget(sc victimScenario) (ftl.LBA, uint64, error) {
 		}
 	case "kv":
 		ns, _ = dev.NamespaceByID(2)
-		v := &victims.KVVictim{Dev: dev, NS: ns, Path: nvme.PathDirect}
+		v := &victims.KVVictim{Dev: dev, NS: ns}
 		if err := v.Arm(nil); err != nil {
 			return 0, 0, err
 		}
@@ -194,7 +189,7 @@ func scoutTarget(sc victimScenario) (ftl.LBA, uint64, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		v := &victims.GCVictim{Dev: dev, NS: ns, Path: nvme.PathDirect, MaxLines: gcMaxLines}
+		v := &victims.GCVictim{Dev: dev, NS: ns}
 		if err := v.Arm(bindings[:1]); err != nil {
 			return 0, 0, err
 		}
@@ -265,7 +260,7 @@ func probeVictimScenario(sc victimScenario, reg *obs.Registry) (victimRow, error
 	var detail func()
 	switch sc.kind {
 	case "fs":
-		v := &victims.FSVictim{Dev: dev, NS: victimNS, Path: nvme.PathDirect,
+		v := &victims.FSVictim{Dev: dev, NS: victimNS,
 			Journal: sc.journal, MetaChecksum: sc.metaCksum, Obs: reg}
 		pipe.Victim = armThenInject{v, bd.Injector}
 		detail = func() {
@@ -281,7 +276,7 @@ func probeVictimScenario(sc victimScenario, reg *obs.Registry) (victimRow, error
 			}
 		}
 	case "kv":
-		v := &victims.KVVictim{Dev: dev, NS: victimNS, Path: nvme.PathDirect, Obs: reg}
+		v := &victims.KVVictim{Dev: dev, NS: victimNS, Obs: reg}
 		pipe.Victim = armThenInject{v, bd.Injector}
 		detail = func() {
 			d := v.Detail()
@@ -299,8 +294,7 @@ func probeVictimScenario(sc victimScenario, reg *obs.Registry) (victimRow, error
 			}
 		}
 	case "gc":
-		v := &victims.GCVictim{Dev: dev, NS: attackNS, Path: nvme.PathDirect,
-			MaxLines: gcMaxLines, NoInterleave: !sc.churn, Obs: reg}
+		v := &victims.GCVictim{Dev: dev, NS: attackNS, NoInterleave: !sc.churn, Obs: reg}
 		pipe.Victim = armThenInject{v, bd.Injector}
 		if sc.churn {
 			// Cold data fills the attacker tenant around the canaries:
@@ -319,7 +313,6 @@ func probeVictimScenario(sc victimScenario, reg *obs.Registry) (victimRow, error
 				Inner:   pipe.Hammerer,
 				Dev:     dev,
 				ChurnNS: victimNS,
-				Path:    nvme.PathDirect,
 				Rounds:  4, Writes: 1200, Span: 3500,
 				PrimeNS: attackNS,
 				Prime:   []ftl.LBA{target},

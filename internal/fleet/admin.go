@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -141,6 +142,10 @@ func (f *Fleet) handleReceive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	report, err := f.Receive(seed, wantHash, routes, r.Body)
+	if errors.Is(err, errBadRoutes) {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return

@@ -140,7 +140,6 @@ func (sp DeviceSpec) Validate() error {
 // serve, fault and checkpoint it.
 type BuiltDevice struct {
 	Device   *nvme.Device
-	World    *sim.World
 	Injector *faults.Injector
 	// PerNS is each namespace's size in LBAs.
 	PerNS uint64
@@ -210,7 +209,6 @@ func (sp DeviceSpec) Build(seed uint64, reg *obs.Registry) (*BuiltDevice, error)
 	}
 	return &BuiltDevice{
 		Device:      dev,
-		World:       world,
 		Injector:    inj,
 		PerNS:       per,
 		ProfileName: dcfg.Profile.Name,

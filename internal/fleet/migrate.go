@@ -100,33 +100,12 @@ func (f *Fleet) Migrate(ctx context.Context, src int) (*MigrationReport, error) 
 	if err != nil {
 		return nil, err
 	}
-
-	reg := f.newMemberRegistry()
-	bd, err := f.cfg.Spec.Build(m.Seed, reg)
+	dst, clockNow, err := f.adopt(m.Seed, hash, bytes.NewReader(snap))
 	if err != nil {
-		f.restartSource(m)
-		return nil, fmt.Errorf("fleet: building migration target: %w", err)
-	}
-	if err := bd.Device.Restore(bytes.NewReader(snap)); err != nil {
-		f.restartSource(m)
-		return nil, fmt.Errorf("fleet: restoring device %d state: %w", src, err)
-	}
-	if got := bd.Device.StateHash(); got != hash {
-		f.restartSource(m)
-		return nil, fmt.Errorf("fleet: restored state hash %#x, want %#x", got, hash)
-	}
-	// Read the restored clock before the new member's sessions take it over.
-	clockNow := uint64(bd.Device.Clock().Now())
-
-	f.mu.Lock()
-	dst := &Member{Index: len(f.members), Seed: m.Seed, Reg: reg, BD: bd}
-	f.members = append(f.members, dst)
-	if err := f.startMemberLocked(dst); err != nil {
-		f.members = f.members[:len(f.members)-1]
-		f.mu.Unlock()
 		f.restartSource(m)
 		return nil, err
 	}
+	f.mu.Lock()
 	m.retired = true
 	f.mu.Unlock()
 	f.table.CompleteMigration(src, dst.Index)
@@ -138,6 +117,36 @@ func (f *Fleet) Migrate(ctx context.Context, src int) (*MigrationReport, error) 
 		Src: src, Dst: dst.Index, StateHash: hash,
 		Bytes: len(snap), Tenants: tenantsOf(routes),
 	}, nil
+}
+
+// adopt is the second half of every inbound migration: build a device
+// from this fleet's spec and the sender's seed, restore the checkpoint,
+// verify its state hash and start it as a new member. It returns the
+// member and the restored device's clock reading, taken before the new
+// member's sessions take the clock over. On failure no member is added.
+func (f *Fleet) adopt(seed, wantHash uint64, snap io.Reader) (*Member, uint64, error) {
+	reg := f.newMemberRegistry()
+	bd, err := f.cfg.Spec.Build(seed, reg)
+	if err != nil {
+		return nil, 0, fmt.Errorf("fleet: building migration target: %w", err)
+	}
+	if err := bd.Device.Restore(snap); err != nil {
+		return nil, 0, fmt.Errorf("fleet: restoring migrated state: %w", err)
+	}
+	if got := bd.Device.StateHash(); got != wantHash {
+		return nil, 0, fmt.Errorf("fleet: restored state hash %#x, want %#x", got, wantHash)
+	}
+	clockNow := uint64(bd.Device.Clock().Now())
+
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	m := &Member{Index: len(f.members), Seed: seed, Reg: reg, BD: bd}
+	f.members = append(f.members, m)
+	if err := f.startMemberLocked(m); err != nil {
+		f.members = f.members[:len(f.members)-1]
+		return nil, 0, err
+	}
+	return m, clockNow, nil
 }
 
 // Transfer headers of the cross-process migration protocol (POST
@@ -230,17 +239,45 @@ func (f *Fleet) MigrateOut(ctx context.Context, src int, targetURL string, hc *h
 	}, nil
 }
 
-// Receive is the inbound half of MigrateOut: build a member from this
-// fleet's spec and the sender's seed, restore the snapshot, verify the
-// state hash, start serving and install the tenant routes. The fleet must
-// have been Started (the new member needs the serve context). Routes are
-// installed only once the member serves; a transfer that fails anywhere
-// installs none, so its tenants are refused, never misrouted.
+// errBadRoutes marks a transfer whose tenant routes can never be
+// installed here; /fleet/receive answers it with 400.
+var errBadRoutes = errors.New("fleet: bad transfer routes")
+
+// checkRoutes rejects a transfer's routes that repeat a tenant, name a
+// tenant outside the hello's NSID range [1, 65535], or name a namespace
+// the spec's devices do not have.
+func (f *Fleet) checkRoutes(routes []Route) error {
+	if len(routes) == 0 {
+		return fmt.Errorf("%w: the transfer names no tenants", errBadRoutes)
+	}
+	seen := make(map[int]bool, len(routes))
+	for _, r := range routes {
+		switch {
+		case r.Tenant < 1 || r.Tenant > 0xFFFF:
+			return fmt.Errorf("%w: tenant %d outside [1, 65535]", errBadRoutes, r.Tenant)
+		case seen[r.Tenant]:
+			return fmt.Errorf("%w: tenant %d named twice", errBadRoutes, r.Tenant)
+		case r.NSID < 1 || r.NSID > f.cfg.Spec.Tenants:
+			return fmt.Errorf("%w: tenant %d's namespace %d outside [1, %d]",
+				errBadRoutes, r.Tenant, r.NSID, f.cfg.Spec.Tenants)
+		}
+		seen[r.Tenant] = true
+	}
+	return nil
+}
+
+// Receive is the inbound half of MigrateOut: check the routes, adopt the
+// snapshot as a new member (build from this fleet's spec and the sender's
+// seed, restore, verify the state hash, start serving) and install the
+// tenant routes. The fleet must have been Started (the new member needs
+// the serve context). Routes are installed only once the member serves;
+// a transfer that fails anywhere installs none, so its tenants are
+// refused, never misrouted.
 func (f *Fleet) Receive(seed uint64, wantHash uint64, routes []Route, snap io.Reader) (*MigrationReport, error) {
 	f.migrateMu.Lock()
 	defer f.migrateMu.Unlock()
-	if len(routes) == 0 {
-		return nil, errors.New("fleet: transfer names no tenants")
+	if err := f.checkRoutes(routes); err != nil {
+		return nil, err
 	}
 	f.mu.Lock()
 	started := f.started
@@ -256,29 +293,10 @@ func (f *Fleet) Receive(seed uint64, wantHash uint64, routes []Route, snap io.Re
 		}
 	}
 
-	reg := f.newMemberRegistry()
-	bd, err := f.cfg.Spec.Build(seed, reg)
+	dst, clockNow, err := f.adopt(seed, wantHash, snap)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: building receive target: %w", err)
-	}
-	if err := bd.Device.Restore(snap); err != nil {
-		return nil, fmt.Errorf("fleet: restoring transferred state: %w", err)
-	}
-	hash := bd.Device.StateHash()
-	if hash != wantHash {
-		return nil, fmt.Errorf("fleet: restored state hash %#x, want %#x", hash, wantHash)
-	}
-	clockNow := uint64(bd.Device.Clock().Now())
-
-	f.mu.Lock()
-	dst := &Member{Index: len(f.members), Seed: seed, Reg: reg, BD: bd}
-	f.members = append(f.members, dst)
-	if err := f.startMemberLocked(dst); err != nil {
-		f.members = f.members[:len(f.members)-1]
-		f.mu.Unlock()
 		return nil, err
 	}
-	f.mu.Unlock()
 	for i := range routes {
 		routes[i].Device = dst.Index
 	}
@@ -288,7 +306,7 @@ func (f *Fleet) Receive(seed uint64, wantHash uint64, routes []Route, snap io.Re
 	f.migrations.Add(1)
 	f.cfg.Obs.Emit(clockNow, EvMigrate, -1, int64(dst.Index), 0)
 	return &MigrationReport{
-		Src: -1, Dst: dst.Index, StateHash: hash, Tenants: tenantsOf(routes),
+		Src: -1, Dst: dst.Index, StateHash: wantHash, Tenants: tenantsOf(routes),
 	}, nil
 }
 

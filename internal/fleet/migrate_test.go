@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +17,7 @@ import (
 
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nvme"
+	"ftlhammer/internal/obs"
 	"ftlhammer/internal/transport"
 )
 
@@ -367,5 +371,64 @@ func TestCrossProcessMigration(t *testing.T) {
 	}
 	if binary.LittleEndian.Uint64(got) != 1 || binary.LittleEndian.Uint64(got[8:]) != 42 {
 		t.Error("transferred block corrupted")
+	}
+}
+
+// TestReceiveRejectsBadRoutes: /fleet/receive answers 400, and builds and
+// routes nothing, for a transfer that names no tenant, repeats a tenant,
+// names a tenant outside [1, 65535] or a namespace the spec's 2-tenant
+// devices do not have; a well-formed transfer of the same snapshot then
+// lands.
+func TestReceiveRejectsBadRoutes(t *testing.T) {
+	spec := testSpec(2)
+	const seed = 17
+	bd, err := spec.Build(seed, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := bd.Device.StateHash()
+	var snap bytes.Buffer
+	if err := bd.Device.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	dst, _, _ := startFleet(t, Config{Devices: 1, Spec: spec, Seed: 99, Standby: true})
+	admin := httptest.NewServer(dst.AdminHandler())
+	defer admin.Close()
+	post := func(tenants string) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, admin.URL+"/fleet/receive", bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(headerSeed, strconv.FormatUint(seed, 10))
+		req.Header.Set(headerStateHash, strconv.FormatUint(hash, 16))
+		req.Header.Set(headerTenants, tenants)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	for _, tenants := range []string{"", "1=1,1=2,7=99", "1=1,1=2", "7=99", "1=0", "0=1", "65536=1"} {
+		if code := post(tenants); code != http.StatusBadRequest {
+			t.Errorf("tenants %q: status %d, want %d", tenants, code, http.StatusBadRequest)
+		}
+	}
+	if got := dst.Table().Tenants(); len(got) != 0 {
+		t.Errorf("rejected transfers installed routes for tenants %v", got)
+	}
+	if got := dst.Devices(); got != 1 {
+		t.Errorf("receiver has %d members after rejected transfers, want 1", got)
+	}
+
+	if code := post("1=1,7=2"); code != http.StatusOK {
+		t.Fatalf("well-formed transfer: status %d, want %d", code, http.StatusOK)
+	}
+	for tenant, nsid := range map[int]int{1: 1, 7: 2} {
+		if r, err := dst.Table().Lookup(tenant); err != nil || r.NSID != nsid || r.Device != 1 {
+			t.Errorf("tenant %d: %+v, %v; want namespace %d on device 1", tenant, r, err, nsid)
+		}
 	}
 }

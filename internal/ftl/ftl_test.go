@@ -674,7 +674,7 @@ func TestLoadRejectsOutOfRangeOwner(t *testing.T) {
 	load := func() error {
 		w := snapshot.NewWriter()
 		f.SaveTo(w)
-		snap, err := snapshot.Decode(w.Bytes())
+		snap, err := snapshot.Decode(snapBytes(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -687,4 +687,11 @@ func TestLoadRejectsOutOfRangeOwner(t *testing.T) {
 	if err := load(); err == nil {
 		t.Fatal("snapshot with an out-of-range owner loaded")
 	}
+}
+
+// snapBytes assembles a snapshot stream in memory.
+func snapBytes(w *snapshot.Writer) []byte {
+	var b bytes.Buffer
+	w.WriteTo(&b)
+	return b.Bytes()
 }

@@ -25,7 +25,7 @@
 // estimate never undercounts — a real aggressor cannot slip through —
 // and the only error mode is a false-positive rate bounded by
 // occupancy^k (exported live as FPBound). Total tracking state is
-// 2 × FilterCounters × 8 bytes, fixed at construction: a device serving
+// 2 × 4096 counters × 8 bytes, fixed at design time: a device serving
 // four tenants and a device serving four thousand spend identical guard
 // memory, which the old exact map (one uint64 pair per hot row per
 // namespace) could not promise.

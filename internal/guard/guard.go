@@ -7,35 +7,40 @@ import (
 	"ftlhammer/internal/sim"
 )
 
+// The detector's fixed design parameters. Like BlockHammer's, they are
+// set at design time, not per deployment.
+const (
+	// window is the measurement window: one 64 ms refresh window, the
+	// physically meaningful horizon.
+	window = 64 * sim.Millisecond
+	// throttleIOPS is the rate imposed on an offending namespace while
+	// the signature persists: far below any hammer threshold, high
+	// enough for metadata-ish traffic.
+	throttleIOPS = 50_000
+	// penalty is how long a namespace stays throttled after its last
+	// violation.
+	penalty = 4 * window
+	// hashCount is k, the number of counters each key probes in every
+	// filter. The false-positive bound tightens as occupancy^k, so more
+	// hashes buy precision until the extra insertions themselves drive
+	// occupancy up.
+	hashCount = 4
+	// filterCounters is m, the number of 64-bit counters per filter. Two
+	// filters exist at any time, so the guard's total tracking state is
+	// 2*m*8 bytes — constant regardless of tenant count, row count, or
+	// traffic volume.
+	filterCounters = 4096
+)
+
 // Config tunes the detector.
 type Config struct {
-	// WindowDuration is the measurement window (default: one 64 ms
-	// refresh window — the physically meaningful horizon).
-	Window sim.Duration
 	// RowThreshold is the per-row activation count within one window
 	// that trips the detector. Rowhammering needs >= HCfirst (tens of
 	// thousands even on the weakest modules); legitimate workloads
 	// never concentrate that many lookups on one row. Default 8192.
 	RowThreshold uint64
-	// ThrottleIOPS is the rate imposed on an offending namespace while
-	// the signature persists (default 50K — far below any hammer
-	// threshold, high enough for metadata-ish traffic).
-	ThrottleIOPS float64
-	// Penalty is how long a namespace stays throttled after its last
-	// violation (default 4 windows).
-	Penalty sim.Duration
 	// Enforce applies throttling; when false the guard only detects.
 	Enforce bool
-	// HashCount is k, the number of counters each key probes in every
-	// filter (default 4). The false-positive bound tightens as
-	// occupancy^k, so more hashes buy precision until the extra
-	// insertions themselves drive occupancy up.
-	HashCount int
-	// FilterCounters is m, the number of 64-bit counters per filter
-	// (default 4096). Two filters exist at any time, so the guard's
-	// total tracking state is 2*m*8 bytes — constant regardless of
-	// tenant count, row count, or traffic volume.
-	FilterCounters int
 }
 
 // DefaultConfig returns detection+enforcement with conservative margins.
@@ -66,7 +71,7 @@ type Stats struct {
 // every activation inserts into both filters, estimates are read from
 // the older filter (which holds between half a window and a full window
 // of history), and every half window the older filter is cleared and
-// becomes the younger. Memory is 2*FilterCounters counters, constant no
+// becomes the younger. Memory is 2*filterCounters counters, constant no
 // matter how many tenants or rows the device serves; the price is a
 // bounded false-positive rate (see FPBound). Estimates never
 // underestimate, so a real aggressor is never missed.
@@ -84,27 +89,12 @@ type Guard struct {
 
 // New builds a guard.
 func New(cfg Config) *Guard {
-	if cfg.Window == 0 {
-		cfg.Window = 64 * sim.Millisecond
-	}
 	if cfg.RowThreshold == 0 {
 		cfg.RowThreshold = 8192
 	}
-	if cfg.ThrottleIOPS == 0 {
-		cfg.ThrottleIOPS = 50_000
-	}
-	if cfg.Penalty == 0 {
-		cfg.Penalty = 4 * cfg.Window
-	}
-	if cfg.HashCount == 0 {
-		cfg.HashCount = 4
-	}
-	if cfg.FilterCounters == 0 {
-		cfg.FilterCounters = 4096
-	}
 	g := &Guard{cfg: cfg, ns: make(map[int]*nsState)}
-	g.filters[0] = newCountingBloom(cfg.FilterCounters, cfg.HashCount)
-	g.filters[1] = newCountingBloom(cfg.FilterCounters, cfg.HashCount)
+	g.filters[0] = newCountingBloom(filterCounters, hashCount)
+	g.filters[1] = newCountingBloom(filterCounters, hashCount)
 	return g
 }
 
@@ -125,9 +115,9 @@ func tenantKey(nsID int, key uint64) uint64 {
 // W/2 and W of history — heat does not survive a refresh horizon, just
 // like physical disturbance does not.
 func (g *Guard) advance(now sim.Time) {
-	half := g.cfg.Window / 2
+	const half = window / 2
 	for now.Sub(g.epochStart) >= half {
-		if now.Sub(g.epochStart) >= g.cfg.Window {
+		if now.Sub(g.epochStart) >= window {
 			// Idle gap longer than a full window: both filters hold
 			// only stale heat. Clear both and re-anchor the epoch.
 			g.filters[0].clear()
@@ -160,7 +150,7 @@ func (g *Guard) Observe(nsID int, key uint64, now sim.Time) float64 {
 	g.filters[g.young].add(k)
 	if est := g.filters[1-g.young].add(k); est >= g.cfg.RowThreshold {
 		st.violations++
-		st.throttledTo = now.Add(g.cfg.Penalty)
+		st.throttledTo = now.Add(penalty)
 		g.stats.Blacklists++
 		// Subtract one threshold's worth of heat so a persisting attack
 		// re-trips once per threshold crossing rather than on every
@@ -171,7 +161,7 @@ func (g *Guard) Observe(nsID int, key uint64, now sim.Time) float64 {
 		g.reg.Emit(uint64(now), EvBlacklist, int64(nsID), int64(key), int64(st.violations))
 	}
 	if g.cfg.Enforce && now < st.throttledTo {
-		return g.cfg.ThrottleIOPS
+		return throttleIOPS
 	}
 	return 0
 }
@@ -209,5 +199,5 @@ func (g *Guard) Occupancy() float64 {
 // RowThreshold heat, so this is a loose upper bound on wrongly
 // throttled rows.
 func (g *Guard) FPBound() float64 {
-	return math.Pow(g.Occupancy(), float64(g.cfg.HashCount))
+	return math.Pow(g.Occupancy(), hashCount)
 }

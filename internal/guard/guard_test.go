@@ -89,7 +89,7 @@ func TestPenaltyExpires(t *testing.T) {
 	if cap := g.Observe(1, 9999, clk.Now()); cap == 0 {
 		t.Fatal("not throttled right after violation")
 	}
-	clk.Advance(cfg.Penalty + 300*sim.Millisecond)
+	clk.Advance(penalty + 300*sim.Millisecond)
 	if cap := g.Observe(1, 9999, clk.Now()); cap != 0 {
 		t.Fatal("throttle did not expire")
 	}

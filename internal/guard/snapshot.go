@@ -12,12 +12,15 @@ import (
 const snapSection = "guard"
 
 // ConfigString renders the guard's effective (default-resolved)
-// configuration for inclusion in the device config digest.
+// configuration for inclusion in the device config digest. It keeps the
+// text of a %+v print of the older Config that also held the design
+// constants, so every pinned config digest stays put.
 func (g *Guard) ConfigString() string {
 	if g == nil {
 		return ""
 	}
-	return fmt.Sprintf("%+v", g.cfg)
+	return fmt.Sprintf("{Window:%v RowThreshold:%d ThrottleIOPS:%d Penalty:%v Enforce:%t HashCount:%d FilterCounters:%d}",
+		window, g.cfg.RowThreshold, throttleIOPS, penalty, g.cfg.Enforce, hashCount, filterCounters)
 }
 
 // SaveTo appends the guard's state — both filters' counter arrays, the
@@ -55,9 +58,9 @@ func (g *Guard) SaveTo(w *snapshot.Writer) {
 
 // LoadFrom restores the guard from its section of a decoded snapshot,
 // replacing all filter and per-namespace state. Filter sizes must match
-// the configured geometry: a snapshot taken under a different
-// HashCount/FilterCounters would not continue identically, so length
-// mismatches are rejected rather than resized.
+// the guard's geometry: a snapshot with another counter count would not
+// continue identically, so length mismatches are rejected rather than
+// resized.
 func (g *Guard) LoadFrom(snap *snapshot.Snapshot) error {
 	s := snap.Section(snapSection)
 	young := s.U64("young")
@@ -74,9 +77,9 @@ func (g *Guard) LoadFrom(snap *snapshot.Snapshot) error {
 		if young > 1 {
 			s.Reject("young", "filter index %d out of range", young)
 		}
-		if len(f0) != g.cfg.FilterCounters || len(f1) != g.cfg.FilterCounters {
+		if len(f0) != filterCounters || len(f1) != filterCounters {
 			s.Reject("f0", "snapshot has %d+%d counters but guard is configured for 2x%d",
-				len(f0), len(f1), g.cfg.FilterCounters)
+				len(f0), len(f1), filterCounters)
 		}
 		if len(thrTo) != len(nsID) || len(viol) != len(nsID) {
 			s.Reject("ns_id", "namespace column lengths disagree")

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"bytes"
 	"testing"
 
 	"ftlhammer/internal/sim"
@@ -13,7 +14,7 @@ func roundTrip(t *testing.T, g *Guard, cfg Config) *Guard {
 	t.Helper()
 	w := snapshot.NewWriter()
 	g.SaveTo(w)
-	snap, err := snapshot.Decode(w.Bytes())
+	snap, err := snapshot.Decode(snapBytes(w))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -83,21 +84,48 @@ func TestSnapshotRoundTripIdenticalDetections(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsGeometryMismatch: a snapshot taken under one
-// filter geometry must not load into a guard configured differently —
-// the counters would not mean the same thing.
+// TestSnapshotRejectsGeometryMismatch: a snapshot whose filters have
+// another counter count must not load into a guard — the counters would
+// not mean the same thing.
 func TestSnapshotRejectsGeometryMismatch(t *testing.T) {
 	g := New(DefaultConfig())
+	g.filters[0] = newCountingBloom(1024, hashCount)
+	g.filters[1] = newCountingBloom(1024, hashCount)
 	g.Observe(1, 7, 0)
 	w := snapshot.NewWriter()
 	g.SaveTo(w)
-	snap, err := snapshot.Decode(w.Bytes())
+	snap, err := snapshot.Decode(snapBytes(w))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.FilterCounters = 1024
-	if err := New(cfg).LoadFrom(snap); err == nil {
+	if err := New(DefaultConfig()).LoadFrom(snap); err == nil {
 		t.Fatal("mismatched filter geometry accepted")
 	}
+}
+
+// TestConfigStringPinned pins the text every guarded device's
+// ConfigDigest hashes, for the configurations the product builds: the
+// default and the defenses experiment's enforcing and detect-only ones.
+func TestConfigStringPinned(t *testing.T) {
+	enforce := Config{RowThreshold: 4096, Enforce: true}
+	detect := Config{RowThreshold: 4096}
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{DefaultConfig(), "{Window:64.000ms RowThreshold:8192 ThrottleIOPS:50000 Penalty:256.000ms Enforce:true HashCount:4 FilterCounters:4096}"},
+		{enforce, "{Window:64.000ms RowThreshold:4096 ThrottleIOPS:50000 Penalty:256.000ms Enforce:true HashCount:4 FilterCounters:4096}"},
+		{detect, "{Window:64.000ms RowThreshold:4096 ThrottleIOPS:50000 Penalty:256.000ms Enforce:false HashCount:4 FilterCounters:4096}"},
+	} {
+		if got := New(tc.cfg).ConfigString(); got != tc.want {
+			t.Errorf("ConfigString = %q, want %q", got, tc.want)
+		}
+	}
+}
+
+// snapBytes assembles a snapshot stream in memory.
+func snapBytes(w *snapshot.Writer) []byte {
+	var b bytes.Buffer
+	w.WriteTo(&b)
+	return b.Bytes()
 }

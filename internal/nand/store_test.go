@@ -225,7 +225,7 @@ func sameErr(a, b error) bool {
 func saved(save func(*snapshot.Writer)) []byte {
 	w := snapshot.NewWriter()
 	save(w)
-	return w.Bytes()
+	return snapBytes(w)
 }
 
 // runPageStore applies the operations ops encodes to an Array and to the
@@ -376,7 +376,7 @@ func TestLoadRejectsMalformedDataKeys(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			w := snapshot.NewWriter()
 			a.SaveTo(w)
-			snap, err := snapshot.Decode(w.Bytes())
+			snap, err := snapshot.Decode(snapBytes(w))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,7 +391,7 @@ func TestLoadRejectsMalformedDataKeys(t *testing.T) {
 			out.U32s("erase_cnt", s.U32s("erase_cnt"))
 			out.Bytes("bad_blocks", s.Bytes("bad_blocks"))
 			out.U64s("stats", s.U64s("stats"))
-			bad, err := snapshot.Decode(w.Bytes())
+			bad, err := snapshot.Decode(snapBytes(w))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -408,4 +408,11 @@ func TestLoadRejectsMalformedDataKeys(t *testing.T) {
 			}
 		})
 	}
+}
+
+// snapBytes assembles a snapshot stream in memory.
+func snapBytes(w *snapshot.Writer) []byte {
+	var b bytes.Buffer
+	w.WriteTo(&b)
+	return b.Bytes()
 }

@@ -3,6 +3,7 @@ package nvme
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"sort"
@@ -138,12 +139,15 @@ func (d *Device) Checkpoint(w io.Writer) error {
 	return nil
 }
 
-// StateHash returns the FNV-1a hash of the device's checkpoint stream:
-// a 64-bit fingerprint of the entire simulation state. Equal hashes mean
-// byte-identical checkpoints. It emits no events and touches no
-// counters, so hashing is safe to interleave with metric collection.
+// StateHash returns the FNV-1a hash of the device's checkpoint stream
+// (snapshot.Hash of its bytes, which are streamed into the hash, not
+// assembled): a 64-bit fingerprint of the entire simulation state. Equal
+// hashes mean byte-identical checkpoints. It emits no events and touches
+// no counters, so hashing is safe to interleave with metric collection.
 func (d *Device) StateHash() uint64 {
-	return snapshot.Hash(d.checkpoint().Bytes())
+	h := fnv.New64a()
+	_, _ = d.checkpoint().WriteTo(h) // a hash's Write never fails
+	return h.Sum64()
 }
 
 // Restore replaces the device's entire state with a snapshot previously

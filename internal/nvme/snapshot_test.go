@@ -306,7 +306,7 @@ func TestSaveLoadStandalonePerLayer(t *testing.T) {
 	section := func(save func(*snapshot.Writer)) *snapshot.Snapshot {
 		w := snapshot.NewWriter()
 		save(w)
-		snap, err := snapshot.Decode(w.Bytes())
+		snap, err := snapshot.Decode(snapBytes(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,4 +325,11 @@ func TestSaveLoadStandalonePerLayer(t *testing.T) {
 	if dev.FTL().Stats() != dev2.FTL().Stats() {
 		t.Error("ftl standalone round-trip lost stats")
 	}
+}
+
+// snapBytes assembles a snapshot stream in memory.
+func snapBytes(w *snapshot.Writer) []byte {
+	var b bytes.Buffer
+	w.WriteTo(&b)
+	return b.Bytes()
 }

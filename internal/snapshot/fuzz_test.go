@@ -20,7 +20,7 @@ func corpusSeeds() map[string][]byte {
 	badMagic := append([]byte("NOTSNAP\x00"), valid[8:]...)
 	skewed := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint16(skewed[8:], FormatVersion+41)
-	empty := NewWriter().Bytes()
+	empty := streamBytes(NewWriter())
 	return map[string][]byte{
 		"valid.bin":     valid,
 		"truncated.bin": truncated,

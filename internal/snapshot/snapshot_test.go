@@ -24,7 +24,7 @@ func sampleStream() []byte {
 	a.U32s("u32s", []uint32{7, 0xFFFFFFFF})
 	b := w.Section("beta")
 	b.U64("only", 9)
-	return w.Bytes()
+	return streamBytes(w)
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -75,7 +75,7 @@ func TestFloatBitsPreserved(t *testing.T) {
 	for i, v := range vals {
 		s.F64(string(rune('a'+i)), v)
 	}
-	snap, err := Decode(w.Bytes())
+	snap, err := Decode(streamBytes(w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestDecodeHugeCounts(t *testing.T) {
 
 	w := NewWriter()
 	w.Section("s").U64s("a", []uint64{1})
-	data := w.Bytes()
+	data := streamBytes(w)
 	// Corrupt the array count (last 12 bytes are count + one element).
 	binary.LittleEndian.PutUint32(data[len(data)-12:], 0xFFFFFF)
 	if _, err := Decode(data); !errors.As(err, &fe) {
@@ -210,7 +210,7 @@ func TestDuplicateSectionRejected(t *testing.T) {
 	w.Section("dup").U64("a", 1)
 	w.Section("dup").U64("b", 2)
 	var fe *FormatError
-	if _, err := Decode(w.Bytes()); !errors.As(err, &fe) || fe.Section != "dup" {
+	if _, err := Decode(streamBytes(w)); !errors.As(err, &fe) || fe.Section != "dup" {
 		t.Fatalf("err = %v, want duplicate-section FormatError", err)
 	}
 }
@@ -255,4 +255,11 @@ func TestHashKnownValue(t *testing.T) {
 	if Hash([]byte("a")) == Hash([]byte("b")) {
 		t.Fatal("hash collision on trivial inputs")
 	}
+}
+
+// streamBytes assembles a snapshot stream in memory.
+func streamBytes(w *Writer) []byte {
+	var b bytes.Buffer
+	w.WriteTo(&b)
+	return b.Bytes()
 }

@@ -25,28 +25,33 @@ func (w *Writer) Section(name string) *SectionWriter {
 	return s
 }
 
-// Bytes assembles the complete snapshot stream.
-func (w *Writer) Bytes() []byte {
-	size := len(magic) + 2 + 4
-	for _, s := range w.secs {
-		size += 2 + len(s.name) + 4 + len(s.buf)
-	}
-	out := make([]byte, 0, size)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint16(out, FormatVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(w.secs)))
-	for _, s := range w.secs {
-		out = appendName(out, s.name)
-		out = binary.LittleEndian.AppendUint32(out, s.n)
-		out = append(out, s.buf...)
-	}
-	return out
-}
-
-// WriteTo writes the assembled stream to dst.
+// WriteTo streams the snapshot to dst: the header, then each section's
+// name and field count followed by its encoded fields, without
+// assembling the stream in memory.
 func (w *Writer) WriteTo(dst io.Writer) (int64, error) {
-	n, err := dst.Write(w.Bytes())
-	return int64(n), err
+	var n int64
+	write := func(p []byte) error {
+		k, err := dst.Write(p)
+		n += int64(k)
+		return err
+	}
+	head := append(make([]byte, 0, 64), magic[:]...)
+	head = binary.LittleEndian.AppendUint16(head, FormatVersion)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(w.secs)))
+	if err := write(head); err != nil {
+		return n, err
+	}
+	for _, s := range w.secs {
+		head = appendName(head[:0], s.name)
+		head = binary.LittleEndian.AppendUint32(head, s.n)
+		if err := write(head); err != nil {
+			return n, err
+		}
+		if err := write(s.buf); err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // SectionWriter encodes the fields of one section.

@@ -107,7 +107,7 @@ func awaitWrite(t *testing.T, what string, done chan error) {
 // session sends one window-sized batch and never reads its completions.
 // The session serves the batch and then blocks writing its completions
 // frame; without a drain write deadline that write never returns, the
-// session never ends, and Shutdown hangs. With DrainGrace the write
+// session never ends, and Shutdown hangs. With drainGrace the write
 // fails after the grace, the session ends, and graceful shutdown
 // completes well inside the Shutdown context.
 func TestDrainWithStalledSession(t *testing.T) {
@@ -116,10 +116,8 @@ func TestDrainWithStalledSession(t *testing.T) {
 		window   = 2
 	)
 	dev, _ := newTestDevice(t, 21, sessions, faults.Plan{})
-	srv := NewServer(dev, Config{
-		Window:     window,
-		DrainGrace: 100 * time.Millisecond,
-	})
+	srv := NewServer(dev, Config{Window: window})
+	srv.drainGrace = 100 * time.Millisecond
 	ln := newPipeListener()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(context.Background(), ln) }()
@@ -151,7 +149,7 @@ func TestDrainWithStalledSession(t *testing.T) {
 		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("graceful drain took %v — stalled writes were not cut by DrainGrace", elapsed)
+		t.Fatalf("graceful drain took %v — stalled writes were not cut by drainGrace", elapsed)
 	}
 	// Every command the sessions read was still served device-side: the
 	// drain discards undeliverable completions, never work.

@@ -22,6 +22,12 @@ var ErrServerClosed = errors.New("transport: server closed")
 // its hello, to a Server or to a routing frontend.
 const HandshakeTimeout = 10 * time.Second
 
+// drainGrace bounds how long a graceful drain waits for in-flight
+// completion frames to reach slow clients: beginDrain applies it as a
+// write deadline on every open session, so a peer that stopped reading
+// its socket cannot hold its session (and Shutdown) hostage.
+const drainGrace = 5 * time.Second
+
 // Config tunes a Server. The zero value gets sensible defaults.
 type Config struct {
 	// Window bounds the commands in each session's batch, which are all
@@ -32,12 +38,6 @@ type Config struct {
 	// rejected with StatusShutdown-like refusal (StatusInvalid + message).
 	// Default 256.
 	MaxSessions int
-	// DrainGrace bounds how long a graceful drain waits for in-flight
-	// completion frames to reach slow clients: beginDrain applies it as a
-	// write deadline on every open session, so a peer that stopped
-	// reading its socket cannot hold its session (and Shutdown) hostage.
-	// Default 5s.
-	DrainGrace time.Duration
 	// Faults, when non-nil, drives KindConnReset connection faults: after
 	// a served batch the injector may doom the session's connection,
 	// modeling NVMe-oF link loss. Typically the same injector threaded
@@ -54,9 +54,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 256
-	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = 5 * time.Second
 	}
 }
 
@@ -109,6 +106,9 @@ type Server struct {
 	dev *nvme.Device
 	cfg Config
 	reg *obs.Registry
+	// drainGrace is the constant drainGrace, which the drain test
+	// shortens so it need not wait it out.
+	drainGrace time.Duration
 
 	// started closes once Serve has handed the device's clock off to the
 	// sessions; a session waits for it before it touches the device.
@@ -147,12 +147,13 @@ type Server struct {
 func NewServer(dev *nvme.Device, cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{
-		dev:      dev,
-		cfg:      cfg,
-		reg:      dev.World().Obs,
-		started:  make(chan struct{}),
-		done:     make(chan struct{}),
-		sessions: map[uint32]*session{},
+		dev:        dev,
+		cfg:        cfg,
+		reg:        dev.World().Obs,
+		drainGrace: drainGrace,
+		started:    make(chan struct{}),
+		done:       make(chan struct{}),
+		sessions:   map[uint32]*session{},
 	}
 	if s.reg != nil {
 		s.registerObs(s.reg)
@@ -225,7 +226,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 // beginDrain stops accepting and kicks every session: the read deadline
 // ends a session waiting for its next batch at once, and the write
-// deadline gives a batch already read DrainGrace to flush its completions
+// deadline gives a batch already read drainGrace to flush its completions
 // — after that the write fails and the session ends, so a peer that
 // stopped reading cannot wedge graceful Shutdown behind a blocked socket
 // write. A connection still waiting for its hello gets the same read
@@ -243,7 +244,7 @@ func (s *Server) beginDrain() {
 	for _, se := range s.sessions {
 		kick = append(kick, se)
 	}
-	grace := s.cfg.DrainGrace
+	grace := s.drainGrace
 	s.mu.Unlock()
 	if ln != nil {
 		ln.Close()

@@ -21,20 +21,14 @@ import (
 // Journal it is the §5 "checksumming filesystem" — the scorecard shows
 // which corruptions the integrity machinery catches and which it
 // provably cannot (data-block redirects, which no metadata checksum
-// covers).
+// covers). Its volume's traffic takes nvme.PathDirect.
 type FSVictim struct {
-	Dev  *nvme.Device
-	NS   *nvme.Namespace
-	Path nvme.Path
+	Dev *nvme.Device
+	NS  *nvme.Namespace
 	// Journal wraps the volume in the write-ahead journal
 	// (ext4.WrapJournal); MetaChecksum enables inode CRCs.
 	Journal      bool
 	MetaChecksum bool
-	// Files is how many probe files to create (default 8); even
-	// indices use checksummed extent addressing, odd indices use the
-	// unprotected indirect scheme. BlocksPerFile sizes each (default 4).
-	Files         int
-	BlocksPerFile int
 	// Obs, when non-nil, receives the EvVerdict event per Check.
 	Obs *obs.Registry
 
@@ -72,6 +66,14 @@ func (d FSDetail) String() string {
 		d.Clean, d.Detected, d.Silent, d.FsckProblems)
 }
 
+// The FS victim's probe set: probeFiles files of probeBlocks blocks
+// each. Even indices use checksummed extent addressing, odd indices the
+// unprotected indirect scheme.
+const (
+	probeFiles  = 8
+	probeBlocks = 4
+)
+
 // probeFill is the deterministic content byte for file i, block b,
 // offset j.
 func probeFill(i, b, j int) byte {
@@ -82,13 +84,7 @@ func probeFill(i, b, j int) byte {
 // not consulted: like the paper's spray, the probe set covers the
 // filesystem wholesale and the hammer decides what actually breaks.
 func (v *FSVictim) Arm([]attack.Binding) error {
-	if v.Files <= 0 {
-		v.Files = 8
-	}
-	if v.BlocksPerFile <= 0 {
-		v.BlocksPerFile = 4
-	}
-	var dev ext4.BlockDevice = &cloud.NSBlockDevice{Dev: v.Dev, NS: v.NS, Path: v.Path}
+	var dev ext4.BlockDevice = &cloud.NSBlockDevice{Dev: v.Dev, NS: v.NS, Path: nvme.PathDirect}
 	if v.Journal {
 		jd, err := ext4.WrapJournal(dev, 0)
 		if err != nil {
@@ -112,8 +108,8 @@ func (v *FSVictim) Arm([]attack.Binding) error {
 	v.blocks = v.blocks[:0]
 	v.ppns = v.ppns[:0]
 	buf := make([]byte, ext4.BlockSize)
-	files := make([]*ext4.File, 0, v.Files)
-	for i := 0; i < v.Files; i++ {
+	files := make([]*ext4.File, 0, probeFiles)
+	for i := 0; i < probeFiles; i++ {
 		path := fmt.Sprintf("/probe%03d", i)
 		f, err := fs.Create(path, ext4.Root, ext4.CreateOptions{
 			Mode:        0o600,
@@ -122,7 +118,7 @@ func (v *FSVictim) Arm([]attack.Binding) error {
 		if err != nil {
 			return err
 		}
-		for b := 0; b < v.BlocksPerFile; b++ {
+		for b := 0; b < probeBlocks; b++ {
 			for j := range buf {
 				buf[j] = probeFill(i, b, j)
 			}
@@ -144,7 +140,7 @@ func (v *FSVictim) Arm([]attack.Binding) error {
 	for _, f := range files {
 		var lbas []ftl.LBA
 		var ppns []uint32
-		for b := 0; b < v.BlocksPerFile; b++ {
+		for b := 0; b < probeBlocks; b++ {
 			blk, err := f.MapBlock(uint64(b))
 			if err != nil {
 				return err
@@ -221,7 +217,7 @@ func (v *FSVictim) Check() (attack.VictimReport, error) {
 			}
 		} else {
 		blocks:
-			for b := 0; b < v.BlocksPerFile; b++ {
+			for b := 0; b < probeBlocks; b++ {
 				if _, err := f.ReadAt(buf, uint64(b)*ext4.BlockSize); err != nil {
 					if isDetectedErr(err) {
 						verdict = "detected"

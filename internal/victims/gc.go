@@ -19,6 +19,10 @@ func gcCanaryFill(lba ftl.LBA) byte { return byte(lba) ^ 0x5A }
 // canary write when Arm interleaves.
 const scratchPerCanary = 3
 
+// gcMaxLines bounds the victim line anchors GCVictim arms per binding
+// (2 lines = 32 canaries), the scale the package tests validate.
+const gcMaxLines = 2
+
 // GCDetail is GCVictim's fine-grained Check classification plus the
 // FTL's GC activity between Arm and Check.
 type GCDetail struct {
@@ -49,14 +53,12 @@ func (d GCDetail) String() string {
 // canary NAND blocks start half-dead — first in line when GC looks for
 // a victim block. Check separates content-intact-but-moved canaries
 // (GC rewrote the translation: exposure reset) from corrupted ones
-// (the flip survived the attack window, or GC amplified it).
+// (the flip survived the attack window, or GC amplified it). It arms
+// gcMaxLines victim lines per binding, and its traffic takes
+// nvme.PathDirect.
 type GCVictim struct {
-	Dev  *nvme.Device
-	NS   *nvme.Namespace
-	Path nvme.Path
-	// MaxLines bounds how many victim line anchors are armed per
-	// binding (0: all).
-	MaxLines int
+	Dev *nvme.Device
+	NS  *nvme.Namespace
 	// Interleave (default on unless NoInterleave) follows every canary
 	// write with scratchPerCanary scratch writes from the top of the
 	// namespace that are then trimmed, leaving canary NAND blocks mostly
@@ -90,7 +92,7 @@ func (v *GCVictim) Arm(bindings []attack.Binding) error {
 		// Append b's entries, then filter them in place down to the
 		// first sighting of each.
 		n := len(v.watched)
-		v.watched = b.VictimEntries(v.watched, v.NS, v.MaxLines)
+		v.watched = b.VictimEntries(v.watched, v.NS, gcMaxLines)
 		entries := v.watched[n:]
 		v.watched = v.watched[:n]
 		for _, rel := range entries {
@@ -101,7 +103,7 @@ func (v *GCVictim) Arm(bindings []attack.Binding) error {
 			for j := range v.buf {
 				v.buf[j] = gcCanaryFill(rel)
 			}
-			if err := v.Dev.Write(v.NS, rel, v.buf, v.Path); err != nil {
+			if err := v.Dev.Write(v.NS, rel, v.buf, nvme.PathDirect); err != nil {
 				return err
 			}
 			if !v.NoInterleave {
@@ -110,7 +112,7 @@ func (v *GCVictim) Arm(bindings []attack.Binding) error {
 					if uint64(scratch) > uint64(v.NS.NumLBAs) || seen[scratch] {
 						return errors.New("victims: GCVictim scratch region collides with watched lines")
 					}
-					if err := v.Dev.Write(v.NS, scratch, v.buf, v.Path); err != nil {
+					if err := v.Dev.Write(v.NS, scratch, v.buf, nvme.PathDirect); err != nil {
 						return err
 					}
 					trims = append(trims, scratch)
@@ -120,7 +122,7 @@ func (v *GCVictim) Arm(bindings []attack.Binding) error {
 		}
 	}
 	for _, s := range trims {
-		if err := v.Dev.Trim(v.NS, s, v.Path); err != nil {
+		if err := v.Dev.Trim(v.NS, s, nvme.PathDirect); err != nil {
 			return err
 		}
 	}
@@ -155,7 +157,7 @@ func (v *GCVictim) Check() (attack.VictimReport, error) {
 		if moved {
 			rep.Remapped++
 		}
-		mapped, err := v.Dev.Read(v.NS, rel, v.buf, v.Path)
+		mapped, err := v.Dev.Read(v.NS, rel, v.buf, nvme.PathDirect)
 		switch {
 		case err != nil:
 			det.Detected++
@@ -195,14 +197,13 @@ func (v *GCVictim) Check() (attack.VictimReport, error) {
 // FTL garbage collection runs DURING the attack. Optional Prime reads
 // model the victim touching its data mid-attack — the load that makes
 // a landed flip observable (and persistent in the table) before GC
-// decides its fate.
+// decides its fate. Its reads and writes take nvme.PathDirect.
 type ChurnHammerer struct {
 	Inner attack.Hammerer
 	Dev   *nvme.Device
-	// ChurnNS/Path is where churn writes land (typically the victim
-	// tenant's namespace — GC and the free pool are device-global).
+	// ChurnNS is where churn writes land (typically the victim tenant's
+	// namespace — GC and the free pool are device-global).
 	ChurnNS *nvme.Namespace
-	Path    nvme.Path
 	// Rounds splits the pattern's iterations (default 4). Writes is
 	// churn writes per round (default 128) over a rotating window of
 	// Span blocks (default 32) at the top of ChurnNS.
@@ -272,7 +273,7 @@ func (h *ChurnHammerer) Hammer(b attack.Binding, p attack.Pattern) error {
 			for _, lba := range h.Prime {
 				// The read exists for its loadEntry side effect; a
 				// corrupt-translation error is an expected outcome here.
-				_, _ = h.Dev.Read(h.PrimeNS, lba, h.buf, h.Path)
+				_, _ = h.Dev.Read(h.PrimeNS, lba, h.buf, nvme.PathDirect)
 			}
 		}
 		for w := 0; w < writes; w++ {
@@ -280,7 +281,7 @@ func (h *ChurnHammerer) Hammer(b attack.Binding, p attack.Pattern) error {
 			for j := range h.buf {
 				h.buf[j] = byte(h.cursor) ^ 0xC3
 			}
-			if err := h.Dev.Write(h.ChurnNS, lba, h.buf, h.Path); err != nil {
+			if err := h.Dev.Write(h.ChurnNS, lba, h.buf, nvme.PathDirect); err != nil {
 				if errors.Is(err, ftl.ErrDeviceFull) {
 					// Churn filled the device: GC has no headroom left,
 					// which is itself a valid end state for the round.

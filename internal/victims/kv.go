@@ -24,6 +24,12 @@ const (
 	kvCacheWays = 64 // direct-mapped page-cache frames
 )
 
+// KVVictim's key set: kvKeys keys of kvValueBytes bytes each.
+const (
+	kvKeys       = 64
+	kvValueBytes = 64
+)
+
 var kvTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Sentinel errors a KVStore read can return. All three are DETECTED
@@ -50,10 +56,10 @@ var (
 // in host memory, so a flipped translation cannot lose metadata — it
 // misdirects a record read, and the per-record framing (magic, key echo,
 // CRC) decides loudly. Steady-state Get performs zero heap allocations.
+// Its records travel nvme.PathDirect.
 type KVStore struct {
-	dev  *nvme.Device
-	ns   *nvme.Namespace
-	path nvme.Path
+	dev *nvme.Device
+	ns  *nvme.Namespace
 
 	index map[uint64]ftl.LBA
 	head  ftl.LBA // next append position
@@ -65,11 +71,10 @@ type KVStore struct {
 }
 
 // NewKVStore initializes an empty store over the namespace.
-func NewKVStore(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path) *KVStore {
+func NewKVStore(dev *nvme.Device, ns *nvme.Namespace) *KVStore {
 	s := &KVStore{
 		dev:    dev,
 		ns:     ns,
-		path:   path,
 		index:  make(map[uint64]ftl.LBA),
 		block:  dev.BlockBytes(),
 		frames: make([]byte, kvCacheWays*dev.BlockBytes()),
@@ -114,7 +119,7 @@ func (s *KVStore) Put(key uint64, val []byte) error {
 	crc := crc32.Update(0, kvTable, fr[:kvCRCOff])
 	crc = crc32.Update(crc, kvTable, fr[kvHeader:kvHeader+len(val)])
 	binary.LittleEndian.PutUint32(fr[kvCRCOff:], crc)
-	if err := s.dev.Write(s.ns, lba, fr, s.path); err != nil {
+	if err := s.dev.Write(s.ns, lba, fr, nvme.PathDirect); err != nil {
 		s.tags[idx] = ^ftl.LBA(0)
 		return err
 	}
@@ -138,7 +143,7 @@ func (s *KVStore) Get(key uint64, dst []byte) (int, error) {
 	fr := s.frame(idx)
 	if s.tags[idx] != lba {
 		s.tags[idx] = ^ftl.LBA(0)
-		mapped, err := s.dev.Read(s.ns, lba, fr, s.path)
+		mapped, err := s.dev.Read(s.ns, lba, fr, nvme.PathDirect)
 		if err != nil {
 			return 0, err
 		}
@@ -196,19 +201,14 @@ func (d KVDetail) String() string {
 // intact; the KVDetail splits those into detected (lost, misdirected,
 // device error) and silent outcomes.
 type KVVictim struct {
-	Dev  *nvme.Device
-	NS   *nvme.Namespace
-	Path nvme.Path
-	// Keys is how many keys to store (default 64); ValueBytes sizes
-	// each value (default 64, capped by the record capacity).
-	Keys       int
-	ValueBytes int
+	Dev *nvme.Device
+	NS  *nvme.Namespace
 	// Obs, when non-nil, receives the EvVerdict event per Check.
 	Obs *obs.Registry
 
 	store  *KVStore
 	ppns   []uint32
-	val    []byte
+	val    []byte // one value: kvValueBytes, capped by the record capacity
 	got    []byte
 	detail KVDetail
 }
@@ -224,20 +224,11 @@ func kvKey(i int) uint64 { return uint64(i)*2654435761 + 12345 }
 // consulted: records are appended from LBA 0 up, covering the log head
 // region the way a real store would.
 func (v *KVVictim) Arm([]attack.Binding) error {
-	if v.Keys <= 0 {
-		v.Keys = 64
-	}
-	if v.ValueBytes <= 0 {
-		v.ValueBytes = 64
-	}
-	v.store = NewKVStore(v.Dev, v.NS, v.Path)
-	if v.ValueBytes > v.store.block-kvHeader {
-		v.ValueBytes = v.store.block - kvHeader
-	}
-	v.val = make([]byte, v.ValueBytes)
+	v.store = NewKVStore(v.Dev, v.NS)
+	v.val = make([]byte, min(kvValueBytes, v.store.block-kvHeader))
 	v.got = make([]byte, v.store.block)
 	v.ppns = v.ppns[:0]
-	for i := 0; i < v.Keys; i++ {
+	for i := 0; i < kvKeys; i++ {
 		k := kvKey(i)
 		for j := range v.val {
 			v.val[j] = kvValueFill(k, j)
@@ -277,8 +268,8 @@ func (v *KVVictim) Check() (attack.VictimReport, error) {
 		v.store.tags[i] = ^ftl.LBA(0)
 	}
 	var det KVDetail
-	rep := attack.VictimReport{Checked: v.Keys}
-	for i := 0; i < v.Keys; i++ {
+	rep := attack.VictimReport{Checked: kvKeys}
+	for i := 0; i < kvKeys; i++ {
 		k := kvKey(i)
 		if lba, ok := v.store.RecordLBA(k); ok {
 			if uint32(v.Dev.FTL().PPNOf(v.NS.StartLBA+lba)) != v.ppns[i] {
@@ -294,7 +285,7 @@ func (v *KVVictim) Check() (attack.VictimReport, error) {
 		case err != nil:
 			det.DeviceErrors++
 		default:
-			ok := n == v.ValueBytes
+			ok := n == len(v.val)
 			if ok {
 				for j := 0; j < n; j++ {
 					if v.got[j] != kvValueFill(k, j) {

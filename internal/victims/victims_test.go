@@ -79,7 +79,7 @@ func flipEntry(t *testing.T, dev *nvme.Device, ns *nvme.Namespace, lba ftl.LBA) 
 func TestFSVictimCleanRun(t *testing.T) {
 	bd := smallDevice(t)
 	v := &FSVictim{
-		Dev: bd.Device, NS: victimNS(t, bd.Device), Path: nvme.PathDirect,
+		Dev: bd.Device, NS: victimNS(t, bd.Device),
 		Journal: true, MetaChecksum: true,
 	}
 	if err := v.Arm(nil); err != nil {
@@ -89,11 +89,11 @@ func TestFSVictimCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	if rep.Checked != v.Files || rep.Corrupted != 0 || rep.Remapped != 0 {
+	if rep.Checked != probeFiles || rep.Corrupted != 0 || rep.Remapped != 0 {
 		t.Fatalf("clean run report = %+v", rep)
 	}
 	det := v.Detail()
-	if det.Clean != v.Files || det.FsckProblems != 0 {
+	if det.Clean != probeFiles || det.FsckProblems != 0 {
 		t.Fatalf("clean run detail = %+v", det)
 	}
 }
@@ -101,7 +101,7 @@ func TestFSVictimCleanRun(t *testing.T) {
 func TestFSVictimDataFlipIsSilentEvenHardened(t *testing.T) {
 	bd := smallDevice(t)
 	v := &FSVictim{
-		Dev: bd.Device, NS: victimNS(t, bd.Device), Path: nvme.PathDirect,
+		Dev: bd.Device, NS: victimNS(t, bd.Device),
 		Journal: true, MetaChecksum: true,
 	}
 	if err := v.Arm(nil); err != nil {
@@ -131,7 +131,7 @@ func TestFSVictimDataFlipIsSilentEvenHardened(t *testing.T) {
 func TestFSVictimItableFlipDetectedWhenHardened(t *testing.T) {
 	bd := smallDevice(t)
 	v := &FSVictim{
-		Dev: bd.Device, NS: victimNS(t, bd.Device), Path: nvme.PathDirect,
+		Dev: bd.Device, NS: victimNS(t, bd.Device),
 		Journal: true, MetaChecksum: true,
 	}
 	if err := v.Arm(nil); err != nil {
@@ -157,7 +157,7 @@ func TestFSVictimItableFlipDetectedWhenHardened(t *testing.T) {
 
 func TestFSVictimItableFlipSilentWhenPlain(t *testing.T) {
 	bd := smallDevice(t)
-	v := &FSVictim{Dev: bd.Device, NS: victimNS(t, bd.Device), Path: nvme.PathDirect}
+	v := &FSVictim{Dev: bd.Device, NS: victimNS(t, bd.Device)}
 	if err := v.Arm(nil); err != nil {
 		t.Fatalf("arm: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestFSVictimItableFlipSilentWhenPlain(t *testing.T) {
 
 func TestKVStoreRoundTrip(t *testing.T) {
 	bd := smallDevice(t)
-	s := NewKVStore(bd.Device, victimNS(t, bd.Device), nvme.PathDirect)
+	s := NewKVStore(bd.Device, victimNS(t, bd.Device))
 	val := []byte("hello world")
 	if err := s.Put(42, val); err != nil {
 		t.Fatalf("put: %v", err)
@@ -206,7 +206,7 @@ func TestKVStoreRoundTrip(t *testing.T) {
 
 func TestKVVictimFlipDetectedNeverSilent(t *testing.T) {
 	bd := smallDevice(t)
-	v := &KVVictim{Dev: bd.Device, NS: victimNS(t, bd.Device), Path: nvme.PathDirect}
+	v := &KVVictim{Dev: bd.Device, NS: victimNS(t, bd.Device)}
 	if err := v.Arm(nil); err != nil {
 		t.Fatalf("arm: %v", err)
 	}
@@ -239,7 +239,7 @@ func TestKVVictimFlipDetectedNeverSilent(t *testing.T) {
 // cache hits and misses alike — performs no heap allocation.
 func TestKVGetZeroAlloc(t *testing.T) {
 	bd := smallDevice(t)
-	s := NewKVStore(bd.Device, victimNS(t, bd.Device), nvme.PathDirect)
+	s := NewKVStore(bd.Device, victimNS(t, bd.Device))
 	const keys = 100 // > kvCacheWays, so the loop exercises misses too
 	val := make([]byte, 64)
 	for k := uint64(0); k < keys; k++ {
@@ -296,7 +296,7 @@ func TestGCVictimChurnRelocatesAndResets(t *testing.T) {
 			t.Fatalf("prefill: %v", err)
 		}
 	}
-	v := &GCVictim{Dev: dev, NS: ns, Path: nvme.PathDirect}
+	v := &GCVictim{Dev: dev, NS: ns}
 	if err := v.Arm([]attack.Binding{gcBinding(ns)}); err != nil {
 		t.Fatalf("arm: %v", err)
 	}
@@ -312,7 +312,6 @@ func TestGCVictimChurnRelocatesAndResets(t *testing.T) {
 		Inner:   nopHammer{},
 		Dev:     dev,
 		ChurnNS: ns,
-		Path:    nvme.PathDirect,
 		Rounds:  4, Writes: 1200, Span: 3500,
 		PrimeNS: ns,
 		Prime:   []ftl.LBA{target},
@@ -345,7 +344,7 @@ func TestGCVictimFlipPersistsWithoutChurn(t *testing.T) {
 	bd := smallDevice(t)
 	dev := bd.Device
 	ns := victimNS(t, dev)
-	v := &GCVictim{Dev: dev, NS: ns, Path: nvme.PathDirect, NoInterleave: true}
+	v := &GCVictim{Dev: dev, NS: ns, NoInterleave: true}
 	if err := v.Arm([]attack.Binding{gcBinding(ns)}); err != nil {
 		t.Fatalf("arm: %v", err)
 	}

@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -24,10 +25,10 @@ import (
 const modulePath = "ftlhammer/"
 
 // reachabilityAllowlist names declarations that no non-test file reaches,
-// and exported fields that no non-test file sets, but that stay, each with
-// the reason. Keys are the package directory (internal/ dropped), then the
-// receiver or struct type for a method or field, then the name:
-// "dram.Module.OnFlip".
+// and exported fields that no non-test file sets beyond their own zero
+// default, but that stay, each with the reason. Keys are the package
+// directory (internal/ dropped), then the receiver or struct type for a
+// method or field, then the name: "dram.Module.OnFlip".
 var reachabilityAllowlist = map[string]string{
 	"attack.Result.Stealthy":       "part of the pipeline Result that docs/ATTACKS.md documents",
 	"dram.MitNone":                 "the zero MitigationMode: a Config that sets no mitigation runs unprotected",
@@ -66,7 +67,9 @@ var reachabilityAllowlist = map[string]string{
 	"faults.Rule.After": "Injector.ConfigDigest mixes it into the fault plan's digest, which " +
 		"the device's ConfigDigest and so every pinned state hash include; a change that " +
 		"regenerates the goldens on purpose may delete it",
-	"ftl.Config.L2PBase": digestBound,
+	"ftl.Config.FirmwareTouchesPerIO": digestBound,
+	"ftl.Config.GCFreeBlocksLow":      digestBound,
+	"ftl.Config.L2PBase":              digestBound,
 	"nand.WithEndurance": "builds a wear-limited array; the wear model's bad-block state " +
 		"is part of the snapshot format",
 	"nvme.Costs.FlashPipelining": digestBound,
@@ -82,8 +85,8 @@ var reachabilityAllowlist = map[string]string{
 		"snapshot format",
 }
 
-// digestBound and boostField are the reasons config fields nothing sets
-// stay.
+// digestBound and boostField are the reasons config fields nothing sets,
+// or only their own default sets, stay.
 const (
 	digestBound = "nvme.(*Device).ConfigDigest prints it with %+v, so deleting it " +
 		"changes every pinned config digest and state hash; a change that regenerates " +
@@ -115,7 +118,8 @@ var exemptMethods = map[string]bool{
 //   - an unexported func or method is used by no non-test file outside
 //     its own declaration;
 //   - an exported field of a struct under internal/ is set by no non-test
-//     file;
+//     file, counting a zero-default fill-in, if c.F == 0 { c.F = 8 }, as
+//     no set: a knob with one value in use is a constant;
 //   - a reachabilityAllowlist entry is no longer declared, or no longer
 //     needed.
 //
@@ -138,12 +142,13 @@ func TestNoTestOnlyCode(t *testing.T) {
 // TestNoTestOnlyCodeFlagsPlantedCode is the gate's negative case, over a
 // temporary tree: a package only a test imports, an export only a test
 // uses, an uncalled unexported func, a dead method that shares a live
-// method's name, exported fields never named, set only by a test or only
-// read, and stale or unneeded allowlist entries each fail, while an
-// export only bench/ calls, a method reached only through an interface,
-// fields set by a literal key, a positional literal, an assignment, an
-// increment, an address or a selector chain, an allowlisted export and a
-// test file's own declarations pass.
+// method's name, exported fields never named, set only by a test, only
+// read or set only by their own zero default, and stale or unneeded
+// allowlist entries each fail, while an export only bench/ calls, a
+// method reached only through an interface, fields set by a literal key,
+// a positional literal, an assignment, an increment, an address or a
+// selector chain, a defaulted field a caller also sets, an allowlisted
+// export and a test file's own declarations pass.
 func TestNoTestOnlyCodeFlagsPlantedCode(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -179,8 +184,18 @@ func Run(v Victim) { v.Arm() }
 
 type Config struct {
 	Keyed, Assigned, Counted, Addressed, Never, Unset, ReadOnly int
+	Defaulted, Tuned                                             int
 
 	Inner Inner
+}
+
+func (c *Config) Fill() {
+	if c.Defaulted == 0 {
+		c.Defaulted = 5
+	}
+	if c.Tuned == 0 {
+		c.Tuned = 5
+	}
 }
 
 type Inner struct{ Enabled bool }
@@ -202,8 +217,9 @@ func main() {
 	live.Used()
 	live.Run(live.Canary{})
 	_ = new(live.Store).Stats()
-	c := live.Config{Keyed: 1}
+	c := live.Config{Keyed: 1, Tuned: 3}
 	c.Assigned = 2
+	c.Fill()
 	c.Counted++
 	p := &c.Addressed
 	c.Inner.Enabled = true
@@ -247,6 +263,7 @@ func main() { live.BenchOnly() }
 		"live.Config.Unset is set by no non-test file",
 		"live.Config.Never is set by no non-test file",
 		"live.Config.ReadOnly is set by no non-test file",
+		"live.Config.Defaulted is set only by its own default",
 		`allowlist entry "live.Gone" names no declaration`,
 		`allowlist entry "live.Used" is not needed`,
 	} {
@@ -256,7 +273,7 @@ func main() { live.BenchOnly() }
 	}
 	for _, clean := range []string{
 		"BenchOnly", "Kept", "helper", "unused", "Store", "Canary", "Arm",
-		"Keyed", "Assigned", "Counted", "Addressed", "Inner", "Pair",
+		"Keyed", "Assigned", "Counted", "Addressed", "Tuned", "Inner", "Pair",
 	} {
 		if strings.Contains(got, clean) {
 			t.Errorf("findings name %s; got:\n%s", clean, got)
@@ -447,6 +464,7 @@ func unreachedCode(t *testing.T, root string, allow map[string]string) []string 
 		collectDecls(p, decls)
 	}
 	reached := map[types.Object]bool{}
+	defaulted := map[types.Object]bool{}   // fields a zero-default fill-in writes
 	ifaceMethods := map[*types.Func]bool{} // interface methods a non-test file uses
 	for _, p := range pkgs {
 		for id, obj := range p.info.Uses {
@@ -459,7 +477,7 @@ func unreachedCode(t *testing.T, root string, allow map[string]string) []string 
 				}
 			}
 		}
-		markFieldWrites(p, reached)
+		markFieldWrites(p, reached, defaulted)
 	}
 
 	declared := map[string]bool{}
@@ -472,6 +490,8 @@ func unreachedCode(t *testing.T, root string, allow map[string]string) []string 
 			at.Filename = rel
 		}
 		switch {
+		case !ok && !allowed && d.field && defaulted[obj]:
+			findings = append(findings, fmt.Sprintf("%s: field %s is set only by its own default; make it a constant, or allowlist it with a reason", at, d.key))
 		case !ok && !allowed && d.field:
 			findings = append(findings, fmt.Sprintf("%s: field %s is set by no non-test file; delete it, or allowlist it with a reason", at, d.key))
 		case !ok && !allowed:
@@ -581,47 +601,88 @@ func addFields(p *typedPackage, s *ast.TypeSpec, prefix string, decls map[types.
 // set: by a literal key or a positional literal, or on the selector chain
 // of an assignment's, increment's or decrement's target or of an address
 // taken with &, so c.FTL.Cache.Enabled = true sets FTL, Cache and Enabled.
-func markFieldWrites(p *typedPackage, written map[types.Object]bool) {
+// A write in the body of an if whose condition compares the same field
+// (on any receiver) with ==, <= or < is a zero-default fill-in,
+// if c.F == 0 { c.F = 8 }, not a set: it marks the field in defaulted.
+// Only the innermost enclosing if counts, so a clamp nested in a
+// default, if c.F > max { c.F = max }, still sets.
+func markFieldWrites(p *typedPackage, written, defaulted map[types.Object]bool) {
+	field := func(e ast.Expr) types.Object {
+		if x, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if sel := p.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				return sel.Obj()
+			}
+		}
+		return nil
+	}
+	var guards []types.Object // fields the innermost enclosing if's condition compares
 	target := func(e ast.Expr) {
 		for x, ok := e.(*ast.SelectorExpr); ok; x, ok = x.X.(*ast.SelectorExpr) {
-			if sel := p.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
-				written[sel.Obj()] = true
+			if obj := field(x); obj != nil {
+				if slices.Contains(guards, obj) {
+					defaulted[obj] = true
+				} else {
+					written[obj] = true
+				}
 			}
 		}
 	}
-	for _, f := range p.files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.CompositeLit:
-				st, ok := p.info.Types[x].Type.Underlying().(*types.Struct)
-				if !ok || len(x.Elts) == 0 {
-					break
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.IfStmt:
+			for _, c := range []ast.Node{x.Init, x.Cond, x.Else} {
+				if c != nil {
+					ast.Inspect(c, visit)
 				}
-				if _, keyed := x.Elts[0].(*ast.KeyValueExpr); !keyed {
-					for i := 0; i < st.NumFields(); i++ {
-						written[st.Field(i)] = true
-					}
-				}
-				for _, e := range x.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if obj := p.info.Uses[kv.Key.(*ast.Ident)]; obj != nil {
-							written[obj] = true
+			}
+			outer := guards
+			guards = nil
+			ast.Inspect(x.Cond, func(n ast.Node) bool {
+				if b, ok := n.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.LEQ || b.Op == token.LSS) {
+					for _, side := range []ast.Expr{b.X, b.Y} {
+						if obj := field(side); obj != nil {
+							guards = append(guards, obj)
 						}
 					}
 				}
-			case *ast.AssignStmt:
-				for _, e := range x.Lhs {
-					target(e)
-				}
-			case *ast.IncDecStmt:
-				target(x.X)
-			case *ast.UnaryExpr:
-				if x.Op == token.AND {
-					target(x.X)
+				return true
+			})
+			ast.Inspect(x.Body, visit)
+			guards = outer
+			return false
+		case *ast.CompositeLit:
+			st, ok := p.info.Types[x].Type.Underlying().(*types.Struct)
+			if !ok || len(x.Elts) == 0 {
+				break
+			}
+			if _, keyed := x.Elts[0].(*ast.KeyValueExpr); !keyed {
+				for i := 0; i < st.NumFields(); i++ {
+					written[st.Field(i)] = true
 				}
 			}
-			return true
-		})
+			for _, e := range x.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if obj := p.info.Uses[kv.Key.(*ast.Ident)]; obj != nil {
+						written[obj] = true
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, e := range x.Lhs {
+				target(e)
+			}
+		case *ast.IncDecStmt:
+			target(x.X)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				target(x.X)
+			}
+		}
+		return true
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, visit)
 	}
 }
 
